@@ -20,33 +20,13 @@ from typing import Any
 import numpy as np
 
 from . import serialize
-from .errors import (
-    ConvergenceError,
-    InfeasibleError,
-    InvariantViolation,
-    SchemaError,
-    SingularMatrixError,
-    SpaceMismatchError,
-    ToolkitError,
-)
+from .errors import SchemaError, SingularMatrixError, ToolkitError
 from .parameterizations import (
+    DIRECT_MAPS,
+    REGISTRY,
     PlantSS,
-    controller_to_youla,
+    controller_with_output,
     coprime_factorize,
-    iop_from_controller,
-    iop_to_controller,
-    mixed1_from_controller,
-    mixed1_to_controller,
-    mixed2_from_controller,
-    mixed2_to_controller,
-    slp_of_from_controller,
-    slp_of_to_controller,
-    slp_of_to_iop,
-    slp_sf_from_controller,
-    slp_sf_to_controller,
-    slp_sf_to_iop,
-    youla_to_controller,
-    youla_to_iop,
 )
 from .ratfun import DEFAULT_TOL
 from .realization import check_conditions, stability_from_realization, verify_lemma
@@ -59,14 +39,16 @@ from .sls import (
     simulate,
     synthesize_sf_h2,
 )
-from .tfmatrix import SignalSpace, TFMatrix
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 
-PARAMETERIZATIONS = tuple(serialize.BUNDLE_FIELDS)
+#: the exit code of each error type; every other toolkit error is a failed check
+_ERROR_EXITS = ((SchemaError, EXIT_PARSE), (SingularMatrixError, EXIT_SINGULAR))
+
+PARAMETERIZATIONS = tuple(REGISTRY)
 
 
 @dataclass
@@ -112,32 +94,6 @@ def _cmd_verify(job: JobSpec) -> tuple[int, dict]:
     )
 
 
-def _state_equals_output(plant: PlantSS) -> bool:
-    if plant.p != plant.n or not plant.is_strictly_proper:
-        return False
-    return all(
-        plant.C[i, j] == (1 if i == j else 0) for i in range(plant.n) for j in range(plant.n)
-    )
-
-
-def _controller_with_output(k: TFMatrix, plant: PlantSS, name: str) -> TFMatrix:
-    """Relabel a controller between x- and y-measured loops.
-
-    Legitimate only when the state is taken as the measurement
-    (C = I, D = 0), which is also the premise under which state- and
-    output-feedback parameterizations can be compared at all.
-    """
-    have = k.cols.names[0]
-    if have == name:
-        return k
-    if not _state_equals_output(plant):
-        raise InvariantViolation(
-            "conversion between state- and output-measured parameterizations "
-            "requires C = I and D = 0"
-        )
-    return k.relabel(SignalSpace.single("u", plant.m), SignalSpace.single(name, plant.p))
-
-
 def _cmd_convert(job: JobSpec) -> tuple[int, dict]:
     tol = job.options.get("tol", DEFAULT_TOL)
     plant = serialize.plant_from_doc(serialize.load_document(job.inputs["plant"]))
@@ -148,52 +104,17 @@ def _cmd_convert(job: JobSpec) -> tuple[int, dict]:
         serialize.load_document(job.inputs["bundle"]), plant, tol
     )
     target = job.options["target"]
-    if target not in PARAMETERIZATIONS:
+    if target not in REGISTRY:
         raise SchemaError(f"unknown target parameterization {target!r}")
-
-    def need_factors():
-        if factors is None:
-            raise SchemaError("this conversion needs --factors (a coprime_factors file)")
-        return factors
-
-    # direct translation maps, where one exists
-    if source == "youla" and target == "iop":
-        out = youla_to_iop(need_factors(), bundle, tol)
-    elif source == "slp_sf" and target == "iop":
-        out = slp_sf_to_iop(bundle, plant, tol)
-    elif source == "slp_of" and target == "iop":
-        out = slp_of_to_iop(bundle, plant, tol)
+    direct = DIRECT_MAPS.get((source, target))
+    if direct is not None:
+        out = direct(bundle, plant, factors, tol)
     elif source == target:
         out = bundle
     else:
-        # through the controller
-        if source == "youla":
-            k = youla_to_controller(need_factors(), bundle)
-        elif source == "iop":
-            k = iop_to_controller(bundle)
-        elif source == "slp_sf":
-            k = slp_sf_to_controller(bundle)
-        elif source == "slp_of":
-            k = slp_of_to_controller(bundle, plant.D)
-        elif source == "mixed1":
-            k = mixed1_to_controller(bundle)
-        else:
-            k = mixed2_to_controller(bundle)
-        if target == "slp_sf":
-            k = _controller_with_output(k, plant, "x")
-            out = slp_sf_from_controller(plant, k, tol)
-        else:
-            k = _controller_with_output(k, plant, "y")
-            if target == "youla":
-                out = controller_to_youla(need_factors(), k, tol)
-            elif target == "iop":
-                out = iop_from_controller(plant.transfer(), k, tol)
-            elif target == "slp_of":
-                out = slp_of_from_controller(plant, k, tol)
-            elif target == "mixed1":
-                out = mixed1_from_controller(plant, k, tol)
-            else:
-                out = mixed2_from_controller(plant, k, tol)
+        to = REGISTRY[target]
+        k = REGISTRY[source].to_controller(bundle, plant, factors)
+        out = to.from_controller(plant, factors, controller_with_output(k, plant, to.signal), tol)
     doc = serialize.bundle_to_doc(target, out)
     serialize.dump_document(doc, job.options["out"])
     return _finish(
@@ -287,43 +208,38 @@ def _cmd_factorize(job: JobSpec) -> tuple[int, dict]:
     )
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "convert": _cmd_convert,
-    "synthesize": _cmd_synthesize,
-    "certify": _cmd_certify,
-    "simulate": _cmd_simulate,
-    "factorize": _cmd_factorize,
+#: command -> (handler, the inputs it needs, the options it needs)
+_COMMANDS = {
+    "verify": (_cmd_verify, ("realization",), ()),
+    "convert": (_cmd_convert, ("bundle", "plant"), ("target", "out")),
+    "synthesize": (_cmd_synthesize, ("plant",), ("horizon", "out")),
+    "certify": (_cmd_certify, ("fir", "plant"), ("variant",)),
+    "simulate": (_cmd_simulate, ("fir", "plant"), ("variant", "horizon", "out")),
+    "factorize": (_cmd_factorize, ("plant",), ("out",)),
 }
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
-    """Execute one job and return (exit_code, report document)."""
+    """Execute one job and return (exit_code, report document).
+
+    An unknown command, or a required input or option left out, is a parse
+    error, found before the handler runs.
+    """
     try:
-        return _HANDLERS[job.command](job)
-    except KeyError as exc:
-        report = _report(job.command, False, error=f"unknown command or missing input: {exc}")
-        report["exit_code"] = EXIT_PARSE
-        return EXIT_PARSE, report
-    except SchemaError as exc:
-        report = _report(job.command, False, error=str(exc))
-        report["exit_code"] = EXIT_PARSE
-        return EXIT_PARSE, report
-    except SingularMatrixError as exc:
-        report = _report(job.command, False, error=str(exc))
-        report["exit_code"] = EXIT_SINGULAR
-        return EXIT_SINGULAR, report
-    except (InvariantViolation, InfeasibleError, ConvergenceError, SpaceMismatchError) as exc:
-        findings = getattr(exc, "report", None)
-        report = _report(
-            job.command, False, findings.findings if findings else (), error=str(exc)
-        )
-        report["exit_code"] = EXIT_CHECK_FAILED
-        return EXIT_CHECK_FAILED, report
+        if job.command not in _COMMANDS:
+            raise SchemaError(f"unknown command {job.command!r}")
+        handler, inputs, options = _COMMANDS[job.command]
+        missing = [f"input {n!r}" for n in inputs if n not in job.inputs]
+        missing += [f"option {n!r}" for n in options if n not in job.options]
+        if missing:
+            raise SchemaError(f"{job.command} is missing {', '.join(missing)}")
+        return handler(job)
     except ToolkitError as exc:
-        report = _report(job.command, False, error=str(exc))
-        report["exit_code"] = EXIT_CHECK_FAILED
-        return EXIT_CHECK_FAILED, report
+        code = next((c for kind, c in _ERROR_EXITS if isinstance(exc, kind)), EXIT_CHECK_FAILED)
+        cause = getattr(exc, "report", None)
+        report = _report(job.command, False, cause.findings if cause else (), error=str(exc))
+        report["exit_code"] = code
+        return code, report
 
 
 def _print_report(report: dict) -> None:

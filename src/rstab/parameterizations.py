@@ -8,20 +8,23 @@ the system level bundles (state feedback {Phi_x, Phi_u} and output feedback
 carries its affine constraints as exact rational-matrix identities (checked
 on construction) and its stability memberships as numeric pole tests; the
 conversions below map bundles to controllers and back, and translate
-directly between parameterizations.
+directly between parameterizations.  ``REGISTRY`` holds one
+``Parameterization`` entry per bundle: its loop, the blocks of S it reads,
+and its maps to and from the controller.
 
 Signal naming convention: states are "x", controls "u", measurements "y".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InternalStabilityError, InvariantViolation, SpaceMismatchError
-from .ratfun import DEFAULT_TOL, Poly, RatFun
+from .errors import InternalStabilityError, InvariantViolation, SchemaError, SpaceMismatchError
+from .ratfun import DEFAULT_TOL, RatFun
 from .realization import (
     Realization,
     StabilityMatrix,
@@ -53,6 +56,11 @@ def spectral_radius(m) -> float:
     return float(max(abs(np.linalg.eigvals(a))))
 
 
+def _z_minus(m: np.ndarray, space: SignalSpace) -> TFMatrix:
+    """zI - M over ``space`` for an exact square matrix M."""
+    return TFMatrix.diagonal(space, RatFun.z()) - TFMatrix.constant(space, space, m)
+
+
 @dataclass(frozen=True)
 class PlantSS:
     """State-space plant data (A, B, C, D) with exact rational entries.
@@ -79,17 +87,9 @@ class PlantSS:
     @classmethod
     def state_feedback(cls, A, B) -> "PlantSS":
         """Plant with full state measurement: C = I, D = 0."""
-        A = exact_matrix(A)
         B = exact_matrix(B)
-        n = A.shape[0]
-        eye = np.empty((n, n), dtype=object)
-        zero = np.empty((n, B.shape[1]), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                eye[i, j] = Fraction(int(i == j))
-            for j in range(B.shape[1]):
-                zero[i, j] = Fraction(0)
-        return cls(A, B, eye, zero)
+        n, m = B.shape
+        return cls(A, B, np.eye(n, dtype=int), np.zeros((n, m), dtype=int))
 
     @property
     def n(self) -> int:
@@ -123,12 +123,7 @@ class PlantSS:
 
     def z_minus_a(self) -> TFMatrix:
         """zI - A over the state space."""
-        z = RatFun.z()
-        ent = [
-            [z - RatFun(self.A[i, j]) if i == j else RatFun(-self.A[i, j]) for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return TFMatrix(self.x_space, self.x_space, ent)
+        return _z_minus(self.A, self.x_space)
 
     def resolvent(self) -> TFMatrix:
         """(zI - A)^{-1}."""
@@ -146,20 +141,12 @@ class PlantSS:
 
 
 def _dynamics_block(plant: PlantSS) -> TFMatrix:
-    """A + (1 - z) I: the realization block that encodes x = (A/z-ish) dynamics.
+    """A + (1 - z) I = -(zI - (A + I)): the realization block of x = z^{-1}(A x + B u).
 
     Improper on the diagonal by construction; the causality condition
     exempts diagonal blocks for exactly this reason.
     """
-    n = plant.n
-    ent = [
-        [
-            RatFun(Poly([plant.A[i, j] + 1, -1])) if i == j else RatFun(plant.A[i, j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return TFMatrix(plant.x_space, plant.x_space, ent)
+    return -_z_minus(plant.A + exact_matrix(np.eye(plant.n)), plant.x_space)
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +167,32 @@ def plant_feedback_loop(g: TFMatrix, k: TFMatrix) -> Realization:
     out_name, p = g.rows.blocks[0]
     u_name, m = g.cols.blocks[0]
     space = SignalSpace(((out_name, p), (u_name, m)))
-    r = TFMatrix.from_blocks(space, space, {(out_name, u_name): g, (u_name, out_name): k})
-    zeros = frozenset({(out_name, out_name), (u_name, u_name)})
-    return Realization(space, r, zeros)
+    return Realization.from_blocks(space, {(out_name, u_name): g, (u_name, out_name): k})
+
+
+def _plant_loop(plant: PlantSS, k: TFMatrix, signal: str) -> Realization:
+    """The plant's state equation closed by a controller K that measures ``signal``.
+
+    Measuring the state, the loop is over (x, u) with
+    R = [[A + (1-z)I, B], [K, 0]]; measuring y = Cx + Du, it is over
+    (x, u, y) with R = [[A + (1-z)I, B, 0], [0, 0, K], [C, D, 0]].
+    """
+    blocks = {
+        ("x", "x"): _dynamics_block(plant),
+        ("x", "u"): TFMatrix.constant(plant.x_space, plant.u_space, plant.B),
+        ("u", signal): k,
+    }
+    dims = (("x", plant.n), ("u", plant.m))
+    if signal == "y":
+        blocks[("y", "x")] = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
+        blocks[("y", "u")] = TFMatrix.constant(plant.y_space, plant.u_space, plant.D)
+        dims += (("y", plant.p),)
+    return Realization.from_blocks(SignalSpace(dims), blocks)
 
 
 def state_feedback_loop(plant: PlantSS, k: TFMatrix) -> Realization:
     """State-feedback loop R = [[A + (1-z)I, B], [K, 0]] over (x, u)."""
-    space = SignalSpace((("x", plant.n), ("u", plant.m)))
-    blocks = {
-        ("x", "x"): _dynamics_block(plant),
-        ("x", "u"): TFMatrix.constant(plant.x_space, plant.u_space, plant.B),
-        ("u", "x"): k,
-    }
-    r = TFMatrix.from_blocks(space, space, blocks)
-    return Realization(space, r, frozenset({("u", "u")}))
+    return _plant_loop(plant, k, "x")
 
 
 def output_feedback_loop(plant: PlantSS, k: TFMatrix) -> Realization:
@@ -202,17 +200,7 @@ def output_feedback_loop(plant: PlantSS, k: TFMatrix) -> Realization:
 
     R = [[A + (1-z)I, B, 0], [0, 0, K], [C, D, 0]].
     """
-    space = SignalSpace((("x", plant.n), ("u", plant.m), ("y", plant.p)))
-    blocks = {
-        ("x", "x"): _dynamics_block(plant),
-        ("x", "u"): TFMatrix.constant(plant.x_space, plant.u_space, plant.B),
-        ("u", "y"): k,
-        ("y", "x"): TFMatrix.constant(plant.y_space, plant.x_space, plant.C),
-        ("y", "u"): TFMatrix.constant(plant.y_space, plant.u_space, plant.D),
-    }
-    r = TFMatrix.from_blocks(space, space, blocks)
-    zeros = frozenset({("x", "y"), ("u", "x"), ("u", "u"), ("y", "y")})
-    return Realization(space, r, zeros)
+    return _plant_loop(plant, k, "y")
 
 
 def stabilized_loop(r: Realization, tol: float, context: str) -> StabilityMatrix:
@@ -228,6 +216,26 @@ def stabilized_loop(r: Realization, tol: float, context: str) -> StabilityMatrix
 # ---------------------------------------------------------------------------
 # parameter bundles
 # ---------------------------------------------------------------------------
+
+
+def _members(bundle, tol: float, strictly_proper: tuple[str, ...] = ()):
+    """Return ``bundle`` once every block is stable proper, and strictly
+    proper as well for the fields named in ``strictly_proper``."""
+    for f in fields(bundle):
+        strict = f.name in strictly_proper
+        c = getattr(bundle, f.name).classify(tol)
+        if not (c.in_zinv_rh_inf if strict else c.in_rh_inf):
+            kind = "strictly proper and stable" if strict else "stable proper"
+            raise InvariantViolation(f"{type(bundle).__name__} block {f.name} must be {kind}")
+    return bundle
+
+
+def _holds(bundle, identities):
+    """Return ``bundle`` once every (lhs, rhs, message) identity holds exactly."""
+    for lhs, rhs, message in identities:
+        if lhs != rhs:
+            raise InvariantViolation(f"{message} fails")
+    return bundle
 
 
 @dataclass(frozen=True)
@@ -282,19 +290,18 @@ class CoprimeFactors:
         return left @ right
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        for name in ("Ml", "Nl", "Vl", "Ul", "Ur", "Nr", "Vr", "Mr"):
-            if not getattr(self, name).classify(tol).in_rh_inf:
-                raise InvariantViolation(f"coprime factor {name} is not stable proper")
+        _members(self, tol)
         sp = SignalSpace(self.Ml.rows.blocks + self.Mr.rows.blocks)
         if self.bezout_product() != TFMatrix.identity(sp):
             raise InvariantViolation("double Bezout identity fails")
         # Ml, Mr must be invertible with proper inverses so that G = Ml^{-1} Nl
         # is well defined; their inverses carry the plant's poles, so they are
         # stable only when the plant itself is.
-        for name in ("Ml", "Mr"):
-            if not getattr(self, name).inverse().classify(tol).all_proper:
+        ml_inv, mr_inv = self.Ml.inverse(), self.Mr.inverse()
+        for name, inv in (("Ml", ml_inv), ("Mr", mr_inv)):
+            if not inv.classify(tol).all_proper:
                 raise InvariantViolation(f"{name} is not invertible with a proper inverse")
-        if self.Ml.inverse() @ self.Nl != self.Nr @ self.Mr.inverse():
+        if ml_inv @ self.Nl != self.Nr @ mr_inv:
             raise InvariantViolation("left and right factorizations disagree about the plant")
 
 
@@ -306,9 +313,7 @@ class YoulaParam:
 
     @classmethod
     def checked(cls, Q: TFMatrix, tol: float = DEFAULT_TOL) -> "YoulaParam":
-        if not Q.classify(tol).in_rh_inf:
-            raise InvariantViolation("Youla parameter must be stable proper")
-        return cls(Q)
+        return _members(cls(Q), tol)
 
 
 @dataclass(frozen=True)
@@ -326,18 +331,16 @@ class IOPParam:
 
     @classmethod
     def checked(cls, Y, U, W, Z, g: TFMatrix, tol: float = DEFAULT_TOL) -> "IOPParam":
-        for name, m in (("Y", Y), ("U", U), ("W", W), ("Z", Z)):
-            if not m.classify(tol).in_rh_inf:
-                raise InvariantViolation(f"IOP block {name} is not stable proper")
-        eye_o = TFMatrix.identity(g.rows)
-        eye_u = TFMatrix.identity(g.cols)
-        # row identity: [I, -G] [[Y, W], [U, Z]] = [I, O]
-        if Y - g @ U != eye_o or W - g @ Z != TFMatrix.zeros(g.rows, g.cols):
-            raise InvariantViolation("IOP row identity [I,-G][[Y,W],[U,Z]] = [I,O] fails")
-        # column identity: [[Y, W], [U, Z]] [-G; I] = [O; I]
-        if W - Y @ g != TFMatrix.zeros(g.rows, g.cols) or Z - U @ g != eye_u:
-            raise InvariantViolation("IOP column identity [[Y,W],[U,Z]][-G;I] = [O;I] fails")
-        return cls(Y, U, W, Z)
+        p = _members(cls(Y, U, W, Z), tol)
+        zero = TFMatrix.zeros(g.rows, g.cols)
+        row = "IOP row identity [I,-G][[Y,W],[U,Z]] = [I,O]"
+        col = "IOP column identity [[Y,W],[U,Z]][-G;I] = [O;I]"
+        return _holds(p, [
+            (Y - g @ U, TFMatrix.identity(g.rows), row),
+            (W - g @ Z, zero, row),
+            (W - Y @ g, zero, col),
+            (Z - U @ g, TFMatrix.identity(g.cols), col),
+        ])
 
 
 @dataclass(frozen=True)
@@ -353,14 +356,12 @@ class SLPStateFeedback:
 
     @classmethod
     def checked(cls, phi_x, phi_u, plant: PlantSS, tol: float = DEFAULT_TOL) -> "SLPStateFeedback":
-        if not phi_x.classify(tol).in_zinv_rh_inf:
-            raise InvariantViolation("Phi_x must be strictly proper and stable")
-        if not phi_u.classify(tol).in_zinv_rh_inf:
-            raise InvariantViolation("Phi_u must be strictly proper and stable")
+        p = _members(cls(phi_x, phi_u), tol, strictly_proper=("phi_x", "phi_u"))
         b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
-        if plant.z_minus_a() @ phi_x - b @ phi_u != TFMatrix.identity(plant.x_space):
-            raise InvariantViolation("(zI - A) Phi_x - B Phi_u = I fails")
-        return cls(phi_x, phi_u)
+        return _holds(p, [
+            (plant.z_minus_a() @ phi_x - b @ phi_u, TFMatrix.identity(plant.x_space),
+             "(zI - A) Phi_x - B Phi_u = I"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -384,24 +385,20 @@ class SLPOutputFeedback:
 
     @classmethod
     def checked(cls, phi_xx, phi_ux, phi_xy, phi_uy, plant: PlantSS, tol: float = DEFAULT_TOL):
-        for name, m in (("Phi_xx", phi_xx), ("Phi_ux", phi_ux), ("Phi_xy", phi_xy)):
-            if not m.classify(tol).in_zinv_rh_inf:
-                raise InvariantViolation(f"{name} must be strictly proper and stable")
-        if not phi_uy.classify(tol).in_rh_inf:
-            raise InvariantViolation("Phi_uy must be stable proper")
+        p = _members(cls(phi_xx, phi_ux, phi_xy, phi_uy), tol,
+                     strictly_proper=("phi_xx", "phi_ux", "phi_xy"))
         zia = plant.z_minus_a()
         b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
         c = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
         eye_x = TFMatrix.identity(plant.x_space)
-        if zia @ phi_xx - b @ phi_ux != eye_x:
-            raise InvariantViolation("(zI - A) Phi_xx - B Phi_ux = I fails")
-        if zia @ phi_xy - b @ phi_uy != TFMatrix.zeros(plant.x_space, plant.y_space):
-            raise InvariantViolation("(zI - A) Phi_xy - B Phi_uy = O fails")
-        if phi_xx @ zia - phi_xy @ c != eye_x:
-            raise InvariantViolation("Phi_xx (zI - A) - Phi_xy C = I fails")
-        if phi_ux @ zia - phi_uy @ c != TFMatrix.zeros(plant.u_space, plant.x_space):
-            raise InvariantViolation("Phi_ux (zI - A) - Phi_uy C = O fails")
-        return cls(phi_xx, phi_ux, phi_xy, phi_uy)
+        return _holds(p, [
+            (zia @ phi_xx - b @ phi_ux, eye_x, "(zI - A) Phi_xx - B Phi_ux = I"),
+            (zia @ phi_xy - b @ phi_uy, TFMatrix.zeros(plant.x_space, plant.y_space),
+             "(zI - A) Phi_xy - B Phi_uy = O"),
+            (phi_xx @ zia - phi_xy @ c, eye_x, "Phi_xx (zI - A) - Phi_xy C = I"),
+            (phi_ux @ zia - phi_uy @ c, TFMatrix.zeros(plant.u_space, plant.x_space),
+             "Phi_ux (zI - A) - Phi_uy C = O"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -421,24 +418,18 @@ class MixedParam1:
 
     @classmethod
     def checked(cls, phi_yx, phi_ux, phi_yy, phi_uy, plant: PlantSS, tol: float = DEFAULT_TOL):
-        for name, m in (
-            ("Phi_yx", phi_yx), ("Phi_ux", phi_ux), ("Phi_yy", phi_yy), ("Phi_uy", phi_uy)
-        ):
-            if not m.classify(tol).in_rh_inf:
-                raise InvariantViolation(f"{name} must be stable proper")
+        p = _members(cls(phi_yx, phi_ux, phi_yy, phi_uy), tol)
         g = plant.transfer()
         zia = plant.z_minus_a()
         c = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
-        c_resolvent = c @ plant.resolvent()
-        if phi_yx - g @ phi_ux != c_resolvent:
-            raise InvariantViolation("Phi_yx - G Phi_ux = C (zI-A)^{-1} fails")
-        if phi_yy - g @ phi_uy != TFMatrix.identity(plant.y_space):
-            raise InvariantViolation("Phi_yy - G Phi_uy = I fails")
-        if phi_yx @ zia - phi_yy @ c != TFMatrix.zeros(plant.y_space, plant.x_space):
-            raise InvariantViolation("Phi_yx (zI-A) - Phi_yy C = O fails")
-        if phi_ux @ zia - phi_uy @ c != TFMatrix.zeros(plant.u_space, plant.x_space):
-            raise InvariantViolation("Phi_ux (zI-A) - Phi_uy C = O fails")
-        return cls(phi_yx, phi_ux, phi_yy, phi_uy)
+        return _holds(p, [
+            (phi_yx - g @ phi_ux, c @ plant.resolvent(), "Phi_yx - G Phi_ux = C (zI-A)^{-1}"),
+            (phi_yy - g @ phi_uy, TFMatrix.identity(plant.y_space), "Phi_yy - G Phi_uy = I"),
+            (phi_yx @ zia - phi_yy @ c, TFMatrix.zeros(plant.y_space, plant.x_space),
+             "Phi_yx (zI-A) - Phi_yy C = O"),
+            (phi_ux @ zia - phi_uy @ c, TFMatrix.zeros(plant.u_space, plant.x_space),
+             "Phi_ux (zI-A) - Phi_uy C = O"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -458,23 +449,18 @@ class MixedParam2:
 
     @classmethod
     def checked(cls, phi_xy, phi_uy, phi_xu, phi_uu, plant: PlantSS, tol: float = DEFAULT_TOL):
-        for name, m in (
-            ("Phi_xy", phi_xy), ("Phi_uy", phi_uy), ("Phi_xu", phi_xu), ("Phi_uu", phi_uu)
-        ):
-            if not m.classify(tol).in_rh_inf:
-                raise InvariantViolation(f"{name} must be stable proper")
+        p = _members(cls(phi_xy, phi_uy, phi_xu, phi_uu), tol)
         g = plant.transfer()
         zia = plant.z_minus_a()
         b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
-        if zia @ phi_xy - b @ phi_uy != TFMatrix.zeros(plant.x_space, plant.y_space):
-            raise InvariantViolation("(zI-A) Phi_xy - B Phi_uy = O fails")
-        if zia @ phi_xu - b @ phi_uu != TFMatrix.zeros(plant.x_space, plant.u_space):
-            raise InvariantViolation("(zI-A) Phi_xu - B Phi_uu = O fails")
-        if phi_xu - phi_xy @ g != plant.state_transfer():
-            raise InvariantViolation("Phi_xu - Phi_xy G = (zI-A)^{-1} B fails")
-        if phi_uu - phi_uy @ g != TFMatrix.identity(plant.u_space):
-            raise InvariantViolation("Phi_uu - Phi_uy G = I fails")
-        return cls(phi_xy, phi_uy, phi_xu, phi_uu)
+        return _holds(p, [
+            (zia @ phi_xy - b @ phi_uy, TFMatrix.zeros(plant.x_space, plant.y_space),
+             "(zI-A) Phi_xy - B Phi_uy = O"),
+            (zia @ phi_xu - b @ phi_uu, TFMatrix.zeros(plant.x_space, plant.u_space),
+             "(zI-A) Phi_xu - B Phi_uu = O"),
+            (phi_xu - phi_xy @ g, plant.state_transfer(), "Phi_xu - Phi_xy G = (zI-A)^{-1} B"),
+            (phi_uu - phi_uy @ g, TFMatrix.identity(plant.u_space), "Phi_uu - Phi_uy G = I"),
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +497,8 @@ def coprime_factorize(plant: PlantSS, F, L, tol: float = DEFAULT_TOL) -> Coprime
 
     x_sp, u_sp, y_sp = plant.x_space, plant.u_space, plant.y_space
     const = TFMatrix.constant
-    phi = _resolvent_of(a_bf, x_sp)
-    psi = _resolvent_of(a_lc, x_sp)
+    phi = _z_minus(a_bf, x_sp).inverse()
+    psi = _z_minus(a_lc, x_sp).inverse()
     f_c = const(u_sp, x_sp, F)
     l_c = const(x_sp, y_sp, L)
     b_c = const(x_sp, u_sp, plant.B)
@@ -537,19 +523,28 @@ def coprime_factorize(plant: PlantSS, F, L, tol: float = DEFAULT_TOL) -> Coprime
     return factors
 
 
-def _resolvent_of(a: np.ndarray, space: SignalSpace) -> TFMatrix:
-    z = RatFun.z()
-    n = a.shape[0]
-    ent = [
-        [z - RatFun(a[i, j]) if i == j else RatFun(-a[i, j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return TFMatrix(space, space, ent).inverse()
+# ---------------------------------------------------------------------------
+# conversions to and from the controller
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Youla conversions
-# ---------------------------------------------------------------------------
+def _bundle_of_loop(entry: "Parameterization", loop: Realization, plant, tol: float,
+                    measured: str | None = None):
+    """The entry's blocks of the stabilized loop's S, checked against ``plant``.
+
+    ``measured`` names the measured signal in ``loop`` when it is not the
+    entry's own (an IOP bundle of a loop that measures the state).
+    """
+    s = stabilized_loop(loop, tol, f"{entry.name}_from_controller")
+    rename = {entry.signal: measured or entry.signal}
+    blocks = [s.S.block(rename.get(r, r), rename.get(c, c)) for r, c in entry.blocks]
+    return entry.bundle.checked(*blocks, plant, tol)
+
+
+def _from_plant_loop(name: str, plant: PlantSS, k: TFMatrix, tol: float):
+    """The named bundle of the loop that k closes around the plant's state equation."""
+    entry = REGISTRY[name]
+    return _bundle_of_loop(entry, _plant_loop(plant, k, entry.signal), plant, tol)
 
 
 def youla_to_controller(f: CoprimeFactors, q: YoulaParam) -> TFMatrix:
@@ -572,32 +567,16 @@ def controller_to_youla(f: CoprimeFactors, k: TFMatrix, tol: float = DEFAULT_TOL
     return YoulaParam.checked(q, tol)
 
 
-# ---------------------------------------------------------------------------
-# IOP conversions
-# ---------------------------------------------------------------------------
-
-
 def iop_from_controller(g: TFMatrix, k: TFMatrix, tol: float = DEFAULT_TOL) -> IOPParam:
     """Extract {Y, U, W, Z} as the blocks of (I - R)^{-1} for the (G, K) loop."""
     if not g.classify(tol).all_strictly_proper:
         raise InvariantViolation("IOP extraction requires a strictly proper plant")
-    loop = plant_feedback_loop(g, k)
-    s = stabilized_loop(loop, tol, "iop_from_controller")
-    o, u = g.rows.names[0], g.cols.names[0]
-    return IOPParam.checked(
-        Y=s.S.block(o, o), U=s.S.block(u, o), W=s.S.block(o, u), Z=s.S.block(u, u),
-        g=g, tol=tol,
-    )
+    return _bundle_of_loop(REGISTRY["iop"], plant_feedback_loop(g, k), g, tol, g.rows.names[0])
 
 
 def iop_to_controller(p: IOPParam) -> TFMatrix:
     """K = U Y^{-1}."""
     return p.U @ p.Y.inverse()
-
-
-# ---------------------------------------------------------------------------
-# SLP conversions
-# ---------------------------------------------------------------------------
 
 
 def slp_sf_to_controller(p: SLPStateFeedback) -> TFMatrix:
@@ -607,11 +586,7 @@ def slp_sf_to_controller(p: SLPStateFeedback) -> TFMatrix:
 
 def slp_sf_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL) -> SLPStateFeedback:
     """Extract {Phi_x, Phi_u} as the state-disturbance columns of the loop's S."""
-    loop = state_feedback_loop(plant, k)
-    s = stabilized_loop(loop, tol, "slp_sf_from_controller")
-    return SLPStateFeedback.checked(
-        s.S.block("x", "x"), s.S.block("u", "x"), plant, tol
-    )
+    return _from_plant_loop("slp_sf", plant, k, tol)
 
 
 def slp_of_to_controller(p: SLPOutputFeedback, D) -> TFMatrix:
@@ -630,18 +605,7 @@ def slp_of_to_controller(p: SLPOutputFeedback, D) -> TFMatrix:
 
 def slp_of_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL) -> SLPOutputFeedback:
     """Extract {Phi_xx, Phi_ux, Phi_xy, Phi_uy} from the output-feedback loop's S."""
-    loop = output_feedback_loop(plant, k)
-    s = stabilized_loop(loop, tol, "slp_of_from_controller")
-    return SLPOutputFeedback.checked(
-        s.S.block("x", "x"), s.S.block("u", "x"),
-        s.S.block("x", "y"), s.S.block("u", "y"),
-        plant, tol,
-    )
-
-
-# ---------------------------------------------------------------------------
-# mixed conversions
-# ---------------------------------------------------------------------------
+    return _from_plant_loop("slp_of", plant, k, tol)
 
 
 def mixed1_to_controller(p: MixedParam1) -> TFMatrix:
@@ -650,13 +614,8 @@ def mixed1_to_controller(p: MixedParam1) -> TFMatrix:
 
 
 def mixed1_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL) -> MixedParam1:
-    loop = output_feedback_loop(plant, k)
-    s = stabilized_loop(loop, tol, "mixed1_from_controller")
-    return MixedParam1.checked(
-        s.S.block("y", "x"), s.S.block("u", "x"),
-        s.S.block("y", "y"), s.S.block("u", "y"),
-        plant, tol,
-    )
+    """Extract {Phi_yx, Phi_ux, Phi_yy, Phi_uy} from the output-feedback loop's S."""
+    return _from_plant_loop("mixed1", plant, k, tol)
 
 
 def mixed2_to_controller(p: MixedParam2) -> TFMatrix:
@@ -665,13 +624,8 @@ def mixed2_to_controller(p: MixedParam2) -> TFMatrix:
 
 
 def mixed2_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL) -> MixedParam2:
-    loop = output_feedback_loop(plant, k)
-    s = stabilized_loop(loop, tol, "mixed2_from_controller")
-    return MixedParam2.checked(
-        s.S.block("x", "y"), s.S.block("u", "y"),
-        s.S.block("x", "u"), s.S.block("u", "u"),
-        plant, tol,
-    )
+    """Extract {Phi_xy, Phi_uy, Phi_xu, Phi_uu} from the output-feedback loop's S."""
+    return _from_plant_loop("mixed2", plant, k, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -725,3 +679,118 @@ def slp_of_to_iop(p: SLPOutputFeedback, plant: PlantSS, tol: float = DEFAULT_TOL
     z = p.phi_ux @ b + p.phi_uy @ d + TFMatrix.identity(plant.u_space)
     w = (c @ p.phi_xx + d @ p.phi_ux) @ b + y @ d
     return IOPParam.checked(Y=y, U=p.phi_uy, W=w, Z=z, g=plant.transfer(), tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# the registry: one entry per parameterization
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Parameterization:
+    """One parameterization as a special case of the realization-stability lemma.
+
+    A bundle is a choice of blocks of S = (I - R)^{-1} for the loop R that a
+    controller closes around the plant; ``bundle.checked`` tests the blocks'
+    memberships and affine identities.
+
+    ``bundle`` is the dataclass whose fields name the document's blocks;
+    ``blocks`` gives the (row, col) block of S behind each field, with the
+    measured signal named by ``signal`` ("x" or "y"), and is empty for Youla,
+    whose Q is a formula in S and the coprime factors.  ``plant_map`` takes
+    the plant and the label of the measured signal to what ``bundle.checked``
+    takes after the blocks; it is None when the blocks are checked alone.
+    """
+
+    name: str
+    bundle: type
+    signal: str
+    blocks: tuple[tuple[str, str], ...]
+    #: (plant, factors, k, tol) -> bundle
+    from_controller: Callable[..., Any]
+    #: (bundle, plant, factors) -> k
+    to_controller: Callable[..., TFMatrix]
+    plant_map: Callable[[PlantSS, str], Any] | None = lambda plant, label: plant
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self.bundle))
+
+
+def _needed(factors: CoprimeFactors | None) -> CoprimeFactors:
+    if factors is None:
+        raise SchemaError("this conversion needs the coprime factors (a coprime_factors document)")
+    return factors
+
+
+# The entries call the conversions by their module-level names, so that a
+# wrapper installed on a module attribute sees every call.
+REGISTRY: dict[str, Parameterization] = {p.name: p for p in (
+    Parameterization(
+        "youla", YoulaParam, "y", (),
+        from_controller=lambda plant, f, k, tol: controller_to_youla(_needed(f), k, tol),
+        to_controller=lambda q, plant, f: youla_to_controller(_needed(f), q),
+        plant_map=None,
+    ),
+    Parameterization(
+        "iop", IOPParam, "y", (("y", "y"), ("u", "y"), ("y", "u"), ("u", "u")),
+        from_controller=lambda plant, f, k, tol: iop_from_controller(plant.transfer(), k, tol),
+        to_controller=lambda p, plant, f: iop_to_controller(p),
+        # G, or (zI - A)^{-1} B for a bundle whose rows measure the state
+        plant_map=lambda plant, label: (
+            plant.state_transfer() if label == "x" else plant.transfer()),
+    ),
+    Parameterization(
+        "slp_sf", SLPStateFeedback, "x", (("x", "x"), ("u", "x")),
+        from_controller=lambda plant, f, k, tol: slp_sf_from_controller(plant, k, tol),
+        to_controller=lambda p, plant, f: slp_sf_to_controller(p),
+    ),
+    Parameterization(
+        "slp_of", SLPOutputFeedback, "y", (("x", "x"), ("u", "x"), ("x", "y"), ("u", "y")),
+        from_controller=lambda plant, f, k, tol: slp_of_from_controller(plant, k, tol),
+        to_controller=lambda p, plant, f: slp_of_to_controller(p, plant.D),
+    ),
+    Parameterization(
+        "mixed1", MixedParam1, "y", (("y", "x"), ("u", "x"), ("y", "y"), ("u", "y")),
+        from_controller=lambda plant, f, k, tol: mixed1_from_controller(plant, k, tol),
+        to_controller=lambda p, plant, f: mixed1_to_controller(p),
+    ),
+    Parameterization(
+        "mixed2", MixedParam2, "y", (("x", "y"), ("u", "y"), ("x", "u"), ("u", "u")),
+        from_controller=lambda plant, f, k, tol: mixed2_from_controller(plant, k, tol),
+        to_controller=lambda p, plant, f: mixed2_to_controller(p),
+    ),
+)}
+
+#: (source, target) -> (bundle, plant, factors, tol) -> bundle, for the pairs
+#: that translate without passing through the controller
+DIRECT_MAPS: dict[tuple[str, str], Callable[..., Any]] = {
+    ("youla", "iop"): lambda q, plant, f, tol: youla_to_iop(_needed(f), q, tol),
+    ("slp_sf", "iop"): lambda p, plant, f, tol: slp_sf_to_iop(p, plant, tol),
+    ("slp_of", "iop"): lambda p, plant, f, tol: slp_of_to_iop(p, plant, tol),
+}
+
+
+def _state_equals_output(plant: PlantSS) -> bool:
+    if plant.p != plant.n or not plant.is_strictly_proper:
+        return False
+    return all(
+        plant.C[i, j] == (1 if i == j else 0) for i in range(plant.n) for j in range(plant.n)
+    )
+
+
+def controller_with_output(k: TFMatrix, plant: PlantSS, name: str) -> TFMatrix:
+    """Relabel a controller between x- and y-measured loops.
+
+    Legitimate only when the state is taken as the measurement
+    (C = I, D = 0), which is also the premise under which state- and
+    output-feedback parameterizations can be compared at all.
+    """
+    if k.cols.names[0] == name:
+        return k
+    if not _state_equals_output(plant):
+        raise InvariantViolation(
+            "conversion between state- and output-measured parameterizations "
+            "requires C = I and D = 0"
+        )
+    return k.relabel(SignalSpace.single("u", plant.m), SignalSpace.single(name, plant.p))

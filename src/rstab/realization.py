@@ -42,6 +42,15 @@ class Realization:
                     f"block ({rname!r}, {cname!r}) declared zero but has nonzero entries"
                 )
 
+    @classmethod
+    def from_blocks(
+        cls, space: SignalSpace, blocks: Mapping[tuple[str, str], TFMatrix]
+    ) -> "Realization":
+        """Realization with the given blocks of R; every block not given is a structural zero."""
+        r = TFMatrix.from_blocks(space, space, blocks)
+        names = space.names
+        return cls(space, r, frozenset((a, b) for a in names for b in names if (a, b) not in blocks))
+
 
 @dataclass(frozen=True)
 class StabilityMatrix:

@@ -19,16 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SchemaError, ToolkitError
-from .parameterizations import (
-    IOPParam,
-    MixedParam1,
-    MixedParam2,
-    PlantSS,
-    SLPOutputFeedback,
-    SLPStateFeedback,
-    CoprimeFactors,
-    YoulaParam,
-)
+from .parameterizations import REGISTRY, CoprimeFactors, PlantSS
 from .ratfun import DEFAULT_TOL, RatFun
 from .realization import Realization, StabilityMatrix
 from .sls import FIRPhi, SimTrace
@@ -36,14 +27,8 @@ from .tfmatrix import SignalSpace, TFMatrix
 
 SCHEMA_VERSION = 1
 
-BUNDLE_FIELDS: dict[str, tuple[str, ...]] = {
-    "youla": ("Q",),
-    "iop": ("Y", "U", "W", "Z"),
-    "slp_sf": ("phi_x", "phi_u"),
-    "slp_of": ("phi_xx", "phi_ux", "phi_xy", "phi_uy"),
-    "mixed1": ("phi_yx", "phi_ux", "phi_yy", "phi_uy"),
-    "mixed2": ("phi_xy", "phi_uy", "phi_xu", "phi_uu"),
-}
+#: block names of each parameter bundle, in document order
+BUNDLE_FIELDS: dict[str, tuple[str, ...]] = {name: p.fields for name, p in REGISTRY.items()}
 
 COPRIME_FIELDS = ("Ml", "Nl", "Vl", "Ul", "Ur", "Nr", "Vr", "Mr")
 
@@ -210,35 +195,18 @@ def bundle_from_doc(doc, plant: PlantSS | None = None, tol: float = DEFAULT_TOL)
     """
     _check_header(doc, "parameter_bundle")
     kind = doc.get("parameterization")
-    if kind not in BUNDLE_FIELDS:
+    entry = REGISTRY.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise SchemaError(f"unknown parameterization {kind!r}")
     try:
-        blocks = {f: tfmatrix_from_doc(doc["blocks"][f]) for f in BUNDLE_FIELDS[kind]}
+        blocks = [tfmatrix_from_doc(doc["blocks"][f]) for f in entry.fields]
     except KeyError as exc:
         raise SchemaError(f"parameter bundle is missing block {exc}") from exc
-    if kind == "youla":
-        return kind, YoulaParam.checked(blocks["Q"], tol)
+    if entry.plant_map is None:
+        return kind, entry.bundle.checked(*blocks, tol)
     if plant is None:
         raise SchemaError(f"validating a {kind} bundle requires the plant")
-    if kind == "iop":
-        out_name = blocks["Y"].rows.names[0]
-        g = plant.state_transfer() if out_name == "x" else plant.transfer()
-        return kind, IOPParam.checked(
-            blocks["Y"], blocks["U"], blocks["W"], blocks["Z"], g=g, tol=tol
-        )
-    if kind == "slp_sf":
-        return kind, SLPStateFeedback.checked(blocks["phi_x"], blocks["phi_u"], plant, tol)
-    if kind == "slp_of":
-        return kind, SLPOutputFeedback.checked(
-            blocks["phi_xx"], blocks["phi_ux"], blocks["phi_xy"], blocks["phi_uy"], plant, tol
-        )
-    if kind == "mixed1":
-        return kind, MixedParam1.checked(
-            blocks["phi_yx"], blocks["phi_ux"], blocks["phi_yy"], blocks["phi_uy"], plant, tol
-        )
-    return kind, MixedParam2.checked(
-        blocks["phi_xy"], blocks["phi_uy"], blocks["phi_xu"], blocks["phi_uu"], plant, tol
-    )
+    return kind, entry.bundle.checked(*blocks, entry.plant_map(plant, blocks[0].rows.names[0]), tol)
 
 
 def coprime_to_doc(f: CoprimeFactors) -> dict:

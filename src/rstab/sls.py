@@ -34,6 +34,7 @@ from .errors import (
     ConvergenceError,
     InfeasibleError,
     InvariantViolation,
+    SingularMatrixError,
     SpaceMismatchError,
 )
 from .parameterizations import PlantSS, SLPStateFeedback, _dynamics_block, exact_matrix, spectral_radius
@@ -204,20 +205,16 @@ def build_realization(v: RealizationVariant, plant: PlantSS) -> Realization:
         ("x", "u"): TFMatrix.constant(x_sp, u_sp, plant.B),
         ("u", "delta"): u_row,
     }
-    zeros = {("x", "delta"), ("u", "x"), ("u", "u")}
     if v.kind == DEPLOYMENT:
         # delta row: [z^{-1}(zI - A), -z^{-1} B, O]
         zinv = RatFun.z_inv()
         blocks[("delta", "x")] = TFMatrix.identity(x_sp).relabel(d_sp, x_sp) - zinv * TFMatrix.constant(d_sp, x_sp, plant.A)
         blocks[("delta", "u")] = -(zinv * TFMatrix.constant(d_sp, u_sp, plant.B))
-        zeros.add(("delta", "delta"))
     else:
         # delta row: [I, O, I - z Phi] with Phi = Phi_x or P_c
         blocks[("delta", "x")] = TFMatrix.identity(x_sp).relabel(d_sp, x_sp)
         blocks[("delta", "delta")] = TFMatrix.identity(d_sp) - z * fir_to_tfmatrix(p_taps, d_sp, d_sp)
-        zeros.add(("delta", "u"))
-    r = TFMatrix.from_blocks(space, space, blocks)
-    return Realization(space, r, frozenset(zeros))
+    return Realization.from_blocks(space, blocks)
 
 
 def closed_form_stability(v: RealizationVariant, plant: PlantSS) -> TFMatrix:
@@ -593,7 +590,10 @@ def simulate(
                 s = t + 1 - k
                 if s >= 0:
                     acc = acc - p_taps.taps[k - 1] @ delta[s]
-            delta[t] = np.linalg.solve(lead, acc)
+            try:
+                delta[t] = np.linalg.solve(lead, acc)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrixError("the leading wired tap P[1] is singular") from exc
         acc_u = du[t].copy()
         for k in range(1, m_taps.horizon + 1):
             s = t + 1 - k

@@ -308,3 +308,117 @@ class TestCLI:
         assert "verify: PASS" in out
         saved = json.loads(report_path.read_text())
         assert saved["kind"] == "report" and saved["passed"]
+
+
+PARAMETERIZATION_NAMES = ("youla", "iop", "slp_sf", "slp_of", "mixed1", "mixed2")
+
+
+@pytest.fixture(scope="module")
+def convert_matrix(tmp_path_factory):
+    """A 1-state plant measured in full (C = I, D = 0), its coprime factors,
+    and every bundle of one stabilizing controller, as library objects and files."""
+    import rstab
+
+    tmp = tmp_path_factory.mktemp("convert_matrix")
+    plant = PlantSS([[2]], [[1]], [[1]], [[0]])
+    factors = coprime_factorize(plant, [[-2]], [[-2]])
+    q = rand_fir_tfmatrix(random.Random(3), plant.u_space, plant.y_space, deg=2)
+    k = rstab.youla_to_controller(factors, rstab.YoulaParam.checked(q))
+    k_x = k.relabel(plant.u_space, plant.x_space)
+    bundles = {
+        "youla": rstab.controller_to_youla(factors, k),
+        "iop": rstab.iop_from_controller(plant.transfer(), k),
+        "slp_sf": slp_sf_from_controller(plant, k_x),
+        "slp_of": rstab.slp_of_from_controller(plant, k),
+        "mixed1": rstab.mixed1_from_controller(plant, k),
+        "mixed2": rstab.mixed2_from_controller(plant, k),
+    }
+    # the state-feedback bundle maps directly to the IOP bundle of the loop
+    # that measures x, whose plant is (zI - A)^{-1} B
+    iop_of_x = rstab.iop_from_controller(plant.state_transfer(), k_x)
+    paths = {
+        "plant": write(tmp, "plant.json", serialize.plant_to_doc(plant)),
+        "factors": write(tmp, "factors.json", serialize.coprime_to_doc(factors)),
+    }
+    for name, bundle in bundles.items():
+        paths[name] = write(tmp, f"{name}.json", serialize.bundle_to_doc(name, bundle))
+    return tmp, paths, bundles, iop_of_x
+
+
+@pytest.mark.parametrize("target", PARAMETERIZATION_NAMES)
+@pytest.mark.parametrize("source", PARAMETERIZATION_NAMES)
+def test_convert_every_pair_matches_the_library(convert_matrix, source, target):
+    tmp, paths, bundles, iop_of_x = convert_matrix
+    out = tmp / f"{source}_to_{target}.json"
+    inputs = {"bundle": paths[source], "plant": paths["plant"], "factors": paths["factors"]}
+    code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
+    assert code == 0, report
+    assert report["details"]["source"] == source and report["details"]["target"] == target
+    expected = iop_of_x if (source, target) == ("slp_sf", "iop") else bundles[target]
+    assert json.loads(out.read_text()) == serialize.bundle_to_doc(target, expected)
+
+
+def test_bundle_fields_follow_the_registry():
+    import dataclasses
+
+    from rstab.parameterizations import REGISTRY
+
+    # the document schema: parameterization names and block order
+    assert serialize.BUNDLE_FIELDS == {
+        "youla": ("Q",),
+        "iop": ("Y", "U", "W", "Z"),
+        "slp_sf": ("phi_x", "phi_u"),
+        "slp_of": ("phi_xx", "phi_ux", "phi_xy", "phi_uy"),
+        "mixed1": ("phi_yx", "phi_ux", "phi_yy", "phi_uy"),
+        "mixed2": ("phi_xy", "phi_uy", "phi_xu", "phi_uu"),
+    }
+    assert tuple(serialize.BUNDLE_FIELDS) == tuple(REGISTRY) == PARAMETERIZATION_NAMES
+    for name, entry in REGISTRY.items():
+        fields = tuple(f.name for f in dataclasses.fields(entry.bundle))
+        assert entry.name == name
+        assert serialize.BUNDLE_FIELDS[name] == entry.fields == fields
+        assert len(entry.blocks) in (0, len(fields))
+
+
+class TestCLIInputs:
+    def test_missing_bundle_input_is_a_parse_error(self, tmp_path, scalar_plant_doc):
+        _, plant_path = scalar_plant_doc
+        code, report = run(JobSpec("convert", {"plant": plant_path},
+                                   {"target": "iop", "out": str(tmp_path / "out.json")}))
+        assert code == 2 and report["exit_code"] == 2
+        assert "'bundle'" in report["details"]["error"]
+
+    def test_missing_option_is_named(self, scalar_plant_doc):
+        _, plant_path = scalar_plant_doc
+        code, report = run(JobSpec("synthesize", {"plant": plant_path}, {"horizon": 3}))
+        assert code == 2 and "'out'" in report["details"]["error"]
+
+    def test_unknown_command_is_a_parse_error(self):
+        code, report = run(JobSpec("transmogrify"))
+        assert code == 2 and "transmogrify" in report["details"]["error"]
+
+    def test_key_error_inside_a_handler_is_not_a_parse_error(self, tmp_path, monkeypatch):
+        import rstab.cli
+
+        def broken(r, s):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(rstab.cli, "verify_lemma", broken)
+        r = Realization(SP, TFMatrix.zeros(SP, SP))
+        path = write(tmp_path, "r.json", serialize.realization_to_doc(r))
+        with pytest.raises(KeyError, match="internal"):
+            run(JobSpec("verify", {"realization": path}))
+
+    def test_simulate_singular_leading_tap_exit_three(self, tmp_path, scalar_plant_doc):
+        _, plant_path = scalar_plant_doc
+        doc = {
+            "schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+            "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]], "p_c": [[["0"]]], "m_c": [[["0"]]],
+        }
+        fir_path = write(tmp_path, "fir.json", doc)
+        code, report = run(JobSpec(
+            "simulate", {"plant": plant_path, "fir": fir_path},
+            {"variant": "design_separation", "horizon": 4, "out": str(tmp_path / "t.json")},
+        ))
+        assert code == 3 and report["exit_code"] == 3
+        assert "singular" in report["details"]["error"]
