@@ -8,6 +8,7 @@ simulation of its update equations.
 """
 
 import argparse
+from fractions import Fraction
 
 from rstab import (
     PlantSS,
@@ -33,9 +34,9 @@ def main():
     bundle = synthesize_sf_h2(plant, [[1.0]], [[1.0]], args.horizon)
     fx, fu = fir_from_slp(bundle)
     gain = dare_lqr(plant, [[1.0]], [[1.0]])
-    print(f"H2 synthesis at T={args.horizon}: Phi_u[1] = {fu.taps[0][0, 0]:+.9f}")
+    print(f"H2 synthesis at T={args.horizon}: Phi_u[1] = {float(fu.taps[0][0, 0]):+.9f}")
     print(f"Riccati LQR gain:              K = {gain[0, 0]:+.9f}")
-    print(f"difference: {abs(fu.taps[0][0, 0] - gain[0, 0]):.3e}")
+    print(f"difference: {float(abs(fu.taps[0][0, 0] - gain[0, 0])):.3e}")
     print()
 
     variants = [
@@ -54,10 +55,10 @@ def main():
     from rstab import FIRPhi
 
     taps = list(fu.taps)
-    taps[0] = taps[0] + 0.1
+    taps[0] = taps[0] + Fraction(1, 10)
     bad = RealizationVariant.original(fx, FIRPhi(tuple(taps)))
     match = impulse_match(bad, plant, args.match_horizon, tol=1e-9)
-    print(f"\ncorrupted Phi_u[1] (+0.1): impulse match passed={match.passed}, "
+    print(f"\ncorrupted Phi_u[1] (+1/10): impulse match passed={match.passed}, "
           f"max deviation {match.max_deviation:.3f} at signal {match.worst_signal!r}, "
           f"lag {match.worst_lag}")
 

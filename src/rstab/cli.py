@@ -99,7 +99,9 @@ def _cmd_convert(job: JobSpec) -> tuple[int, dict]:
     plant = serialize.plant_from_doc(serialize.load_document(job.inputs["plant"]))
     factors = None
     if "factors" in job.inputs:
-        factors = serialize.coprime_from_doc(serialize.load_document(job.inputs["factors"]), tol)
+        # loaded and validated only by a conversion that reads them
+        factors = lambda: serialize.coprime_from_doc(
+            serialize.load_document(job.inputs["factors"]), tol)
     source, bundle = serialize.bundle_from_doc(
         serialize.load_document(job.inputs["bundle"]), plant, tol
     )

@@ -133,11 +133,11 @@ class PlantSS:
         """(zI - A)^{-1} B, the disturbance-to-state map, over (x, u)."""
         return self.resolvent() @ TFMatrix.constant(self.x_space, self.u_space, self.B)
 
-    def transfer(self) -> TFMatrix:
-        """G = C (zI - A)^{-1} B + D over (y, u)."""
+    def transfer(self, state_transfer: TFMatrix | None = None) -> TFMatrix:
+        """G = C (zI - A)^{-1} B + D over (y, u), from ``state_transfer`` when given."""
         c = TFMatrix.constant(self.y_space, self.x_space, self.C)
         d = TFMatrix.constant(self.y_space, self.u_space, self.D)
-        return c @ self.state_transfer() + d
+        return c @ (self.state_transfer() if state_transfer is None else state_transfer) + d
 
 
 def _dynamics_block(plant: PlantSS) -> TFMatrix:
@@ -419,11 +419,12 @@ class MixedParam1:
     @classmethod
     def checked(cls, phi_yx, phi_ux, phi_yy, phi_uy, plant: PlantSS, tol: float = DEFAULT_TOL):
         p = _members(cls(phi_yx, phi_ux, phi_yy, phi_uy), tol)
-        g = plant.transfer()
         zia = plant.z_minus_a()
         c = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
+        res = plant.resolvent()
+        g = plant.transfer(res @ TFMatrix.constant(plant.x_space, plant.u_space, plant.B))
         return _holds(p, [
-            (phi_yx - g @ phi_ux, c @ plant.resolvent(), "Phi_yx - G Phi_ux = C (zI-A)^{-1}"),
+            (phi_yx - g @ phi_ux, c @ res, "Phi_yx - G Phi_ux = C (zI-A)^{-1}"),
             (phi_yy - g @ phi_uy, TFMatrix.identity(plant.y_space), "Phi_yy - G Phi_uy = I"),
             (phi_yx @ zia - phi_yy @ c, TFMatrix.zeros(plant.y_space, plant.x_space),
              "Phi_yx (zI-A) - Phi_yy C = O"),
@@ -450,7 +451,8 @@ class MixedParam2:
     @classmethod
     def checked(cls, phi_xy, phi_uy, phi_xu, phi_uu, plant: PlantSS, tol: float = DEFAULT_TOL):
         p = _members(cls(phi_xy, phi_uy, phi_xu, phi_uu), tol)
-        g = plant.transfer()
+        res_b = plant.state_transfer()
+        g = plant.transfer(res_b)
         zia = plant.z_minus_a()
         b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
         return _holds(p, [
@@ -458,7 +460,7 @@ class MixedParam2:
              "(zI-A) Phi_xy - B Phi_uy = O"),
             (zia @ phi_xu - b @ phi_uu, TFMatrix.zeros(plant.x_space, plant.u_space),
              "(zI-A) Phi_xu - B Phi_uu = O"),
-            (phi_xu - phi_xy @ g, plant.state_transfer(), "Phi_xu - Phi_xy G = (zI-A)^{-1} B"),
+            (phi_xu - phi_xy @ g, res_b, "Phi_xu - Phi_xy G = (zI-A)^{-1} B"),
             (phi_uu - phi_uy @ g, TFMatrix.identity(plant.u_space), "Phi_uu - Phi_uy G = I"),
         ])
 
@@ -700,6 +702,8 @@ class Parameterization:
     whose Q is a formula in S and the coprime factors.  ``plant_map`` takes
     the plant and the label of the measured signal to what ``bundle.checked``
     takes after the blocks; it is None when the blocks are checked alone.
+    The maps take ``factors`` as a zero-argument loader of the coprime
+    factors (or None), called only by a map that reads them.
     """
 
     name: str
@@ -717,10 +721,10 @@ class Parameterization:
         return tuple(f.name for f in fields(self.bundle))
 
 
-def _needed(factors: CoprimeFactors | None) -> CoprimeFactors:
+def _needed(factors: Callable[[], CoprimeFactors] | None) -> CoprimeFactors:
     if factors is None:
         raise SchemaError("this conversion needs the coprime factors (a coprime_factors document)")
-    return factors
+    return factors()
 
 
 # The entries call the conversions by their module-level names, so that a

@@ -22,7 +22,7 @@ from .errors import SchemaError, ToolkitError
 from .parameterizations import REGISTRY, CoprimeFactors, PlantSS
 from .ratfun import DEFAULT_TOL, RatFun
 from .realization import Realization, StabilityMatrix
-from .sls import FIRPhi, SimTrace
+from .sls import FIRPhi, SimTrace, fir_from_tfmatrix
 from .tfmatrix import SignalSpace, TFMatrix
 
 SCHEMA_VERSION = 1
@@ -53,6 +53,8 @@ def real_matrix_to_doc(m) -> list[list[str]]:
 def real_matrix_from_doc(doc) -> list[list[Fraction]]:
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise SchemaError("expected a nested list for a real matrix")
+    if any(len(r) != len(doc[0]) for r in doc):
+        raise SchemaError("the rows of a real matrix must have equal lengths")
     return [[parse_scalar(v) for v in row] for row in doc]
 
 
@@ -227,32 +229,15 @@ def coprime_from_doc(doc, tol: float = DEFAULT_TOL) -> CoprimeFactors:
     return f
 
 
-def exact_taps(m: TFMatrix, horizon: int) -> list[list[list[str]]]:
-    """Taps of a strictly proper FIR transfer matrix as exact strings."""
-    out = []
-    for k in range(1, horizon + 1):
-        mat = []
-        for row in m.entries:
-            mat_row = []
-            for e in row:
-                q = e.den.degree
-                if any(c != 0 for c in e.den.coeffs[:-1]):
-                    raise ToolkitError("entry is not FIR (denominator is not z^k)")
-                mat_row.append(scalar_str(e.num[q - k]))
-            mat.append(mat_row)
-        out.append(mat)
-    return out
-
-
 def fir_bundle_to_doc(horizon: int, parts: dict[str, TFMatrix]) -> dict:
     payload: dict[str, Any] = {"horizon": horizon}
     for name, m in parts.items():
-        payload[name] = exact_taps(m, horizon)
+        payload[name] = [real_matrix_to_doc(t) for t in fir_from_tfmatrix(m, horizon).taps]
     return _with_header("fir_bundle", payload)
 
 
 def fir_bundle_from_doc(doc) -> dict[str, Any]:
-    """Load FIR taps as float FIRPhi payloads keyed by part name."""
+    """Load exact FIR taps as FIRPhi payloads keyed by part name."""
     _check_header(doc, "fir_bundle")
     try:
         horizon = int(doc["horizon"])
@@ -265,12 +250,7 @@ def fir_bundle_from_doc(doc) -> dict[str, Any]:
         taps_doc = doc[name]
         if not isinstance(taps_doc, list) or len(taps_doc) != horizon:
             raise SchemaError(f"{name} must list exactly {horizon} tap matrices")
-        taps = []
-        for mat in taps_doc:
-            taps.append(
-                np.array([[float(parse_scalar(v)) for v in row] for row in mat], dtype=float)
-            )
-        out[name] = FIRPhi(tuple(taps))
+        out[name] = FIRPhi(tuple(real_matrix_from_doc(mat) for mat in taps_doc))
     if "phi_x" not in out or "phi_u" not in out:
         raise SchemaError("fir_bundle needs phi_x and phi_u")
     return out

@@ -56,12 +56,13 @@ VARIANT_KINDS = (ORIGINAL, DEPLOYMENT, DESIGN_SEPARATION)
 
 @dataclass(frozen=True, eq=False)
 class FIRPhi:
-    """Finite impulse response: real matrix taps for z^{-1} .. z^{-T}."""
+    """Finite impulse response: taps for z^{-1} .. z^{-T}, each lifted exactly
+    (``exact_matrix``) to a 2-D object array of Fractions."""
 
     taps: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        taps = tuple(np.atleast_2d(np.asarray(t, dtype=float)) for t in self.taps)
+        taps = tuple(exact_matrix(np.atleast_2d(np.asarray(t, dtype=object))) for t in self.taps)
         if not taps:
             raise InvariantViolation("an FIR response needs at least one tap")
         shape = taps[0].shape
@@ -77,15 +78,9 @@ class FIRPhi:
     def shape(self) -> tuple[int, int]:
         return self.taps[0].shape
 
-    def tap(self, k: int) -> np.ndarray:
-        """Coefficient of z^{-k}, zero outside 1..horizon."""
-        if 1 <= k <= len(self.taps):
-            return self.taps[k - 1]
-        return np.zeros(self.shape)
-
 
 def fir_to_tfmatrix(f: FIRPhi, rows: SignalSpace, cols: SignalSpace) -> TFMatrix:
-    """Exact lift of float taps: entry (i, j) = sum_k taps[k][i, j] z^{-k}."""
+    """Entry (i, j) = sum_k taps[k][i, j] z^{-k}, over the given spaces."""
     nr, nc = f.shape
     if rows.total != nr or cols.total != nc:
         raise SpaceMismatchError("FIR tap shape does not match the requested spaces")
@@ -95,14 +90,14 @@ def fir_to_tfmatrix(f: FIRPhi, rows: SignalSpace, cols: SignalSpace) -> TFMatrix
     for i in range(nr):
         row = []
         for j in range(nc):
-            num = Poly([Fraction(f.taps[k][i, j]) for k in range(t - 1, -1, -1)])
+            num = Poly([f.taps[k][i, j] for k in range(t - 1, -1, -1)])
             row.append(RatFun(num, den))
         ent.append(row)
     return TFMatrix(rows, cols, ent)
 
 
 def fir_from_tfmatrix(m: TFMatrix, horizon: int | None = None) -> FIRPhi:
-    """Extract float taps from a strictly proper FIR transfer matrix.
+    """Extract the exact taps of a strictly proper FIR transfer matrix.
 
     Every entry must have a pure z-power denominator; otherwise the matrix
     has infinite impulse response and the extraction refuses.
@@ -120,18 +115,18 @@ def fir_from_tfmatrix(m: TFMatrix, horizon: int | None = None) -> FIRPhi:
     if t < max(worst, 1):
         raise InvariantViolation(f"horizon {t} cannot hold taps up to lag {worst}")
     nr, nc = m.shape
-    taps = [np.zeros((nr, nc)) for _ in range(t)]
+    taps = [np.zeros((nr, nc), dtype=object) for _ in range(t)]
     for i in range(nr):
         for j in range(nc):
             e = m.entries[i][j]
             q = e.den.degree
             for k in range(1, q + 1):
-                taps[k - 1][i, j] = float(e.num[q - k])
+                taps[k - 1][i, j] = e.num[q - k]
     return FIRPhi(tuple(taps))
 
 
 def slp_from_fir(plant: PlantSS, phi_x: FIRPhi, phi_u: FIRPhi, tol: float = DEFAULT_TOL) -> SLPStateFeedback:
-    """Validate a float FIR pair as a state-feedback bundle (exact lift)."""
+    """Validate an FIR pair as a state-feedback bundle."""
     px = fir_to_tfmatrix(phi_x, plant.x_space, plant.x_space)
     pu = fir_to_tfmatrix(phi_u, plant.u_space, plant.x_space)
     return SLPStateFeedback.checked(px, pu, plant, tol)
@@ -569,14 +564,15 @@ def simulate(
     n, m = plant.n, plant.m
     a = plant.A.astype(float)
     b = plant.B.astype(float)
-    p_taps, m_taps = v.controller_taps()
+    # the one float cast of the wired taps: (horizon, rows, cols) arrays
+    p_taps, m_taps = (np.array(f.taps, dtype=float) for f in v.controller_taps())
     dx = _schedule(d, "x", horizon, n)
     du = _schedule(d, "u", horizon, m)
     dd = _schedule(d, "delta", horizon, n)
     x = np.zeros((horizon + 1, n))
     u = np.zeros((horizon + 1, m))
     delta = np.zeros((horizon + 1, n))
-    lead = p_taps.taps[0]
+    lead = p_taps[0]
     for t in range(horizon + 1):
         if t >= 1:
             x[t] = a @ x[t - 1] + b @ u[t - 1] + dx[t - 1]
@@ -586,19 +582,19 @@ def simulate(
             delta[t] = x[t] - a @ prev_x - b @ prev_u + dd[t]
         else:
             acc = x[t] + dd[t]
-            for k in range(2, p_taps.horizon + 1):
+            for k in range(2, len(p_taps) + 1):
                 s = t + 1 - k
                 if s >= 0:
-                    acc = acc - p_taps.taps[k - 1] @ delta[s]
+                    acc = acc - p_taps[k - 1] @ delta[s]
             try:
                 delta[t] = np.linalg.solve(lead, acc)
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError("the leading wired tap P[1] is singular") from exc
         acc_u = du[t].copy()
-        for k in range(1, m_taps.horizon + 1):
+        for k in range(1, len(m_taps) + 1):
             s = t + 1 - k
             if s >= 0:
-                acc_u = acc_u + m_taps.taps[k - 1] @ delta[s]
+                acc_u = acc_u + m_taps[k - 1] @ delta[s]
         u[t] = acc_u
     return SimTrace(
         horizon=horizon,

@@ -422,3 +422,19 @@ class TestCLIInputs:
         ))
         assert code == 3 and report["exit_code"] == 3
         assert "singular" in report["details"]["error"]
+
+
+@pytest.mark.parametrize("target, exit_code", [("slp_of", 0), ("youla", 1)])
+def test_convert_validates_the_factors_only_when_it_reads_them(convert_matrix, target, exit_code):
+    tmp, paths, bundles, _ = convert_matrix
+    doc = serialize.load_document(paths["factors"])
+    doc["blocks"]["Vl"] = doc["blocks"]["Ul"]  # the double Bezout identity fails
+    inputs = {"bundle": paths["mixed1"], "plant": paths["plant"],
+              "factors": write(tmp, "broken_factors.json", doc)}
+    out = tmp / f"mixed1_to_{target}_broken_factors.json"
+    code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
+    assert code == exit_code, report
+    if exit_code == 0:
+        assert json.loads(out.read_text()) == serialize.bundle_to_doc(target, bundles[target])
+    else:
+        assert "Bezout" in report["details"]["error"]
