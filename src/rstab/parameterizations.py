@@ -4,13 +4,13 @@ Every internally stabilizing controller for a discrete-time plant can be
 described by several equivalent parameter bundles: the Youla parameter Q
 over a doubly coprime factorization, the input-output bundle {Y, U, W, Z},
 the system level bundles (state feedback {Phi_x, Phi_u} and output feedback
-{Phi_xx, Phi_ux, Phi_xy, Phi_uy}), and two mixed bundles.  Each bundle here
-carries its affine constraints as exact rational-matrix identities (checked
-on construction) and its stability memberships as numeric pole tests; the
-conversions below map bundles to controllers and back, and translate
-directly between parameterizations.  ``REGISTRY`` holds one
-``Parameterization`` entry per bundle: its loop, the blocks of S it reads,
-and its maps to and from the controller.
+{Phi_xx, Phi_ux, Phi_xy, Phi_uy}), and two mixed bundles.  ``REGISTRY``
+holds one ``Parameterization`` entry per bundle: its loop, the blocks of
+S = (I - R)^{-1} it holds, which are strictly proper, and its maps to and
+from the controller.  Each bundle is checked on construction: its stability
+memberships by numeric pole tests, and exactly the affine identities that
+(I - R) S = S (I - R) = I imposes on its blocks; the conversions below map
+bundles to controllers and back, and translate directly between them.
 
 Signal naming convention: states are "x", controls "u", measurements "y".
 """
@@ -133,20 +133,21 @@ class PlantSS:
         """(zI - A)^{-1} B, the disturbance-to-state map, over (x, u)."""
         return self.resolvent() @ TFMatrix.constant(self.x_space, self.u_space, self.B)
 
-    def transfer(self, state_transfer: TFMatrix | None = None) -> TFMatrix:
-        """G = C (zI - A)^{-1} B + D over (y, u), from ``state_transfer`` when given."""
+    def transfer(self) -> TFMatrix:
+        """G = C (zI - A)^{-1} B + D over (y, u)."""
         c = TFMatrix.constant(self.y_space, self.x_space, self.C)
         d = TFMatrix.constant(self.y_space, self.u_space, self.D)
-        return c @ (self.state_transfer() if state_transfer is None else state_transfer) + d
+        return c @ self.state_transfer() + d
 
 
 def _dynamics_block(plant: PlantSS) -> TFMatrix:
-    """A + (1 - z) I = -(zI - (A + I)): the realization block of x = z^{-1}(A x + B u).
+    """A + (1 - z) I: the realization block of x = z^{-1}(A x + B u).
 
     Improper on the diagonal by construction; the causality condition
     exempts diagonal blocks for exactly this reason.
     """
-    return -_z_minus(plant.A + exact_matrix(np.eye(plant.n)), plant.x_space)
+    x = plant.x_space
+    return TFMatrix.constant(x, x, plant.A) + TFMatrix.diagonal(x, RatFun([1, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +231,78 @@ def _members(bundle, tol: float, strictly_proper: tuple[str, ...] = ()):
     return bundle
 
 
-def _holds(bundle, identities):
-    """Return ``bundle`` once every (lhs, rhs, message) identity holds exactly."""
-    for lhs, rhs, message in identities:
+def _held_blocks(entry: "Parameterization", loop: Realization) -> list[tuple[str, str]]:
+    """The entry's blocks named as in ``loop``, whose controller (row u's one
+    block that is not a structural zero) may measure the state for an IOP bundle."""
+    measured = next(b for b in loop.space.names if ("u", b) not in loop.structural_zeros)
+    return [tuple(measured if n == entry.signal else n for n in b) for b in entry.blocks]
+
+
+def _lemma_identities(entry: "Parameterization", loop: Realization, bundle):
+    """Yield lazily the (lhs, rhs, message) identities that (I - R) S = S (I - R) = I
+    imposes on ``bundle``'s blocks in the entry's ``loop`` with K = 0: the rows of
+    (I - R) S = I but u's, at the held columns, and the columns of S (I - R) = I
+    but the measured signal's, at the held rows.  A signal whose row (column)
+    the bundle does not hold is eliminated through its diagonal block of I - R."""
+    zeros = loop.structural_zeros
+    held = dict(zip(_held_blocks(entry, loop), (getattr(bundle, f) for f in entry.fields)))
+    rows = list(dict.fromkeys(r for r, _ in held))
+    cols = list(dict.fromkeys(c for _, c in held))
+
+    def line(a: str, by_column: bool) -> dict:
+        """b -> block (a, b) of I - R, or (b, a) by column; None for I, zero blocks left out."""
+        out = {}
+        for b in loop.space.names:
+            i, j = (b, a) if by_column else (a, b)
+            if (i, j) not in zeros:
+                blk = loop.R.block(i, j)
+                out[b] = TFMatrix.identity(blk.rows) - blk if i == j else -blk
+            elif i == j:
+                out[b] = None
+        return out
+
+    def side(by_column: bool, own, inner, at, where: str):
+        # sum_b M_ab S_bc = delta_ac I, read the other way round by column
+        # (sum_b S_cb M_ba), so that one elimination serves both sides
+        def prod(m, s):
+            return s if m is None else m if s is None else (s @ m if by_column else m @ s)
+
+        for a in own:
+            coeffs, rhs = line(a, by_column), {}
+            for e in [e for e in coeffs if e not in inner]:
+                m_e = line(e, by_column)
+                t = prod(coeffs.pop(e), None if m_e[e] is None else m_e[e].inverse())
+                rhs[e] = -t
+                for b, m_eb in m_e.items():
+                    if b != e:
+                        coeffs[b] = coeffs[b] - prod(t, m_eb)
+            for c in at:
+                terms = [prod(m, held[(c, b) if by_column else (b, c)]) for b, m in coeffs.items()]
+                lhs = sum(terms[1:], terms[0])
+                delta = TFMatrix.identity(lhs.rows) if c == a else TFMatrix.zeros(lhs.rows, lhs.cols)
+                yield lhs, rhs.get(c, delta), where.format(a=a, c=c)
+
+    # K enters row u and, of the columns, only the measured signal's
+    name = type(bundle).__name__
+    yield from side(False, [a for a in rows if a != "u"], rows, cols,
+                    name + ": (I - R) S = I fails in row {a} at block ({a}, {c})")
+    yield from side(True, [c for c in cols if ("u", c) in zeros], cols, rows,
+                    name + ": S (I - R) = I fails in column {a} at block ({c}, {a})")
+
+
+def _checked(bundle, plant, tol: float):
+    """Return ``bundle`` once its memberships and lemma identities hold, in its loop
+    with K = 0 around ``plant`` (for IOP, around G or (zI - A)^{-1} B)."""
+    entry = next(e for e in REGISTRY.values() if e.bundle is type(bundle))
+    _members(bundle, tol, entry.strictly_proper)
+    if isinstance(plant, TFMatrix):
+        loop = plant_feedback_loop(plant, TFMatrix.zeros(plant.cols, plant.rows))
+    else:
+        measured = plant.x_space if entry.signal == "x" else plant.y_space
+        loop = _plant_loop(plant, TFMatrix.zeros(plant.u_space, measured), entry.signal)
+    for lhs, rhs, message in _lemma_identities(entry, loop, bundle):
         if lhs != rhs:
-            raise InvariantViolation(f"{message} fails")
+            raise InvariantViolation(message)
     return bundle
 
 
@@ -331,52 +399,27 @@ class IOPParam:
 
     @classmethod
     def checked(cls, Y, U, W, Z, g: TFMatrix, tol: float = DEFAULT_TOL) -> "IOPParam":
-        p = _members(cls(Y, U, W, Z), tol)
-        zero = TFMatrix.zeros(g.rows, g.cols)
-        row = "IOP row identity [I,-G][[Y,W],[U,Z]] = [I,O]"
-        col = "IOP column identity [[Y,W],[U,Z]][-G;I] = [O;I]"
-        return _holds(p, [
-            (Y - g @ U, TFMatrix.identity(g.rows), row),
-            (W - g @ Z, zero, row),
-            (W - Y @ g, zero, col),
-            (Z - U @ g, TFMatrix.identity(g.cols), col),
-        ])
+        return _checked(cls(Y, U, W, Z), g, tol)
 
 
 @dataclass(frozen=True)
 class SLPStateFeedback:
-    """State-feedback system level bundle {Phi_x, Phi_u}.
-
-    Both maps are strictly proper and stable, and satisfy
-    (zI - A) Phi_x - B Phi_u = I exactly.
-    """
+    """State-feedback system level bundle {Phi_x, Phi_u}: the state-disturbance
+    columns of S for a controller that measures the state."""
 
     phi_x: TFMatrix
     phi_u: TFMatrix
 
     @classmethod
     def checked(cls, phi_x, phi_u, plant: PlantSS, tol: float = DEFAULT_TOL) -> "SLPStateFeedback":
-        p = _members(cls(phi_x, phi_u), tol, strictly_proper=("phi_x", "phi_u"))
-        b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
-        return _holds(p, [
-            (plant.z_minus_a() @ phi_x - b @ phi_u, TFMatrix.identity(plant.x_space),
-             "(zI - A) Phi_x - B Phi_u = I"),
-        ])
+        return _checked(cls(phi_x, phi_u), plant, tol)
 
 
 @dataclass(frozen=True)
 class SLPOutputFeedback:
-    """Output-feedback system level bundle {Phi_xx, Phi_ux, Phi_xy, Phi_uy}.
-
-    Satisfies the two affine identities
-
-        [zI-A, -B] [[Phi_xx, Phi_xy], [Phi_ux, Phi_uy]] = [I, O]
-        [[Phi_xx, Phi_xy], [Phi_ux, Phi_uy]] [zI-A; -C] = [I; O]
-
-    with Phi_xx, Phi_ux, Phi_xy strictly proper stable and Phi_uy stable
-    proper.  The identities do not involve D; the same bundle serves any
-    direct feedthrough via the general controller formula.
-    """
+    """Output-feedback system level bundle {Phi_xx, Phi_ux, Phi_xy, Phi_uy}
+    (state/control rows, state/output columns).  Its identities do not involve D,
+    so it serves any direct feedthrough via the general controller formula."""
 
     phi_xx: TFMatrix
     phi_ux: TFMatrix
@@ -385,31 +428,13 @@ class SLPOutputFeedback:
 
     @classmethod
     def checked(cls, phi_xx, phi_ux, phi_xy, phi_uy, plant: PlantSS, tol: float = DEFAULT_TOL):
-        p = _members(cls(phi_xx, phi_ux, phi_xy, phi_uy), tol,
-                     strictly_proper=("phi_xx", "phi_ux", "phi_xy"))
-        zia = plant.z_minus_a()
-        b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
-        c = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
-        eye_x = TFMatrix.identity(plant.x_space)
-        return _holds(p, [
-            (zia @ phi_xx - b @ phi_ux, eye_x, "(zI - A) Phi_xx - B Phi_ux = I"),
-            (zia @ phi_xy - b @ phi_uy, TFMatrix.zeros(plant.x_space, plant.y_space),
-             "(zI - A) Phi_xy - B Phi_uy = O"),
-            (phi_xx @ zia - phi_xy @ c, eye_x, "Phi_xx (zI - A) - Phi_xy C = I"),
-            (phi_ux @ zia - phi_uy @ c, TFMatrix.zeros(plant.u_space, plant.x_space),
-             "Phi_ux (zI - A) - Phi_uy C = O"),
-        ])
+        return _checked(cls(phi_xx, phi_ux, phi_xy, phi_uy), plant, tol)
 
 
 @dataclass(frozen=True)
 class MixedParam1:
-    """Mixed bundle {Phi_yx, Phi_ux, Phi_yy, Phi_uy} (output rows, state/output columns).
-
-    All four blocks stable proper, with
-
-        [I, -G] [[Phi_yx, Phi_yy], [Phi_ux, Phi_uy]] = [C (zI-A)^{-1}, I]
-        [[Phi_yx, Phi_yy], [Phi_ux, Phi_uy]] [zI-A; -C] = O.
-    """
+    """Mixed bundle {Phi_yx, Phi_ux, Phi_yy, Phi_uy} (output/control rows,
+    state/output columns)."""
 
     phi_yx: TFMatrix
     phi_ux: TFMatrix
@@ -418,30 +443,13 @@ class MixedParam1:
 
     @classmethod
     def checked(cls, phi_yx, phi_ux, phi_yy, phi_uy, plant: PlantSS, tol: float = DEFAULT_TOL):
-        p = _members(cls(phi_yx, phi_ux, phi_yy, phi_uy), tol)
-        zia = plant.z_minus_a()
-        c = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
-        res = plant.resolvent()
-        g = plant.transfer(res @ TFMatrix.constant(plant.x_space, plant.u_space, plant.B))
-        return _holds(p, [
-            (phi_yx - g @ phi_ux, c @ res, "Phi_yx - G Phi_ux = C (zI-A)^{-1}"),
-            (phi_yy - g @ phi_uy, TFMatrix.identity(plant.y_space), "Phi_yy - G Phi_uy = I"),
-            (phi_yx @ zia - phi_yy @ c, TFMatrix.zeros(plant.y_space, plant.x_space),
-             "Phi_yx (zI-A) - Phi_yy C = O"),
-            (phi_ux @ zia - phi_uy @ c, TFMatrix.zeros(plant.u_space, plant.x_space),
-             "Phi_ux (zI-A) - Phi_uy C = O"),
-        ])
+        return _checked(cls(phi_yx, phi_ux, phi_yy, phi_uy), plant, tol)
 
 
 @dataclass(frozen=True)
 class MixedParam2:
-    """Mixed bundle {Phi_xy, Phi_uy, Phi_xu, Phi_uu} (state/control rows, output/control columns).
-
-    All four blocks stable proper, with
-
-        [zI-A, -B] [[Phi_xy, Phi_xu], [Phi_uy, Phi_uu]] = O
-        [[Phi_xy, Phi_xu], [Phi_uy, Phi_uu]] [-G; I] = [(zI-A)^{-1} B; I].
-    """
+    """Mixed bundle {Phi_xy, Phi_uy, Phi_xu, Phi_uu} (state/control rows,
+    output/control columns)."""
 
     phi_xy: TFMatrix
     phi_uy: TFMatrix
@@ -450,19 +458,7 @@ class MixedParam2:
 
     @classmethod
     def checked(cls, phi_xy, phi_uy, phi_xu, phi_uu, plant: PlantSS, tol: float = DEFAULT_TOL):
-        p = _members(cls(phi_xy, phi_uy, phi_xu, phi_uu), tol)
-        res_b = plant.state_transfer()
-        g = plant.transfer(res_b)
-        zia = plant.z_minus_a()
-        b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
-        return _holds(p, [
-            (zia @ phi_xy - b @ phi_uy, TFMatrix.zeros(plant.x_space, plant.y_space),
-             "(zI-A) Phi_xy - B Phi_uy = O"),
-            (zia @ phi_xu - b @ phi_uu, TFMatrix.zeros(plant.x_space, plant.u_space),
-             "(zI-A) Phi_xu - B Phi_uu = O"),
-            (phi_xu - phi_xy @ g, res_b, "Phi_xu - Phi_xy G = (zI-A)^{-1} B"),
-            (phi_uu - phi_uy @ g, TFMatrix.identity(plant.u_space), "Phi_uu - Phi_uy G = I"),
-        ])
+        return _checked(cls(phi_xy, phi_uy, phi_xu, phi_uu), plant, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +526,10 @@ def coprime_factorize(plant: PlantSS, F, L, tol: float = DEFAULT_TOL) -> Coprime
 # ---------------------------------------------------------------------------
 
 
-def _bundle_of_loop(entry: "Parameterization", loop: Realization, plant, tol: float,
-                    measured: str | None = None):
-    """The entry's blocks of the stabilized loop's S, checked against ``plant``.
-
-    ``measured`` names the measured signal in ``loop`` when it is not the
-    entry's own (an IOP bundle of a loop that measures the state).
-    """
+def _bundle_of_loop(entry: "Parameterization", loop: Realization, plant, tol: float):
+    """The entry's blocks of the stabilized loop's S, checked against ``plant``."""
     s = stabilized_loop(loop, tol, f"{entry.name}_from_controller")
-    rename = {entry.signal: measured or entry.signal}
-    blocks = [s.S.block(rename.get(r, r), rename.get(c, c)) for r, c in entry.blocks]
-    return entry.bundle.checked(*blocks, plant, tol)
+    return entry.bundle.checked(*(s.S.block(r, c) for r, c in _held_blocks(entry, loop)), plant, tol)
 
 
 def _from_plant_loop(name: str, plant: PlantSS, k: TFMatrix, tol: float):
@@ -573,7 +562,7 @@ def iop_from_controller(g: TFMatrix, k: TFMatrix, tol: float = DEFAULT_TOL) -> I
     """Extract {Y, U, W, Z} as the blocks of (I - R)^{-1} for the (G, K) loop."""
     if not g.classify(tol).all_strictly_proper:
         raise InvariantViolation("IOP extraction requires a strictly proper plant")
-    return _bundle_of_loop(REGISTRY["iop"], plant_feedback_loop(g, k), g, tol, g.rows.names[0])
+    return _bundle_of_loop(REGISTRY["iop"], plant_feedback_loop(g, k), g, tol)
 
 
 def iop_to_controller(p: IOPParam) -> TFMatrix:
@@ -694,7 +683,7 @@ class Parameterization:
 
     A bundle is a choice of blocks of S = (I - R)^{-1} for the loop R that a
     controller closes around the plant; ``bundle.checked`` tests the blocks'
-    memberships and affine identities.
+    memberships (strict for ``strictly_proper``) and the lemma's identities.
 
     ``bundle`` is the dataclass whose fields name the document's blocks;
     ``blocks`` gives the (row, col) block of S behind each field, with the
@@ -715,6 +704,7 @@ class Parameterization:
     #: (bundle, plant, factors) -> k
     to_controller: Callable[..., TFMatrix]
     plant_map: Callable[[PlantSS, str], Any] | None = lambda plant, label: plant
+    strictly_proper: tuple[str, ...] = ()
 
     @property
     def fields(self) -> tuple[str, ...]:
@@ -748,11 +738,13 @@ REGISTRY: dict[str, Parameterization] = {p.name: p for p in (
         "slp_sf", SLPStateFeedback, "x", (("x", "x"), ("u", "x")),
         from_controller=lambda plant, f, k, tol: slp_sf_from_controller(plant, k, tol),
         to_controller=lambda p, plant, f: slp_sf_to_controller(p),
+        strictly_proper=("phi_x", "phi_u"),
     ),
     Parameterization(
         "slp_of", SLPOutputFeedback, "y", (("x", "x"), ("u", "x"), ("x", "y"), ("u", "y")),
         from_controller=lambda plant, f, k, tol: slp_of_from_controller(plant, k, tol),
         to_controller=lambda p, plant, f: slp_of_to_controller(p, plant.D),
+        strictly_proper=("phi_xx", "phi_ux", "phi_xy"),
     ),
     Parameterization(
         "mixed1", MixedParam1, "y", (("y", "x"), ("u", "x"), ("y", "y"), ("u", "y")),

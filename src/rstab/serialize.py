@@ -243,17 +243,24 @@ def fir_bundle_from_doc(doc) -> dict[str, Any]:
         horizon = int(doc["horizon"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("fir_bundle needs an integer horizon") from exc
-    out: dict[str, Any] = {"horizon": horizon}
+    if horizon < 1:
+        raise SchemaError("fir_bundle horizon must be positive")
+    parts = {}
     for name in ("phi_x", "phi_u", "p_c", "m_c"):
         if name not in doc:
             continue
         taps_doc = doc[name]
         if not isinstance(taps_doc, list) or len(taps_doc) != horizon:
             raise SchemaError(f"{name} must list exactly {horizon} tap matrices")
-        out[name] = FIRPhi(tuple(real_matrix_from_doc(mat) for mat in taps_doc))
-    if "phi_x" not in out or "phi_u" not in out:
+        parts[name] = [real_matrix_from_doc(mat) for mat in taps_doc]
+    if "phi_x" not in parts or "phi_u" not in parts:
         raise SchemaError("fir_bundle needs phi_x and phi_u")
-    return out
+    n, m = len(parts["phi_x"][0]), len(parts["phi_u"][0])
+    for name, taps in parts.items():
+        shape = (m, n) if name in ("phi_u", "m_c") else (n, n)
+        if any((len(t), len(t[0])) != shape for t in taps):
+            raise SchemaError(f"every {name} tap must be {shape[0]} x {shape[1]}")
+    return {"horizon": horizon, **{name: FIRPhi(tuple(taps)) for name, taps in parts.items()}}
 
 
 def disturbance_from_doc(doc) -> dict[str, np.ndarray]:

@@ -14,11 +14,15 @@ import numpy as np
 
 from rstab import (
     FIRPhi,
+    IOPParam,
+    MixedParam1,
+    MixedParam2,
     PlantSS,
     Poly,
     RatFun,
     Realization,
     SignalSpace,
+    SLPOutputFeedback,
     SLPStateFeedback,
     TFMatrix,
     stability_from_realization,
@@ -193,3 +197,49 @@ def conv_truncated(a: list[Fraction], b: list[Fraction], n: int) -> list[Fractio
                 acc += a[i] * b[k - i]
         out.append(acc)
     return out
+
+
+# -- hand-derived affine identities of each bundle ------------------------------
+
+
+def bundle_identities(bundle, against) -> list[tuple[TFMatrix, TFMatrix]]:
+    """(lhs, rhs) pairs of a bundle's affine identities, written out by hand.
+
+    ``against`` is what the bundle's ``checked`` takes after the blocks: the
+    transfer matrix G (or (zI - A)^{-1} B) for IOP, the plant otherwise.  The
+    library derives the same identities from the realization-stability lemma.
+    """
+    if isinstance(bundle, IOPParam):
+        g = against
+        Y, U, W, Z = bundle.Y, bundle.U, bundle.W, bundle.Z
+        zero = TFMatrix.zeros(g.rows, g.cols)
+        return [(Y - g @ U, TFMatrix.identity(g.rows)), (W - g @ Z, zero),
+                (W - Y @ g, zero), (Z - U @ g, TFMatrix.identity(g.cols))]
+    plant = against
+    x, u, y = plant.x_space, plant.u_space, plant.y_space
+    zia = plant.z_minus_a()
+    b = TFMatrix.constant(x, u, plant.B)
+    c = TFMatrix.constant(y, x, plant.C)
+    res = plant.resolvent()
+    g = c @ res @ b + TFMatrix.constant(y, u, plant.D)
+    if isinstance(bundle, SLPStateFeedback):
+        return [(zia @ bundle.phi_x - b @ bundle.phi_u, TFMatrix.identity(x))]
+    if isinstance(bundle, SLPOutputFeedback):
+        p = bundle
+        return [(zia @ p.phi_xx - b @ p.phi_ux, TFMatrix.identity(x)),
+                (zia @ p.phi_xy - b @ p.phi_uy, TFMatrix.zeros(x, y)),
+                (p.phi_xx @ zia - p.phi_xy @ c, TFMatrix.identity(x)),
+                (p.phi_ux @ zia - p.phi_uy @ c, TFMatrix.zeros(u, x))]
+    if isinstance(bundle, MixedParam1):
+        p = bundle
+        return [(p.phi_yx - g @ p.phi_ux, c @ res),
+                (p.phi_yy - g @ p.phi_uy, TFMatrix.identity(y)),
+                (p.phi_yx @ zia - p.phi_yy @ c, TFMatrix.zeros(y, x)),
+                (p.phi_ux @ zia - p.phi_uy @ c, TFMatrix.zeros(u, x))]
+    if isinstance(bundle, MixedParam2):
+        p = bundle
+        return [(zia @ p.phi_xy - b @ p.phi_uy, TFMatrix.zeros(x, y)),
+                (zia @ p.phi_xu - b @ p.phi_uu, TFMatrix.zeros(x, u)),
+                (p.phi_xu - p.phi_xy @ g, res @ b),
+                (p.phi_uu - p.phi_uy @ g, TFMatrix.identity(u))]
+    raise TypeError(f"no hand-derived identities for {type(bundle).__name__}")

@@ -84,13 +84,27 @@ def test_exact_perturbation_of_a_tap_is_caught():
     assert not rep.passed and rep.max_deviation >= 1e-2
 
 
-@pytest.mark.parametrize("phi_u", [[5], [[5]], [[["1"], ["2", "3"]]]],
-                         ids=["scalar_tap", "row_tap", "ragged_tap"])
-def test_malformed_tap_matrix_is_a_parse_error(tmp_path, phi_u):
+MALFORMED = {
+    "scalar_tap": ({"phi_u": [5]}, "real matrix"),
+    "row_tap": ({"phi_u": [[5]]}, "real matrix"),
+    "ragged_tap": ({"phi_u": [[["1"], ["2", "3"]]]}, "equal lengths"),
+    "zero_horizon": ({"horizon": 0, "phi_x": [], "phi_u": []}, "horizon must be positive"),
+    "negative_horizon": ({"horizon": -1}, "horizon must be positive"),
+    "taps_differ_in_shape": ({"horizon": 2, "phi_x": [[["1"]], [["1"]]],
+                              "phi_u": [[["1"]], [["1", "2"]]]}, "every phi_u tap must be 1 x 1"),
+    "parts_disagree": ({"phi_u": [[["1", "2"]]]}, "every phi_u tap must be 1 x 1"),
+}
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_tap_matrix_is_a_parse_error(tmp_path, fields, message):
     plant_path = write(tmp_path / "plant.json", serialize.plant_to_doc(HALF))
     doc = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
-           "phi_x": [[["1"]]], "phi_u": phi_u}
+           "phi_x": [[["1"]]], "phi_u": [[["1"]]], **fields}
     fir_path = write(tmp_path / "fir.json", doc)
-    code, report = run(JobSpec("certify", {"plant": plant_path, "fir": fir_path},
-                               {"variant": "original_sls"}))
-    assert code == 2 and report["exit_code"] == 2
+    simulate = {"horizon": 3, "out": str(tmp_path / "trace.json")}
+    for command, options in (("certify", {}), ("simulate", simulate)):
+        code, report = run(JobSpec(command, {"plant": plant_path, "fir": fir_path},
+                                   {"variant": "original_sls", **options}))
+        assert code == 2 and report["exit_code"] == 2
+        assert message in report["details"]["error"]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from rstab import (
+    DEFAULT_TOL,
     IOPParam,
     MixedParam1,
     MixedParam2,
@@ -39,8 +41,9 @@ from rstab import (
     youla_to_iop,
 )
 from rstab.errors import InternalStabilityError, InvariantViolation
+from rstab.parameterizations import REGISTRY
 
-from helpers import adjugate_inverse, rand_fir_tfmatrix
+from helpers import adjugate_inverse, bundle_identities, rand_fir_tfmatrix
 
 Y1 = SignalSpace.single("y", 1)
 U1 = SignalSpace.single("u", 1)
@@ -495,3 +498,46 @@ class TestFullMIMO:
         mapped = youla_to_iop(f, q)
         s = stability_from_realization(plant_feedback_loop(f.g(), k))
         assert mapped.Y == s.S.block("y", "y") and mapped.Z == s.S.block("u", "u")
+
+
+LEMMA_PLANTS = {
+    "feedthrough": PlantSS([[F(1, 2)]], [[1]], [[1]], [[1]]),  # the fixture_loop plant
+    "state": PlantSS.state_feedback([[F(1, 2)]], [[1]]),  # C = I, D = 0
+}
+
+
+def _library_bundle(name, plant):
+    """The named bundle of the loop K = -1/4 closes around the plant, and what
+    its ``checked`` takes after the blocks."""
+    k = tf(U1, Y1, [[RatFun(F(-1, 4))]])
+    if name != "iop":
+        if REGISTRY[name].signal == "x":
+            k = k.relabel(U1, X1)
+        return REGISTRY[name].from_controller(plant, None, k, DEFAULT_TOL), plant
+    if plant.is_strictly_proper:  # the IOP bundle of the loop that measures the state
+        g = plant.state_transfer()
+        return iop_from_controller(g, k.relabel(U1, X1)), g
+    # iop_from_controller refuses a plant with feedthrough; read the loop's S
+    g = plant.transfer()
+    s = stability_from_realization(plant_feedback_loop(g, k)).S
+    return IOPParam.checked(s.block("y", "y"), s.block("u", "y"), s.block("y", "u"),
+                            s.block("u", "u"), g), g
+
+
+@pytest.mark.parametrize("plant_name", sorted(LEMMA_PLANTS))
+@pytest.mark.parametrize("name, field", [
+    (name, field) for name, entry in REGISTRY.items() if name != "youla" for field in entry.fields
+])
+def test_derived_identities_agree_with_the_hand_derived_oracle(name, field, plant_name):
+    bundle, against = _library_bundle(name, LEMMA_PLANTS[plant_name])
+    cls, fields = type(bundle), REGISTRY[name].fields
+    assert all(lhs == rhs for lhs, rhs in bundle_identities(bundle, against))
+    assert cls.checked(*(getattr(bundle, f) for f in fields), against) == bundle
+
+    block = getattr(bundle, field)
+    entries = [list(row) for row in block.entries]
+    entries[0][0] = entries[0][0] + RatFun(1, [0, 100])  # exactly 1/(100 z)
+    bad = dataclasses.replace(bundle, **{field: TFMatrix(block.rows, block.cols, entries)})
+    assert not all(lhs == rhs for lhs, rhs in bundle_identities(bad, against))
+    with pytest.raises(InvariantViolation, match=rf"^{cls.__name__}: .* fails in (row|column) "):
+        cls.checked(*(getattr(bad, f) for f in fields), against)
