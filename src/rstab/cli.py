@@ -50,6 +50,10 @@ _ERROR_EXITS = ((SchemaError, EXIT_PARSE), (SingularMatrixError, EXIT_SINGULAR))
 
 PARAMETERIZATIONS = tuple(REGISTRY)
 
+#: the allowed values of each option that takes a name; argparse's choices
+#: and run()'s up-front check both read it
+_CHOICES = {"target": PARAMETERIZATIONS, "variant": VARIANT_KINDS}
+
 
 @dataclass
 class JobSpec:
@@ -106,8 +110,6 @@ def _cmd_convert(job: JobSpec) -> tuple[int, dict]:
         serialize.load_document(job.inputs["bundle"]), plant, tol
     )
     target = job.options["target"]
-    if target not in REGISTRY:
-        raise SchemaError(f"unknown target parameterization {target!r}")
     direct = DIRECT_MAPS.get((source, target))
     if direct is not None:
         out = direct(bundle, plant, factors, tol)
@@ -224,8 +226,8 @@ _COMMANDS = {
 def run(job: JobSpec) -> tuple[int, dict]:
     """Execute one job and return (exit_code, report document).
 
-    An unknown command, or a required input or option left out, is a parse
-    error, found before the handler runs.
+    An unknown command, a required input or option left out, or an option
+    value outside its choices is a parse error, found before the handler runs.
     """
     try:
         if job.command not in _COMMANDS:
@@ -235,6 +237,10 @@ def run(job: JobSpec) -> tuple[int, dict]:
         missing += [f"option {n!r}" for n in options if n not in job.options]
         if missing:
             raise SchemaError(f"{job.command} is missing {', '.join(missing)}")
+        for name, allowed in _CHOICES.items():
+            if name in options and job.options[name] not in allowed:
+                raise SchemaError(
+                    f"unknown {name} {job.options[name]!r}; expected one of {', '.join(allowed)}")
         return handler(job)
     except ToolkitError as exc:
         code = next((c for kind, c in _ERROR_EXITS if isinstance(exc, kind)), EXIT_CHECK_FAILED)
@@ -276,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert a parameter bundle to another parameterization")
     p.add_argument("bundle", help="parameter bundle document")
     p.add_argument("--plant", required=True, help="plant document")
-    p.add_argument("--to", required=True, choices=PARAMETERIZATIONS, dest="target")
+    p.add_argument("--to", required=True, choices=_CHOICES["target"], dest="target")
     p.add_argument("--factors", help="coprime factors document (for Youla conversions)")
     common(p, out=True)
 
@@ -289,13 +295,13 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a closed-loop realization variant")
     p.add_argument("fir", help="fir_bundle document")
     p.add_argument("--plant", required=True)
-    p.add_argument("--variant", required=True, choices=VARIANT_KINDS)
+    p.add_argument("--variant", required=True, choices=_CHOICES["variant"])
     common(p)
 
     p = sub.add_parser("simulate", help="simulate a realization variant in the time domain")
     p.add_argument("fir", help="fir_bundle document")
     p.add_argument("--plant", required=True)
-    p.add_argument("--variant", required=True, choices=VARIANT_KINDS)
+    p.add_argument("--variant", required=True, choices=_CHOICES["variant"])
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--disturbance", help="disturbance document (default: impulse on x[0])")
     common(p, out=True)

@@ -12,6 +12,7 @@ named ``num`` and ``den``.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -33,12 +34,28 @@ BUNDLE_FIELDS: dict[str, tuple[str, ...]] = {name: p.fields for name, p in REGIS
 COPRIME_FIELDS = ("Ml", "Nl", "Vl", "Ul", "Ur", "Nr", "Vr", "Mr")
 
 
+@contextmanager
+def _parsing(what: str):
+    """The one place where a failure while reading a document becomes a SchemaError.
+
+    An explicit SchemaError passes through; a lookup, type, value, arithmetic
+    or toolkit error raised while reading ``what`` becomes a SchemaError that
+    names it.  Validation of what was read happens outside this block.
+    """
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, ArithmeticError, ToolkitError) as exc:
+        if isinstance(exc, SchemaError):
+            raise
+        if isinstance(exc, KeyError):
+            raise SchemaError(f"{what} is missing {exc}") from exc
+        raise SchemaError(f"malformed {what}: {exc}") from exc
+
+
 def parse_scalar(value: Any) -> Fraction:
     """Accept "p/q", decimal strings, ints, and floats; return an exact Fraction."""
-    try:
+    with _parsing(f"scalar {value!r}"):
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise SchemaError(f"cannot parse scalar {value!r}") from exc
 
 
 def scalar_str(value: Fraction) -> str:
@@ -51,11 +68,13 @@ def real_matrix_to_doc(m) -> list[list[str]]:
 
 
 def real_matrix_from_doc(doc) -> list[list[Fraction]]:
+    """Read a real matrix inside a document reader, whose ``_parsing`` names
+    the document when an entry is not a scalar."""
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise SchemaError("expected a nested list for a real matrix")
     if any(len(r) != len(doc[0]) for r in doc):
         raise SchemaError("the rows of a real matrix must have equal lengths")
-    return [[parse_scalar(v) for v in row] for row in doc]
+    return [[Fraction(v) for v in row] for row in doc]
 
 
 def ratfun_to_doc(r: RatFun) -> dict:
@@ -66,12 +85,8 @@ def ratfun_to_doc(r: RatFun) -> dict:
 
 
 def ratfun_from_doc(doc) -> RatFun:
-    try:
-        return RatFun([parse_scalar(c) for c in doc["num"]], [parse_scalar(c) for c in doc["den"]])
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise SchemaError(f"malformed rational function document: {exc}") from exc
+    with _parsing("rational function document"):
+        return RatFun([Fraction(c) for c in doc["num"]], [Fraction(c) for c in doc["den"]])
 
 
 def space_to_doc(s: SignalSpace) -> list[list]:
@@ -79,10 +94,8 @@ def space_to_doc(s: SignalSpace) -> list[list]:
 
 
 def space_from_doc(doc) -> SignalSpace:
-    try:
+    with _parsing("signal space document"):
         return SignalSpace(tuple((str(n), int(d)) for n, d in doc))
-    except (TypeError, ValueError, ToolkitError) as exc:
-        raise SchemaError(f"malformed signal space document: {exc}") from exc
 
 
 def tfmatrix_to_doc(m: TFMatrix) -> dict:
@@ -94,15 +107,11 @@ def tfmatrix_to_doc(m: TFMatrix) -> dict:
 
 
 def tfmatrix_from_doc(doc) -> TFMatrix:
-    try:
+    with _parsing("transfer matrix document"):
         rows = space_from_doc(doc["rows"])
         cols = space_from_doc(doc["cols"])
         entries = [[ratfun_from_doc(e) for e in row] for row in doc["entries"]]
         return TFMatrix(rows, cols, entries)
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ToolkitError) as exc:
-        raise SchemaError(f"malformed transfer matrix document: {exc}") from exc
 
 
 def _with_header(kind: str, payload: dict) -> dict:
@@ -133,17 +142,13 @@ def plant_to_doc(plant: PlantSS) -> dict:
 
 def plant_from_doc(doc) -> PlantSS:
     _check_header(doc, "plant")
-    try:
+    with _parsing("plant document"):
         return PlantSS(
             real_matrix_from_doc(doc["A"]),
             real_matrix_from_doc(doc["B"]),
             real_matrix_from_doc(doc["C"]),
             real_matrix_from_doc(doc["D"]),
         )
-    except SchemaError:
-        raise
-    except (KeyError, ToolkitError) as exc:
-        raise SchemaError(f"malformed plant document: {exc}") from exc
 
 
 def realization_to_doc(r: Realization, s: StabilityMatrix | None = None) -> dict:
@@ -159,7 +164,7 @@ def realization_to_doc(r: Realization, s: StabilityMatrix | None = None) -> dict
 
 def realization_from_doc(doc) -> tuple[Realization, StabilityMatrix | None]:
     _check_header(doc, "realization")
-    try:
+    with _parsing("realization document"):
         space = space_from_doc(doc["space"])
         entries = [[ratfun_from_doc(e) for e in row] for row in doc["entries"]]
         zeros = frozenset((str(a), str(b)) for a, b in doc.get("structural_zeros", []))
@@ -169,10 +174,6 @@ def realization_from_doc(doc) -> tuple[Realization, StabilityMatrix | None]:
             sm = [[ratfun_from_doc(e) for e in row] for row in doc["stability"]]
             s = StabilityMatrix(space, TFMatrix(space, space, sm))
         return r, s
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ToolkitError) as exc:
-        raise SchemaError(f"malformed realization document: {exc}") from exc
 
 
 def bundle_to_doc(parameterization: str, bundle) -> dict:
@@ -200,10 +201,8 @@ def bundle_from_doc(doc, plant: PlantSS | None = None, tol: float = DEFAULT_TOL)
     entry = REGISTRY.get(kind) if isinstance(kind, str) else None
     if entry is None:
         raise SchemaError(f"unknown parameterization {kind!r}")
-    try:
+    with _parsing("parameter bundle"):
         blocks = [tfmatrix_from_doc(doc["blocks"][f]) for f in entry.fields]
-    except KeyError as exc:
-        raise SchemaError(f"parameter bundle is missing block {exc}") from exc
     if entry.plant_map is None:
         return kind, entry.bundle.checked(*blocks, tol)
     if plant is None:
@@ -220,10 +219,8 @@ def coprime_to_doc(f: CoprimeFactors) -> dict:
 
 def coprime_from_doc(doc, tol: float = DEFAULT_TOL) -> CoprimeFactors:
     _check_header(doc, "coprime_factors")
-    try:
+    with _parsing("coprime factor document"):
         blocks = {name: tfmatrix_from_doc(doc["blocks"][name]) for name in COPRIME_FIELDS}
-    except KeyError as exc:
-        raise SchemaError(f"coprime factor document is missing {exc}") from exc
     f = CoprimeFactors(**blocks)
     f.validate(tol)
     return f
@@ -239,28 +236,28 @@ def fir_bundle_to_doc(horizon: int, parts: dict[str, TFMatrix]) -> dict:
 def fir_bundle_from_doc(doc) -> dict[str, Any]:
     """Load exact FIR taps as FIRPhi payloads keyed by part name."""
     _check_header(doc, "fir_bundle")
-    try:
-        horizon = int(doc["horizon"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("fir_bundle needs an integer horizon") from exc
-    if horizon < 1:
-        raise SchemaError("fir_bundle horizon must be positive")
-    parts = {}
-    for name in ("phi_x", "phi_u", "p_c", "m_c"):
-        if name not in doc:
-            continue
-        taps_doc = doc[name]
-        if not isinstance(taps_doc, list) or len(taps_doc) != horizon:
-            raise SchemaError(f"{name} must list exactly {horizon} tap matrices")
-        parts[name] = [real_matrix_from_doc(mat) for mat in taps_doc]
-    if "phi_x" not in parts or "phi_u" not in parts:
-        raise SchemaError("fir_bundle needs phi_x and phi_u")
-    n, m = len(parts["phi_x"][0]), len(parts["phi_u"][0])
-    for name, taps in parts.items():
-        shape = (m, n) if name in ("phi_u", "m_c") else (n, n)
-        if any((len(t), len(t[0])) != shape for t in taps):
-            raise SchemaError(f"every {name} tap must be {shape[0]} x {shape[1]}")
-    return {"horizon": horizon, **{name: FIRPhi(tuple(taps)) for name, taps in parts.items()}}
+    with _parsing("fir_bundle"):
+        horizon = doc["horizon"]
+        if type(horizon) is not int:  # a JSON integer: not 1.7, not true
+            raise SchemaError("fir_bundle needs an integer horizon")
+        if horizon < 1:
+            raise SchemaError("fir_bundle horizon must be positive")
+        parts = {}
+        for name in ("phi_x", "phi_u", "p_c", "m_c"):
+            if name not in doc:
+                continue
+            taps_doc = doc[name]
+            if not isinstance(taps_doc, list) or len(taps_doc) != horizon:
+                raise SchemaError(f"{name} must list exactly {horizon} tap matrices")
+            parts[name] = [real_matrix_from_doc(mat) for mat in taps_doc]
+        if "phi_x" not in parts or "phi_u" not in parts:
+            raise SchemaError("fir_bundle needs phi_x and phi_u")
+        n, m = len(parts["phi_x"][0]), len(parts["phi_u"][0])
+        for name, taps in parts.items():
+            shape = (m, n) if name in ("phi_u", "m_c") else (n, n)
+            if any((len(t), len(t[0])) != shape for t in taps):
+                raise SchemaError(f"every {name} tap must be {shape[0]} x {shape[1]}")
+        return {"horizon": horizon, **{name: FIRPhi(tuple(taps)) for name, taps in parts.items()}}
 
 
 def disturbance_from_doc(doc) -> dict[str, np.ndarray]:
@@ -270,10 +267,8 @@ def disturbance_from_doc(doc) -> dict[str, np.ndarray]:
         raise SchemaError("disturbance document needs a signals object")
     out = {}
     for name, rows in signals.items():
-        try:
+        with _parsing(f"disturbance for {name!r}"):
             out[name] = np.array([[float(v) for v in row] for row in rows], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed disturbance for {name!r}") from exc
     return out
 
 
@@ -290,18 +285,14 @@ def trace_to_doc(trace: SimTrace) -> dict:
 
 def weights_from_doc(doc) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     _check_header(doc, "weights")
-    try:
+    with _parsing("weights document"):
         return real_matrix_from_doc(doc["qw"]), real_matrix_from_doc(doc["rw"])
-    except KeyError as exc:
-        raise SchemaError(f"weights document is missing {exc}") from exc
 
 
 def gains_from_doc(doc) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     _check_header(doc, "gains")
-    try:
+    with _parsing("gains document"):
         return real_matrix_from_doc(doc["F"]), real_matrix_from_doc(doc["L"])
-    except KeyError as exc:
-        raise SchemaError(f"gains document is missing {exc}") from exc
 
 
 def load_document(path) -> dict:

@@ -464,24 +464,12 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
             f"no FIR response pair exists at horizon {T} for this plant"
         ) from exc
 
-    den = Poly.z(T)
-    phix_ent = [
-        [
-            RatFun(Poly([sol[xvar(k, i)][j] for k in range(T, 0, -1)]), den)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    phiu_ent = [
-        [
-            RatFun(Poly([sol[uvar(k, i)][j] for k in range(T, 0, -1)]), den)
-            for j in range(n)
-        ]
-        for i in range(m)
-    ]
-    phi_x = TFMatrix(plant.x_space, plant.x_space, phix_ent)
-    phi_u = TFMatrix(plant.u_space, plant.x_space, phiu_ent)
-    return SLPStateFeedback.checked(phi_x, phi_u, plant)
+    def response(var, rows: int) -> FIRPhi:  # tap k, row i, disturbance column j
+        return FIRPhi(tuple(
+            [[sol[var(k, i)][j] for j in range(n)] for i in range(rows)] for k in range(1, T + 1)
+        ))
+
+    return slp_from_fir(plant, response(xvar, n), response(uvar, m))
 
 
 def dare_lqr(plant: PlantSS, Qw, Rw, max_iter: int = 10_000, tol: float = 1e-12) -> np.ndarray:
@@ -562,6 +550,9 @@ def simulate(
     if horizon < 0:
         raise InvariantViolation("horizon must be nonnegative")
     n, m = plant.n, plant.m
+    for name in d or ():
+        if name not in ("x", "u", "delta"):
+            raise SpaceMismatchError(f"unknown disturbance channel {name!r}; expected x, u or delta")
     a = plant.A.astype(float)
     b = plant.B.astype(float)
     # the one float cast of the wired taps: (horizon, rows, cols) arrays

@@ -129,7 +129,7 @@ class TFMatrix:
     @classmethod
     def constant(cls, rows: SignalSpace, cols: SignalSpace, values) -> "TFMatrix":
         """Lift a real matrix (nested floats/ints/Fractions) to constant entries."""
-        return cls(rows, cols, [[_coerce_entry(v) for v in row] for row in values])
+        return cls(rows, cols, values)
 
     @classmethod
     def diagonal(cls, space: SignalSpace, value: RatFun) -> "TFMatrix":
@@ -150,9 +150,7 @@ class TFMatrix:
         for (rname, cname), blk in blocks.items():
             rr = rows.index_range(rname)
             cr = cols.index_range(cname)
-            data = blk.entries if isinstance(blk, TFMatrix) else [
-                [_coerce_entry(v) for v in row] for row in blk
-            ]
+            data = blk.entries if isinstance(blk, TFMatrix) else blk
             if len(data) != len(rr) or any(len(row) != len(cr) for row in data):
                 raise SpaceMismatchError(f"block {(rname, cname)} has wrong shape")
             for i, gi in enumerate(rr):

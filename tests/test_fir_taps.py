@@ -93,6 +93,8 @@ MALFORMED = {
     "taps_differ_in_shape": ({"horizon": 2, "phi_x": [[["1"]], [["1"]]],
                               "phi_u": [[["1"]], [["1", "2"]]]}, "every phi_u tap must be 1 x 1"),
     "parts_disagree": ({"phi_u": [[["1", "2"]]]}, "every phi_u tap must be 1 x 1"),
+    "fractional_horizon": ({"horizon": 1.7}, "integer horizon"),
+    "boolean_horizon": ({"horizon": True}, "integer horizon"),
 }
 
 

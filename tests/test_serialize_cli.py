@@ -423,6 +423,20 @@ class TestCLIInputs:
         assert code == 3 and report["exit_code"] == 3
         assert "singular" in report["details"]["error"]
 
+    def test_simulate_unknown_disturbance_channel_exit_one(self, tmp_path, scalar_plant_doc):
+        _, plant_path = scalar_plant_doc
+        fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+               "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
+        disturbance = {"schema_version": 1, "kind": "disturbance", "signals": {"X": [[1]]}}
+        inputs = {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir),
+                  "disturbance": write(tmp_path, "d.json", disturbance)}
+        code, report = run(JobSpec(
+            "simulate", inputs,
+            {"variant": "original_sls", "horizon": 3, "out": str(tmp_path / "t.json")},
+        ))
+        assert code == 1 and report["exit_code"] == 1
+        assert "'X'" in report["details"]["error"]
+
 
 @pytest.mark.parametrize("target, exit_code", [("slp_of", 0), ("youla", 1)])
 def test_convert_validates_the_factors_only_when_it_reads_them(convert_matrix, target, exit_code):
@@ -438,3 +452,52 @@ def test_convert_validates_the_factors_only_when_it_reads_them(convert_matrix, t
         assert json.loads(out.read_text()) == serialize.bundle_to_doc(target, bundles[target])
     else:
         assert "Bezout" in report["details"]["error"]
+
+
+def _blocks_as_list(doc):
+    doc["blocks"] = list(doc["blocks"].values())
+
+
+#: case -> (command, the input it breaks, how, options, what the error names)
+MALFORMED_JOBS = {
+    "bundle_blocks_list": ("convert", "bundle", _blocks_as_list, {"target": "youla"},
+                           "parameter bundle"),
+    "factors_blocks_list": ("convert", "factors", _blocks_as_list, {"target": "youla"},
+                            "coprime factor document"),
+    "structural_zero_of_one_signal": ("verify", "realization",
+                                      lambda doc: doc.update(structural_zeros=[["a"]]), {},
+                                      "realization document"),
+    "number_overflows_to_inf": ("convert", "plant", lambda doc: doc.update(A=[["1e400"]]),
+                                {"target": "youla"}, "plant document"),
+    "unknown_variant": ("certify", "fir", lambda doc: None, {"variant": "bogus"},
+                        "variant 'bogus'"),
+}
+
+COMMAND_INPUTS = {
+    "convert": ("bundle", "plant", "factors"), "verify": ("realization",), "certify": ("fir", "plant"),
+}
+
+
+@pytest.mark.parametrize("command, broken, corrupt, options, named", MALFORMED_JOBS.values(),
+                         ids=MALFORMED_JOBS.keys())
+def test_malformed_document_or_option_is_a_parse_error(
+        convert_matrix, tmp_path, command, broken, corrupt, options, named):
+    _, paths, _, _ = convert_matrix
+    paths = {
+        **paths,
+        "bundle": paths["mixed1"],
+        "realization": write(tmp_path, "r.json", serialize.realization_to_doc(
+            Realization(SP, TFMatrix.zeros(SP, SP)))),
+        # the FIR pair of the plant x+ = 2 x + u that the deployment variant realizes
+        "fir": write(tmp_path, "fir.json", {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+                                            "phi_x": [[["1"]]], "phi_u": [[["-2"]]]}),
+    }
+    doc = serialize.load_document(paths[broken])
+    corrupt(doc)
+    path = tmp_path / f"broken_{broken}.json"
+    # 1e400 is a JSON number that Python reads as inf
+    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
+    inputs = {**{name: paths[name] for name in COMMAND_INPUTS[command]}, broken: str(path)}
+    code, report = run(JobSpec(command, inputs, {"out": str(tmp_path / "out.json"), **options}))
+    assert code == 2 and report["exit_code"] == 2, report
+    assert named in report["details"]["error"]
