@@ -18,13 +18,12 @@ Signal naming convention: states are "x", controls "u", measurements "y".
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import InternalStabilityError, InvariantViolation, SchemaError, SpaceMismatchError
-from .ratfun import DEFAULT_TOL, RatFun
+from .ratfun import DEFAULT_TOL, RatFun, _as_coeff
 from .realization import (
     Realization,
     StabilityMatrix,
@@ -42,10 +41,7 @@ def exact_matrix(values) -> np.ndarray:
     out = np.empty(arr.shape, dtype=object)
     for i in range(arr.shape[0]):
         for j in range(arr.shape[1]):
-            v = arr[i, j]
-            if isinstance(v, np.generic):
-                v = v.item()
-            out[i, j] = Fraction(v)
+            out[i, j] = _as_coeff(arr[i, j])
     return out
 
 

@@ -32,13 +32,13 @@ CoeffsLike = Union["Poly", Scalar, Sequence[Scalar]]
 
 
 def _as_coeff(value) -> Fraction:
+    """The one rule for exact scalars: a Fraction, an int, a float (exactly),
+    a decimal or "p/q" string, or a numpy scalar of one of these."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a polynomial coefficient")
 
@@ -405,9 +405,10 @@ class RatFun:
     def _to_poly(value: CoeffsLike) -> Poly:
         if isinstance(value, Poly):
             return value
-        if isinstance(value, (int, Fraction, float, str)):
+        try:
             return Poly((_as_coeff(value),))
-        return Poly(value)
+        except TypeError:  # not a scalar: a coefficient sequence
+            return Poly(value)
 
     # -- constructors -----------------------------------------------------
 

@@ -269,6 +269,8 @@ def disturbance_from_doc(doc) -> dict[str, np.ndarray]:
     for name, rows in signals.items():
         with _parsing(f"disturbance for {name!r}"):
             out[name] = np.array([[float(v) for v in row] for row in rows], dtype=float)
+        if not np.isfinite(out[name]).all():
+            raise SchemaError(f"disturbance for {name!r} has a non-finite entry")
     return out
 
 

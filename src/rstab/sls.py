@@ -179,16 +179,22 @@ class RealizationVariant:
         return self.phi_x, self.phi_u
 
 
-def _loop_space(plant: PlantSS) -> SignalSpace:
-    return SignalSpace((("x", plant.n), ("u", plant.m), ("delta", plant.n)))
+def _loop_space(v: RealizationVariant, plant: PlantSS) -> SignalSpace:
+    """The (x, u, delta) space of the variant's loop around ``plant``.
+
+    Every routine that wires a payload to a plant passes through here, so a
+    payload whose tap shapes do not fit the plant is refused in one place.
+    """
+    n, m = plant.n, plant.m
+    if v.phi_x.shape != (n, n) or v.phi_u.shape != (m, n):
+        raise SpaceMismatchError("payload dimensions do not match the plant")
+    return SignalSpace((("x", n), ("u", m), ("delta", n)))
 
 
 def build_realization(v: RealizationVariant, plant: PlantSS) -> Realization:
     """Assemble the realization matrix of the chosen variant over (x, u, delta)."""
+    space = _loop_space(v, plant)
     n, m = plant.n, plant.m
-    if v.phi_x.shape != (n, n) or v.phi_u.shape != (m, n):
-        raise SpaceMismatchError("payload dimensions do not match the plant")
-    space = _loop_space(plant)
     x_sp = SignalSpace.single("x", n)
     u_sp = SignalSpace.single("u", m)
     d_sp = SignalSpace.single("delta", n)
@@ -222,8 +228,8 @@ def closed_form_stability(v: RealizationVariant, plant: PlantSS) -> TFMatrix:
     rather than the recomputed inverse, so payload corruption is detected
     instead of silently re-certified.
     """
+    space = _loop_space(v, plant)
     n, m = plant.n, plant.m
-    space = _loop_space(plant)
     x_sp = SignalSpace.single("x", n)
     u_sp = SignalSpace.single("u", m)
     d_sp = SignalSpace.single("delta", n)
@@ -387,18 +393,28 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
     """FIR H2 state-feedback synthesis at horizon T.
 
     Minimizes sum_k ||Qw^{1/2} Phi_x[k]||_F^2 + ||Rw^{1/2} Phi_u[k]||_F^2
-    subject to the response constraints
+    over the FIR instances of (zI - A) Phi_x - B Phi_u = I:
 
         Phi_x[1] = I,
         Phi_x[k+1] = A Phi_x[k] + B Phi_u[k]   (k < T),
-        A Phi_x[T] + B Phi_u[T] = 0,
+        A Phi_x[T] + B Phi_u[T] = 0.
 
-    which are exactly the FIR instances of (zI - A) Phi_x - B Phi_u = I.
-    The taps decouple per disturbance column, so each column is one
-    equality-constrained least-squares problem; its KKT system is solved
-    exactly over the rationals (partial-pivoting elimination), making the
-    affine identity of the returned bundle exact, not merely small.
-    Infeasible horizons (e.g. unstabilizable pairs) raise InfeasibleError.
+    The first two lines fix Phi_x once Phi_u is known, so the decision
+    variables are the Phi_u taps alone (the condensed form of the FIR
+    problem).  With u_i = Phi_u[i+1] and W_d = sum_{s<d} (A^s)' Qw A^s the
+    cost is sum_{i,j} u_i' H[i][j] u_j + 2 g_i' u_i + const, where for i <= j
+
+        H[i][j] = B' (A^{j-i})' W_{T-1-j} B  (+ Rw when i = j),
+        H[j][i] = B' W_{T-1-j} A^{j-i} B,
+        g_i     = B' W_{T-1-i} A^{i+1},
+
+    and the only constraint left is the terminal one,
+    A^T + sum_i A^{T-1-i} B u_i = 0 (n rows).  The taps decouple per
+    disturbance column, so the (mT + n)-square KKT system is solved once for
+    all n columns, exactly over the rationals; Phi_x is rebuilt by the
+    recursion, making the affine identity of the returned bundle exact, not
+    merely small.  Infeasible horizons (e.g. unstabilizable pairs) raise
+    InfeasibleError.
     """
     if T < 1:
         raise InvariantViolation("horizon must be at least 1")
@@ -408,68 +424,39 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
     rw = exact_matrix(Rw)
     if qw.shape != (n, n) or rw.shape != (m, m):
         raise InvariantViolation("weight shapes must be Qw: n x n and Rw: m x m")
-    nv = (n + m) * T
-    nc = n * (T + 1)
-    zero = Fraction(0)
-
-    def xvar(k: int, i: int) -> int:  # Phi_x[k] row i, k = 1..T
-        return (k - 1) * n + i
-
-    def uvar(k: int, i: int) -> int:  # Phi_u[k] row i
-        return n * T + (k - 1) * m + i
-
-    kkt = [[zero] * (nv + nc) for _ in range(nv + nc)]
-    for k in range(1, T + 1):
-        for i in range(n):
-            for j in range(n):
-                kkt[xvar(k, i)][xvar(k, j)] = qw[i, j]
-        for i in range(m):
-            for j in range(m):
-                kkt[uvar(k, i)][uvar(k, j)] = rw[i, j]
-
-    def put_constraint(row: int, col: int, val: Fraction):
-        kkt[nv + row][col] = val
-        kkt[col][nv + row] = val
-
-    row = 0
-    for i in range(n):  # Phi_x[1] = e_j (rhs carries the unit columns)
-        put_constraint(row, xvar(1, i), Fraction(1))
-        row += 1
-    for k in range(1, T):  # Phi_x[k+1] - A Phi_x[k] - B Phi_u[k] = 0
-        for i in range(n):
-            put_constraint(row, xvar(k + 1, i), Fraction(1))
-            for j in range(n):
-                if a[i, j]:
-                    put_constraint(row, xvar(k, j), -a[i, j])
-            for j in range(m):
-                if b[i, j]:
-                    put_constraint(row, uvar(k, j), -b[i, j])
-            row += 1
-    for i in range(n):  # A Phi_x[T] + B Phi_u[T] = 0
-        for j in range(n):
-            if a[i, j]:
-                put_constraint(row, xvar(T, j), a[i, j])
-        for j in range(m):
-            if b[i, j]:
-                put_constraint(row, uvar(T, j), b[i, j])
-        row += 1
-
-    rhs = [[zero] * n for _ in range(nv + nc)]
-    for j in range(n):
-        rhs[nv + j][j] = Fraction(1)
+    powers = [exact_matrix(np.eye(n, dtype=int))]  # A^0 .. A^T
+    for _ in range(T):
+        powers.append(a @ powers[-1])
+    w = [exact_matrix(np.zeros((n, n), dtype=int))]  # W_0 .. W_{T-1}
+    for s in range(T - 1):
+        w.append(w[-1] + powers[s].T @ qw @ powers[s])
+    nv = m * T
+    kkt = exact_matrix(np.zeros((nv + n, nv + n), dtype=int))
+    rhs = exact_matrix(np.zeros((nv + n, n), dtype=int))
+    for j in range(T):
+        jj = slice(j * m, (j + 1) * m)
+        wb, bw = w[T - 1 - j] @ b, b.T @ w[T - 1 - j]
+        for i in range(j + 1):
+            ii = slice(i * m, (i + 1) * m)
+            ab = powers[j - i] @ b
+            kkt[ii, jj] = ab.T @ wb
+            kkt[jj, ii] = bw @ ab
+        kkt[jj, jj] += rw
+        kkt[nv:, jj] = powers[T - 1 - j] @ b
+        kkt[jj, nv:] = kkt[nv:, jj].T
+        rhs[jj] = -(bw @ powers[j + 1])
+    rhs[nv:] = -powers[T]
     try:
-        sol = _solve_exact(kkt, rhs)
+        sol = np.array(_solve_exact(kkt.tolist(), rhs.tolist()), dtype=object)
     except InfeasibleError as exc:
         raise InfeasibleError(
             f"no FIR response pair exists at horizon {T} for this plant"
         ) from exc
-
-    def response(var, rows: int) -> FIRPhi:  # tap k, row i, disturbance column j
-        return FIRPhi(tuple(
-            [[sol[var(k, i)][j] for j in range(n)] for i in range(rows)] for k in range(1, T + 1)
-        ))
-
-    return slp_from_fir(plant, response(xvar, n), response(uvar, m))
+    u_taps = [sol[k * m:(k + 1) * m] for k in range(T)]
+    x_taps = [powers[0]]
+    for k in range(T - 1):
+        x_taps.append(a @ x_taps[-1] + b @ u_taps[k])
+    return slp_from_fir(plant, FIRPhi(tuple(x_taps)), FIRPhi(tuple(u_taps)))
 
 
 def dare_lqr(plant: PlantSS, Qw, Rw, max_iter: int = 10_000, tol: float = 1e-12) -> np.ndarray:
@@ -549,9 +536,10 @@ def simulate(
     """
     if horizon < 0:
         raise InvariantViolation("horizon must be nonnegative")
+    space = _loop_space(v, plant)
     n, m = plant.n, plant.m
     for name in d or ():
-        if name not in ("x", "u", "delta"):
+        if name not in space.names:
             raise SpaceMismatchError(f"unknown disturbance channel {name!r}; expected x, u or delta")
     a = plant.A.astype(float)
     b = plant.B.astype(float)

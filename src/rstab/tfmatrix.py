@@ -10,7 +10,6 @@ the entrywise properness/stability tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import SingularMatrixError, SpaceMismatchError
@@ -83,11 +82,13 @@ class TFClassification:
 
 
 def _coerce_entry(value) -> RatFun:
+    """A RatFun as is; a Poly, or a scalar by the rule of ``ratfun._as_coeff``,
+    as a constant entry."""
     if isinstance(value, RatFun):
         return value
-    if isinstance(value, (int, Fraction, float, str, Poly)):
+    if isinstance(value, Poly):
         return RatFun(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a TFMatrix entry")
+    return RatFun.constant(value)
 
 
 class TFMatrix:

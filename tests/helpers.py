@@ -243,3 +243,64 @@ def bundle_identities(bundle, against) -> list[tuple[TFMatrix, TFMatrix]]:
                 (p.phi_xu - p.phi_xy @ g, res @ b),
                 (p.phi_uu - p.phi_uy @ g, TFMatrix.identity(u))]
     raise TypeError(f"no hand-derived identities for {type(bundle).__name__}")
+
+
+# -- dense FIR H2 synthesis ------------------------------------------------------
+
+
+def dense_fir_h2(plant: PlantSS, qw, rw, horizon: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(Phi_x taps, Phi_u taps) of FIR H2 synthesis, posed on every tap.
+
+    The unknowns are the Phi_x and the Phi_u taps and one multiplier per
+    constraint row; the rows are the FIR instances of
+    (zI - A) Phi_x - B Phi_u = I written out by hand.  The library poses
+    the same problem on Phi_u alone; both share only the exact solver.
+    Raises InfeasibleError when no FIR response pair exists.
+    """
+    from rstab.sls import _solve_exact
+
+    n, m, t = plant.n, plant.m, horizon
+    a, b = plant.A, plant.B
+    qw, rw = np.asarray(qw, dtype=object), np.asarray(rw, dtype=object)
+    nv, nc = (n + m) * t, n * (t + 1)
+    kkt = [[Fraction(0)] * (nv + nc) for _ in range(nv + nc)]
+
+    def xvar(k: int, i: int) -> int:  # Phi_x[k] row i, k = 1..t
+        return (k - 1) * n + i
+
+    def uvar(k: int, i: int) -> int:  # Phi_u[k] row i
+        return n * t + (k - 1) * m + i
+
+    for k in range(1, t + 1):
+        for i in range(n):
+            for j in range(n):
+                kkt[xvar(k, i)][xvar(k, j)] = Fraction(qw[i, j])
+        for i in range(m):
+            for j in range(m):
+                kkt[uvar(k, i)][uvar(k, j)] = Fraction(rw[i, j])
+    rows = []  # (coefficient by variable) of each constraint row
+    for i in range(n):  # Phi_x[1] = I
+        rows.append({xvar(1, i): 1})
+    for k in range(1, t):  # Phi_x[k+1] - A Phi_x[k] - B Phi_u[k] = 0
+        for i in range(n):
+            row = {xvar(k + 1, i): 1}
+            row.update({xvar(k, j): -a[i, j] for j in range(n)})
+            row.update({uvar(k, j): -b[i, j] for j in range(m)})
+            rows.append(row)
+    for i in range(n):  # A Phi_x[t] + B Phi_u[t] = 0
+        row = {xvar(t, j): a[i, j] for j in range(n)}
+        row.update({uvar(t, j): b[i, j] for j in range(m)})
+        rows.append(row)
+    for r, row in enumerate(rows):
+        for col, val in row.items():
+            kkt[nv + r][col] = kkt[col][nv + r] = Fraction(val)
+    rhs = [[Fraction(0)] * n for _ in range(nv + nc)]
+    for j in range(n):
+        rhs[nv + j][j] = Fraction(1)
+    sol = _solve_exact(kkt, rhs)
+
+    def taps(var, height: int) -> list[np.ndarray]:
+        return [np.array([[sol[var(k, i)][j] for j in range(n)] for i in range(height)], dtype=object)
+                for k in range(1, t + 1)]
+
+    return taps(xvar, n), taps(uvar, m)

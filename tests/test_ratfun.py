@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rstab import Poly, RatFun, poly_gcd
+from rstab import Poly, RatFun, SignalSpace, TFMatrix, poly_gcd
 from rstab.errors import ToolkitError
 
 from helpers import conv_truncated
@@ -133,3 +134,18 @@ class TestSeries:
         n = 6
         direct = (a * b).series(n)
         assert direct == conv_truncated(a.series(n), b.series(n), n)
+
+
+SP2 = SignalSpace.single("x", 2)
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: TFMatrix.constant(SP2, SP2, np.eye(2, dtype=int)).entries[1][1], RatFun(1)),
+    (lambda: TFMatrix.constant(SP2, SP2, np.full((2, 2), 0.25, dtype=np.float32)).entries[0][1],
+     RatFun(F(1, 4))),
+    (lambda: Poly([np.int64(2)]), Poly([2])),
+    (lambda: RatFun(np.int64(3), np.float64(2)), RatFun(F(3, 2))),
+    (lambda: RatFun([np.int32(1), np.int32(1)], [np.float32(0.5), 1]), RatFun([1, 1], [F(1, 2), 1])),
+], ids=["int64_matrix", "float32_matrix", "int64_coeff", "scalar_ratfun", "numpy_coeff_lists"])
+def test_numpy_scalars_follow_the_exact_scalar_rule(build, want):
+    assert build() == want

@@ -437,6 +437,38 @@ class TestCLIInputs:
         assert code == 1 and report["exit_code"] == 1
         assert "'X'" in report["details"]["error"]
 
+    @pytest.mark.parametrize("value", ["1e400", "NaN"])
+    def test_simulate_non_finite_disturbance_exit_two(self, tmp_path, scalar_plant_doc, value):
+        _, plant_path = scalar_plant_doc
+        fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+               "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
+        # JSON numbers that Python reads as inf and nan
+        disturbance = tmp_path / "d.json"
+        disturbance.write_text(
+            '{"schema_version": 1, "kind": "disturbance", "signals": {"x": [[%s]]}}' % value)
+        out = tmp_path / "t.json"
+        inputs = {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir),
+                  "disturbance": str(disturbance)}
+        code, report = run(JobSpec(
+            "simulate", inputs, {"variant": "original_sls", "horizon": 3, "out": str(out)},
+        ))
+        assert code == 2 and report["exit_code"] == 2
+        assert "disturbance for 'x'" in report["details"]["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["original_sls", "deployment"])
+    def test_simulate_payload_that_does_not_fit_the_plant_exit_one(self, tmp_path, variant):
+        plant = PlantSS.state_feedback([[0, 1], [0, 0]], [[0], [1]])
+        fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+               "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
+        inputs = {"plant": write(tmp_path, "plant.json", serialize.plant_to_doc(plant)),
+                  "fir": write(tmp_path, "fir.json", fir)}
+        code, report = run(JobSpec(
+            "simulate", inputs, {"variant": variant, "horizon": 3, "out": str(tmp_path / "t.json")},
+        ))
+        assert code == 1 and report["exit_code"] == 1
+        assert "payload dimensions do not match the plant" in report["details"]["error"]
+
 
 @pytest.mark.parametrize("target, exit_code", [("slp_of", 0), ("youla", 1)])
 def test_convert_validates_the_factors_only_when_it_reads_them(convert_matrix, target, exit_code):

@@ -28,7 +28,7 @@ from rstab import (
 )
 from rstab.errors import ConvergenceError, InfeasibleError, InvariantViolation
 
-from helpers import dyadic_fir_pair
+from helpers import dense_fir_h2, dyadic_fir_pair, rand_fraction
 
 SCALAR = PlantSS.state_feedback([[0.5]], [[1.0]])
 FX = FIRPhi((np.array([[1.0]]),))            # Phi_x = z^{-1}
@@ -205,6 +205,49 @@ class TestSynthesize:
         p = synthesize_sf_h2(plant, np.eye(2), [[1.0]], 10)
         k = slp_sf_to_controller(p)
         assert k.classify().all_proper
+
+    def test_kkt_system_is_posed_on_phi_u_alone(self, monkeypatch):
+        import rstab.sls
+
+        shapes = []
+        solve = rstab.sls._solve_exact
+
+        def spy(m, rhs):
+            shapes.append((len(m), len(m[0]), len(rhs), len(rhs[0])))
+            assert all(type(v) is F for row in m + rhs for v in row)
+            return solve(m, rhs)
+
+        monkeypatch.setattr(rstab.sls, "_solve_exact", spy)
+        plant = PlantSS.state_feedback([[0.5, 0.25], [0.0, 0.25]], [[1.0], [0.5]])
+        synthesize_sf_h2(plant, np.eye(2), [[1.0]], 7)
+        assert shapes == [(1 * 7 + 2, 1 * 7 + 2, 1 * 7 + 2, 2)]
+
+    def test_matches_the_dense_formulation(self):
+        """Phi_x and Phi_u equal, exactly, those of the KKT system posed on
+        every tap, and both refuse the same horizons."""
+        rng = random.Random(20240611)
+        infeasible = 0
+        for _ in range(40):
+            n, m, horizon = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 9)
+            a = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+            b = [[rand_fraction(rng) if rng.random() < 0.6 else 0 for _ in range(m)]
+                 for _ in range(n)]
+            plant = PlantSS.state_feedback(a, b)
+            # Qw need not be symmetric; Rw stays positive definite so the
+            # minimizer is unique
+            qw = [[rand_fraction(rng) + 3 * (i == j) for j in range(n)] for i in range(n)]
+            rw = [[rand_fraction(rng, 1, 4) + 3 * (i == j) for j in range(m)] for i in range(m)]
+            try:
+                want = dense_fir_h2(plant, qw, rw, horizon)
+            except InfeasibleError:
+                infeasible += 1
+                with pytest.raises(InfeasibleError):
+                    synthesize_sf_h2(plant, qw, rw, horizon)
+                continue
+            got = fir_from_slp(synthesize_sf_h2(plant, qw, rw, horizon), horizon)
+            for taps, fir in zip(want, got):
+                assert all((w == g).all() for w, g in zip(taps, fir.taps))
+        assert 0 < infeasible < 40
 
 
 class TestDareLqr:
