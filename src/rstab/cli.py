@@ -13,6 +13,7 @@ matrix inverse does not exist.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any
@@ -53,6 +54,10 @@ PARAMETERIZATIONS = tuple(REGISTRY)
 #: the allowed values of each option that takes a name; argparse's choices
 #: and run()'s up-front check both read it
 _CHOICES = {"target": PARAMETERIZATIONS, "variant": VARIANT_KINDS}
+
+#: the types each typed option takes; a bool is never a number here
+_TYPES = {"out": ((str, os.PathLike), "a path"), "horizon": (int, "an integer"),
+          "tol": ((int, float), "a number")}
 
 
 @dataclass
@@ -226,7 +231,7 @@ _COMMANDS = {
 def run(job: JobSpec) -> tuple[int, dict]:
     """Execute one job and return (exit_code, report document).
 
-    An unknown command, a required input or option left out, or an option
+    An unknown command, a missing or mistyped input or option, or an option
     value outside its choices is a parse error, found before the handler runs.
     """
     try:
@@ -241,6 +246,11 @@ def run(job: JobSpec) -> tuple[int, dict]:
             if name in options and job.options[name] not in allowed:
                 raise SchemaError(
                     f"unknown {name} {job.options[name]!r}; expected one of {', '.join(allowed)}")
+        typed = [(f"input {n!r}", value, _TYPES["out"]) for n, value in job.inputs.items()]
+        typed += [(f"option {n!r}", job.options[n], t) for n, t in _TYPES.items() if n in job.options]
+        for label, value, (types, what) in typed:
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise SchemaError(f"{label} must be {what}, not {value!r}")
         return handler(job)
     except ToolkitError as exc:
         code = next((c for kind, c in _ERROR_EXITS if isinstance(exc, kind)), EXIT_CHECK_FAILED)

@@ -439,10 +439,6 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     def __bool__(self):
         return not self.is_zero
 

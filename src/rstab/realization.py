@@ -37,7 +37,8 @@ class Realization:
         if self.R.rows != self.space or self.R.cols != self.space:
             raise SpaceMismatchError("realization matrix must be square over its signal space")
         for rname, cname in self.structural_zeros:
-            if not self.R.block(rname, cname).is_zero:
+            rows, cols = self.space.index_range(rname), self.space.index_range(cname)
+            if any(self.R.entries[i][j] for i in rows for j in cols):
                 raise InvariantViolation(
                     f"block ({rname!r}, {cname!r}) declared zero but has nonzero entries"
                 )

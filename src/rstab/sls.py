@@ -15,11 +15,11 @@ space (x, u, delta):
   automatic and is certified a posteriori.
 
 ``certify_realization`` inverts I - R exactly and checks every block for
-stable properness.  ``simulate`` runs the corresponding time-domain update
-equations in floating point, and ``impulse_match`` compares the simulated
-impulse responses against the exact Markov parameters of the closed-form
-stability matrix, catching any disagreement between the deployed recursion
-and the response pair it claims to realize.
+stable properness.  ``simulate`` runs the same R as a time-domain recursion
+in floating point, and ``impulse_match`` compares its impulse responses
+against the exact Markov parameters of the closed-form stability matrix,
+catching any disagreement between the deployed recursion and the response
+pair it claims to realize.
 """
 
 from __future__ import annotations
@@ -514,72 +514,71 @@ def _schedule(d: Mapping[str, Sequence] | None, name: str, horizon: int, dim: in
     return out
 
 
+def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
+    """Run eta = R eta + d from zero initial conditions; ``d`` and the result
+    are (steps, signals, experiments) arrays.
+
+    Row i of I - R times z^{-s_i}, with s_i the highest power of z in row i
+    of R or 0 if lower (1 on the x rows, where (I - R)[x, x] = zI - A), is a
+    polynomial sum_k C[k] z^{-k}, as R holds only FIR taps and constants.
+    Its exact coefficients, cast to float once, give C[0] eta[t] =
+    d[t - s_i] - sum_{k>=1} C[k] eta[t - k].  A singular C[0] (for the FIR
+    variants, a singular wired P[1]) raises SingularMatrixError.
+    """
+    rows = r.R.entries
+    size = len(rows)
+    shifts = [max([0] + [e.num.degree - e.den.degree for e in row if e]) for row in rows]
+    lags = max(e.den.degree + s for row, s in zip(rows, shifts) for e in row)
+    coeffs = np.zeros((lags + 1, size, size), dtype=object)
+    for i, (row, s) in enumerate(zip(rows, shifts)):
+        coeffs[s, i, i] = 1
+        for j, e in enumerate(row):
+            top = e.den.degree + s
+            for k in range(top + 1):
+                coeffs[k, i, j] -= e.num[top - k]
+    coeffs = np.array(coeffs, dtype=float)
+    try:
+        lead = np.linalg.inv(coeffs[0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("the loop's instantaneous map C[0] is singular "
+                                  "(for the FIR variants: the leading wired tap P[1])") from exc
+    # [C[lags] .. C[1]] side by side, against the stacked history eta[t-lags .. t-1]
+    past = coeffs[:0:-1].transpose(1, 0, 2).reshape(size, lags * size)
+    steps = d.shape[0]
+    rhs = np.zeros(d.shape)
+    for i, s in enumerate(shifts):
+        rhs[s:, i] = d[:steps - s, i]
+    eta = np.zeros((lags + steps,) + d.shape[1:])
+    for t in range(steps):
+        history = eta[t:t + lags].reshape(lags * size, -1)
+        eta[lags + t] = lead @ (rhs[t] - past @ history)
+    return eta[lags:]
+
+
 def simulate(
     v: RealizationVariant,
     plant: PlantSS,
     d: Mapping[str, Sequence] | None,
     horizon: int,
 ) -> SimTrace:
-    """Run the variant's update equations from zero initial conditions.
+    """Run the loop eta = R eta + d of ``build_realization`` from zero
+    initial conditions, the same R that ``certify_realization`` inverts.
 
-    Every signal's defining equation receives its own additive disturbance
-    channel; a disturbance hitting the state equation at time t shows up in
-    x at time t+1 (the state map is strictly proper), while delta- and
-    u-channel disturbances act instantaneously.
-
-        x[t]     = A x[t-1] + B u[t-1] + d_x[t-1]
-        delta[t] = x[t] - A x[t-1] - B u[t-1] + d_delta[t]        (deployment)
-        P[1] delta[t] = x[t] - sum_{k>=2} P[k] delta[t+1-k] + d_delta[t]  (otherwise)
-        u[t]     = sum_{k>=1} M[k] delta[t+1-k] + d_u[t]
-
-    with (P, M) the wired taps of the variant.
+    Every signal's row receives its own additive disturbance channel; a
+    disturbance hitting the state equation at time t shows up in x at time
+    t+1 (the state map is strictly proper), while delta- and u-channel
+    disturbances act instantaneously.
     """
     if horizon < 0:
         raise InvariantViolation("horizon must be nonnegative")
     space = _loop_space(v, plant)
-    n, m = plant.n, plant.m
     for name in d or ():
         if name not in space.names:
             raise SpaceMismatchError(f"unknown disturbance channel {name!r}; expected x, u or delta")
-    a = plant.A.astype(float)
-    b = plant.B.astype(float)
-    # the one float cast of the wired taps: (horizon, rows, cols) arrays
-    p_taps, m_taps = (np.array(f.taps, dtype=float) for f in v.controller_taps())
-    dx = _schedule(d, "x", horizon, n)
-    du = _schedule(d, "u", horizon, m)
-    dd = _schedule(d, "delta", horizon, n)
-    x = np.zeros((horizon + 1, n))
-    u = np.zeros((horizon + 1, m))
-    delta = np.zeros((horizon + 1, n))
-    lead = p_taps[0]
-    for t in range(horizon + 1):
-        if t >= 1:
-            x[t] = a @ x[t - 1] + b @ u[t - 1] + dx[t - 1]
-        if v.kind == DEPLOYMENT:
-            prev_x = x[t - 1] if t >= 1 else np.zeros(n)
-            prev_u = u[t - 1] if t >= 1 else np.zeros(m)
-            delta[t] = x[t] - a @ prev_x - b @ prev_u + dd[t]
-        else:
-            acc = x[t] + dd[t]
-            for k in range(2, len(p_taps) + 1):
-                s = t + 1 - k
-                if s >= 0:
-                    acc = acc - p_taps[k - 1] @ delta[s]
-            try:
-                delta[t] = np.linalg.solve(lead, acc)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError("the leading wired tap P[1] is singular") from exc
-        acc_u = du[t].copy()
-        for k in range(1, len(m_taps) + 1):
-            s = t + 1 - k
-            if s >= 0:
-                acc_u = acc_u + m_taps[k - 1] @ delta[s]
-        u[t] = acc_u
-    return SimTrace(
-        horizon=horizon,
-        signals={"x": x, "u": u, "delta": delta},
-        disturbance={"x": dx, "u": du, "delta": dd},
-    )
+    stacked = np.concatenate([_schedule(d, name, horizon, dim) for name, dim in space], axis=1)
+    eta = _respond(build_realization(v, plant), stacked[:, :, None])[:, :, 0]
+    parts = [(name, space.index_range(name)) for name in space.names]
+    return SimTrace(horizon, {n: eta[:, r] for n, r in parts}, {n: stacked[:, r] for n, r in parts})
 
 
 @dataclass(frozen=True)
@@ -598,38 +597,34 @@ class ImpulseMatchReport:
 def impulse_match(
     v: RealizationVariant, plant: PlantSS, horizon: int, tol: float = 1e-9
 ) -> ImpulseMatchReport:
-    """Cross-check the simulator against exact Markov parameters.
+    """Cross-check the recursion of ``build_realization`` against exact
+    Markov parameters.
 
-    For every disturbance channel a unit impulse at t = 0 is simulated and
-    each signal's trace is compared, lag by lag, against the series
-    expansion of the closed-form stability matrix column.  A payload whose
-    recursion does not realize its claimed response pair (for example a
-    corrupted tap) shows up as a deviation at the first inconsistent lag.
+    A unit impulse at t = 0 on each disturbance channel (all in one run) is
+    compared, lag by lag, against the series expansion of the closed-form
+    stability matrix.  A payload whose recursion does not realize its claimed
+    response pair (for example a corrupted tap) shows up as a deviation at
+    the first inconsistent lag.  The worst location is the first maximum by
+    channel, signal, then lag, and None when nothing deviates.
     """
+    if horizon < 0:
+        raise InvariantViolation("horizon must be nonnegative")
     s_ref = closed_form_stability(v, plant)
     space = s_ref.rows
-    names = space.names
-    series = [
-        [[float(h) for h in s_ref.entries[i][j].series(horizon)] for j in range(space.total)]
-        for i in range(space.total)
-    ]
-    max_dev = 0.0
+    size = space.total
+    # (channel, signal, lag), like the deviations below
+    want = np.array([[[float(h) for h in s_ref.entries[i][j].series(horizon)]
+                      for i in range(size)] for j in range(size)])
+    impulse = np.zeros((horizon + 1, size, size))
+    impulse[0] = np.eye(size)
+    got = _respond(build_realization(v, plant), impulse).transpose(2, 1, 0)
+    dev = np.abs(got - want)
+    max_dev = float(dev.max())
     worst: tuple[str | None, str | None, int | None] = (None, None, None)
-    for cname in names:
-        for local in range(space.dim(cname)):
-            impulse = np.zeros((1, space.dim(cname)))
-            impulse[0, local] = 1.0
-            trace = simulate(v, plant, {cname: impulse}, horizon)
-            col = space.offset(cname) + local
-            for rname in names:
-                sig = trace.signals[rname]
-                base = space.offset(rname)
-                for i in range(space.dim(rname)):
-                    for t in range(horizon + 1):
-                        dev = abs(sig[t, i] - series[base + i][col][t])
-                        if dev > max_dev:
-                            max_dev = dev
-                            worst = (rname, cname, t)
+    if max_dev > 0:
+        names = [name for name, dim in space for _ in range(dim)]
+        col, row, lag = np.unravel_index(np.argmax(dev), dev.shape)
+        worst = (names[row], names[col], int(lag))
     return ImpulseMatchReport(
         passed=max_dev <= tol,
         tolerance=tol,

@@ -208,10 +208,6 @@ class TFMatrix:
         ent = [[self.entries[i][j] for j in cr] for i in range(self.rows.total)]
         return TFMatrix(self.rows, SignalSpace.single(col_name, len(cr)), ent)
 
-    def transpose(self) -> "TFMatrix":
-        ent = [[self.entries[i][j] for i in range(self.rows.total)] for j in range(self.cols.total)]
-        return TFMatrix(self.cols, self.rows, ent)
-
     def relabel(self, rows: SignalSpace, cols: SignalSpace) -> "TFMatrix":
         """Same entries over different (but dimension-compatible) spaces."""
         return TFMatrix(rows, cols, self.entries)

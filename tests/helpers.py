@@ -304,3 +304,59 @@ def dense_fir_h2(plant: PlantSS, qw, rw, horizon: int) -> tuple[list[np.ndarray]
                 for k in range(1, t + 1)]
 
     return taps(xvar, n), taps(uvar, m)
+
+
+# -- time-domain update equations -------------------------------------------------
+
+
+def reference_simulate(v, plant: PlantSS, d, horizon: int) -> dict[str, np.ndarray]:
+    """The x, u and delta traces of a realization variant, by its update equations.
+
+    The equations of each variant are written out by hand, in floating point
+    from zero initial conditions, with (P, M) the wired taps:
+
+        x[t]     = A x[t-1] + B u[t-1] + d_x[t-1]
+        delta[t] = x[t] - A x[t-1] - B u[t-1] + d_delta[t]        (deployment)
+        P[1] delta[t] = x[t] - sum_{k>=2} P[k] delta[t+1-k] + d_delta[t]  (otherwise)
+        u[t]     = sum_{k>=1} M[k] delta[t+1-k] + d_u[t]
+
+    The library reads the same recursion off the realization matrix R; the
+    two share no code.  ``d`` maps channel names to (steps, dim) arrays.
+    """
+    from rstab.sls import DEPLOYMENT
+
+    n, m = plant.n, plant.m
+    a = plant.A.astype(float)
+    b = plant.B.astype(float)
+    p_taps, m_taps = (np.array(f.taps, dtype=float) for f in v.controller_taps())
+
+    def schedule(name: str, dim: int) -> np.ndarray:
+        out = np.zeros((horizon + 1, dim))
+        arr = np.atleast_2d(np.asarray(d.get(name, np.zeros((0, dim))), dtype=float))
+        steps = min(arr.shape[0], horizon + 1)
+        out[:steps] = arr[:steps]
+        return out
+
+    dx, du, dd = schedule("x", n), schedule("u", m), schedule("delta", n)
+    x = np.zeros((horizon + 1, n))
+    u = np.zeros((horizon + 1, m))
+    delta = np.zeros((horizon + 1, n))
+    for t in range(horizon + 1):
+        if t >= 1:
+            x[t] = a @ x[t - 1] + b @ u[t - 1] + dx[t - 1]
+        if v.kind == DEPLOYMENT:
+            prev_x = x[t - 1] if t >= 1 else np.zeros(n)
+            prev_u = u[t - 1] if t >= 1 else np.zeros(m)
+            delta[t] = x[t] - a @ prev_x - b @ prev_u + dd[t]
+        else:
+            acc = x[t] + dd[t]
+            for k in range(2, len(p_taps) + 1):
+                if t + 1 - k >= 0:
+                    acc = acc - p_taps[k - 1] @ delta[t + 1 - k]
+            delta[t] = np.linalg.solve(p_taps[0], acc)
+        acc_u = du[t].copy()
+        for k in range(1, len(m_taps) + 1):
+            if t + 1 - k >= 0:
+                acc_u = acc_u + m_taps[k - 1] @ delta[t + 1 - k]
+        u[t] = acc_u
+    return {"x": x, "u": u, "delta": delta}

@@ -72,6 +72,21 @@ class TestStabilityFromRealization:
         with pytest.raises(InvariantViolation):
             Realization(SP, TFMatrix.identity(SP), frozenset({("x", "x")}))
 
+    def test_structural_zeros_checked_in_place(self, monkeypatch):
+        """Declared zeros are read off R's entries; no block matrix is built."""
+        space = SignalSpace.make(x=2, u=1, delta=2)
+        eye = TFMatrix.identity(space)
+
+        def no_block(*args):
+            raise AssertionError("structural-zero check built a block")
+
+        monkeypatch.setattr(TFMatrix, "block", no_block)
+        x, u, delta = (SignalSpace.single(n, d) for n, d in space)
+        blocks = {("x", "x"): TFMatrix.identity(x), ("u", "delta"): TFMatrix.zeros(u, delta)}
+        assert len(Realization.from_blocks(space, blocks).structural_zeros) == 7
+        with pytest.raises(InvariantViolation, match="'delta', 'delta'"):
+            Realization(space, eye, frozenset({("x", "u"), ("delta", "delta")}))
+
 
 class TestVerifyLemma:
     def test_zero_identity_pair(self):

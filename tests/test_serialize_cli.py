@@ -533,3 +533,42 @@ def test_malformed_document_or_option_is_a_parse_error(
     code, report = run(JobSpec(command, inputs, {"out": str(tmp_path / "out.json"), **options}))
     assert code == 2 and report["exit_code"] == 2, report
     assert named in report["details"]["error"]
+
+
+#: case -> (command, the input or option it sets, the value)
+MISTYPED_JOBS = {
+    "simulate_horizon_string": ("simulate", "horizon", "3"),
+    "simulate_horizon_fraction": ("simulate", "horizon", 2.5),
+    "simulate_horizon_bool": ("simulate", "horizon", True),
+    "synthesize_horizon_string": ("synthesize", "horizon", "3"),
+    "synthesize_horizon_fraction": ("synthesize", "horizon", 2.5),
+    "synthesize_horizon_bool": ("synthesize", "horizon", True),
+    "certify_tol_string": ("certify", "tol", "x"),
+    "certify_tol_none": ("certify", "tol", None),
+    "certify_tol_bool": ("certify", "tol", False),
+    "simulate_out_number": ("simulate", "out", 3),
+    "factorize_plant_none": ("factorize", "plant", None),
+    "factorize_plant_number": ("factorize", "plant", 3),
+}
+
+
+@pytest.mark.parametrize("command, name, value", MISTYPED_JOBS.values(), ids=MISTYPED_JOBS.keys())
+def test_mistyped_input_or_option_is_a_parse_error(tmp_path, scalar_plant_doc, command, name, value):
+    _, plant_path = scalar_plant_doc
+    fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+           "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
+    inputs = {"plant": plant_path}
+    options = {"out": str(tmp_path / "out.json")}
+    if command in ("simulate", "certify"):
+        inputs["fir"] = write(tmp_path, "fir.json", fir)
+        options["variant"] = "original_sls"
+    if command in ("simulate", "synthesize"):
+        options["horizon"] = 3
+    assert run(JobSpec(command, dict(inputs), dict(options)))[0] == 0
+    if name in inputs:
+        inputs[name] = value
+    else:
+        options[name] = value
+    code, report = run(JobSpec(command, inputs, options))
+    assert code == 2 and report["exit_code"] == 2, report
+    assert repr(name) in report["details"]["error"]

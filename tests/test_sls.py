@@ -27,8 +27,9 @@ from rstab import (
     verify_lemma,
 )
 from rstab.errors import ConvergenceError, InfeasibleError, InvariantViolation
+from rstab.parameterizations import spectral_radius
 
-from helpers import dense_fir_h2, dyadic_fir_pair, rand_fraction
+from helpers import dense_fir_h2, dyadic_fir_pair, rand_fraction, reference_simulate
 
 SCALAR = PlantSS.state_feedback([[0.5]], [[1.0]])
 FX = FIRPhi((np.array([[1.0]]),))            # Phi_x = z^{-1}
@@ -315,6 +316,45 @@ class TestSimulate:
         for name in ("x", "u", "delta"):
             assert np.abs(t12.signals[name] - t1.signals[name] - t2.signals[name]).max() < 1e-12
 
+    def test_matches_the_update_equations(self):
+        """The recursion read off R equals the hand-written update equations
+        of each variant on random plants, payloads and disturbances."""
+        rng = random.Random(20240707)
+        np_rng = np.random.default_rng(7)
+        horizon, checked, deployments = 30, 0, 0
+        while checked < 24:
+            n, m, taps = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 8)
+            a = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+            b = [[rand_fraction(rng) for _ in range(m)] for _ in range(n)]
+            plant = PlantSS.state_feedback(a, b)
+            try:
+                fx, fu = fir_from_slp(synthesize_sf_h2(plant, np.eye(n), np.eye(m), taps), taps)
+            except InfeasibleError:
+                continue
+            checked += 1
+            # (P_c, M_c) = (Phi_x G, Phi_u G) meets the fixed-point constraint
+            g = np.eye(n) + np_rng.uniform(-0.25, 0.25, (n, n))
+            kinds = [RealizationVariant.original(fx, fu),
+                     RealizationVariant.design_separation(
+                         FIRPhi(tuple(t @ g for t in fx.taps)),
+                         FIRPhi(tuple(t @ g for t in fu.taps)), fx, fu)]
+            # deployment on an unstable A is internally unstable: rounding
+            # grows in both recursions alike, so only a Schur-stable A is
+            # compared at this tolerance
+            if spectral_radius(plant.A) < 1.0:
+                kinds.append(RealizationVariant.deployment(fx, fu))
+                deployments += 1
+            d = {"x": np_rng.normal(size=(horizon + 1, n)),
+                 "u": np_rng.normal(size=(rng.randint(1, horizon + 1), m)),
+                 "delta": np_rng.normal(size=(horizon + 1, n))}
+            for v in kinds:
+                got = simulate(v, plant, d, horizon).signals
+                want = reference_simulate(v, plant, d, horizon)
+                scale = max(1.0, max(np.abs(w).max() for w in want.values()))
+                err = max(np.abs(got[k] - want[k]).max() for k in want) / scale
+                assert err <= 1e-12, (v.kind, n, m, taps, err)
+        assert deployments > 0
+
 
 class TestImpulseMatch:
     def test_all_variants_pass(self):
@@ -338,3 +378,12 @@ class TestImpulseMatch:
 
     def test_horizon_zero_trivially_passes(self):
         assert impulse_match(RealizationVariant.original(FX, FU), SCALAR, 0).passed
+
+    def test_negative_horizon_is_refused(self):
+        with pytest.raises(InvariantViolation, match="nonnegative"):
+            impulse_match(RealizationVariant.original(FX, FU), SCALAR, -1)
+
+    def test_exact_match_reports_no_worst_location(self):
+        rep = impulse_match(RealizationVariant.original(FX, FU), SCALAR, 5)
+        assert rep.max_deviation == 0.0
+        assert (rep.worst_signal, rep.worst_channel, rep.worst_lag) == (None, None, None)
