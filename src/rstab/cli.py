@@ -56,8 +56,7 @@ PARAMETERIZATIONS = tuple(REGISTRY)
 _CHOICES = {"target": PARAMETERIZATIONS, "variant": VARIANT_KINDS}
 
 #: the types each typed option takes; a bool is never a number here
-_TYPES = {"out": ((str, os.PathLike), "a path"), "horizon": (int, "an integer"),
-          "tol": ((int, float), "a number")}
+_TYPES = {"out": ((str, os.PathLike), "a path"), "horizon": (int, "an integer")}
 
 
 @dataclass
@@ -91,39 +90,37 @@ def _finish(report: dict, passed: bool) -> tuple[int, dict]:
 def _cmd_verify(job: JobSpec) -> tuple[int, dict]:
     doc = serialize.load_document(job.inputs["realization"])
     r, s = serialize.realization_from_doc(doc)
-    tol = job.options.get("tol", DEFAULT_TOL)
     if s is None:
         s = stability_from_realization(r)
     lemma_ok = verify_lemma(r, s)
-    report = check_conditions(r, s, tol)
+    report = check_conditions(r, s)
     passed = lemma_ok and report.passed
     return _finish(
-        _report("verify", passed, report.findings, lemma_holds=lemma_ok, tol=tol),
+        _report("verify", passed, report.findings, lemma_holds=lemma_ok, tol=DEFAULT_TOL),
         passed,
     )
 
 
 def _cmd_convert(job: JobSpec) -> tuple[int, dict]:
-    tol = job.options.get("tol", DEFAULT_TOL)
     plant = serialize.plant_from_doc(serialize.load_document(job.inputs["plant"]))
     factors = None
     if "factors" in job.inputs:
         # loaded and validated only by a conversion that reads them
         factors = lambda: serialize.coprime_from_doc(
-            serialize.load_document(job.inputs["factors"]), tol)
+            serialize.load_document(job.inputs["factors"]))
     source, bundle = serialize.bundle_from_doc(
-        serialize.load_document(job.inputs["bundle"]), plant, tol
+        serialize.load_document(job.inputs["bundle"]), plant
     )
     target = job.options["target"]
     direct = DIRECT_MAPS.get((source, target))
     if direct is not None:
-        out = direct(bundle, plant, factors, tol)
+        out = direct(bundle, plant, factors)
     elif source == target:
         out = bundle
     else:
         to = REGISTRY[target]
         k = REGISTRY[source].to_controller(bundle, plant, factors)
-        out = to.from_controller(plant, factors, controller_with_output(k, plant, to.signal), tol)
+        out = to.from_controller(plant, factors, controller_with_output(k, plant, to.signal))
     doc = serialize.bundle_to_doc(target, out)
     serialize.dump_document(doc, job.options["out"])
     return _finish(
@@ -171,9 +168,8 @@ def _variant_from_inputs(job: JobSpec) -> tuple[RealizationVariant, PlantSS]:
 
 def _cmd_certify(job: JobSpec) -> tuple[int, dict]:
     v, plant = _variant_from_inputs(job)
-    tol = job.options.get("tol", DEFAULT_TOL)
-    rep = certify_realization(v, plant, tol)
-    details: dict[str, Any] = {"variant": rep.variant, "tol": tol}
+    rep = certify_realization(v, plant)
+    details: dict[str, Any] = {"variant": rep.variant, "tol": DEFAULT_TOL}
     if rep.schur_stable is not None:
         details["schur_stable"] = rep.schur_stable
     if rep.delta_column_strictly_proper is not None:
@@ -202,22 +198,21 @@ def _cmd_simulate(job: JobSpec) -> tuple[int, dict]:
 
 def _cmd_factorize(job: JobSpec) -> tuple[int, dict]:
     plant = serialize.plant_from_doc(serialize.load_document(job.inputs["plant"]))
-    tol = job.options.get("tol", DEFAULT_TOL)
     if "gains" in job.inputs:
         f_gain, l_gain = serialize.gains_from_doc(serialize.load_document(job.inputs["gains"]))
     else:
         f_gain = dare_lqr(plant, np.eye(plant.n), np.eye(plant.m))
         dual = PlantSS.state_feedback(plant.A.T, plant.C.T)
         l_gain = dare_lqr(dual, np.eye(plant.n), np.eye(plant.p)).T
-    factors = coprime_factorize(plant, f_gain, l_gain, tol)
+    factors = coprime_factorize(plant, f_gain, l_gain)
     serialize.dump_document(serialize.coprime_to_doc(factors), job.options["out"])
     return _finish(
-        _report("factorize", True, tol=tol, out=str(job.options["out"])),
+        _report("factorize", True, tol=DEFAULT_TOL, out=str(job.options["out"])),
         True,
     )
 
 
-#: command -> (handler, the inputs it needs, the options it needs)
+#: command -> (handler, the inputs it needs, the options it needs and takes)
 _COMMANDS = {
     "verify": (_cmd_verify, ("realization",), ()),
     "convert": (_cmd_convert, ("bundle", "plant"), ("target", "out")),
@@ -231,8 +226,9 @@ _COMMANDS = {
 def run(job: JobSpec) -> tuple[int, dict]:
     """Execute one job and return (exit_code, report document).
 
-    An unknown command, a missing or mistyped input or option, or an option
-    value outside its choices is a parse error, found before the handler runs.
+    An unknown command, a missing or mistyped input or option, an option the
+    command does not take, or an option value outside its choices is a parse
+    error, found before the handler runs.
     """
     try:
         if job.command not in _COMMANDS:
@@ -242,6 +238,9 @@ def run(job: JobSpec) -> tuple[int, dict]:
         missing += [f"option {n!r}" for n in options if n not in job.options]
         if missing:
             raise SchemaError(f"{job.command} is missing {', '.join(missing)}")
+        unknown = [f"option {n!r}" for n in job.options if n not in options]
+        if unknown:
+            raise SchemaError(f"{job.command} does not take {', '.join(unknown)}")
         for name, allowed in _CHOICES.items():
             if name in options and job.options[name] not in allowed:
                 raise SchemaError(
@@ -279,8 +278,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="pole/stability tolerance (default 1e-8)")
         p.add_argument("--report", help="write a machine-readable report here")
         if out:
             p.add_argument("--out", required=True, help="output document path")
@@ -327,7 +324,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> None:
     args = _parser().parse_args(argv)
     inputs = {}
-    options: dict[str, Any] = {"tol": args.tol}
+    options: dict[str, Any] = {}
     for name in ("realization", "bundle", "fir", "plant", "factors", "weights",
                  "gains", "disturbance"):
         value = getattr(args, name, None)

@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import InternalStabilityError, InvariantViolation, SchemaError, SpaceMismatchError
-from .ratfun import DEFAULT_TOL, RatFun, _as_coeff
+from .ratfun import RatFun, _as_coeff
 from .realization import (
     Realization,
     StabilityMatrix,
@@ -43,13 +43,6 @@ def exact_matrix(values) -> np.ndarray:
         for j in range(arr.shape[1]):
             out[i, j] = _as_coeff(arr[i, j])
     return out
-
-
-def spectral_radius(m) -> float:
-    a = np.asarray(m, dtype=object).astype(float)
-    if a.size == 0:
-        return 0.0
-    return float(max(abs(np.linalg.eigvals(a))))
 
 
 def _z_minus(m: np.ndarray, space: SignalSpace) -> TFMatrix:
@@ -200,10 +193,10 @@ def output_feedback_loop(plant: PlantSS, k: TFMatrix) -> Realization:
     return _plant_loop(plant, k, "y")
 
 
-def stabilized_loop(r: Realization, tol: float, context: str) -> StabilityMatrix:
+def stabilized_loop(r: Realization, context: str) -> StabilityMatrix:
     """Stability matrix of a loop that is required to be internally stable."""
     s = stability_from_realization(r)
-    report = check_conditions(r, s, tol)
+    report = check_conditions(r, s)
     if not report.passed:
         bad = ", ".join(f"{f.matrix}[{f.row},{f.col}] {f.kind}" for f in report.findings)
         raise InternalStabilityError(f"{context}: {bad}", report)
@@ -215,12 +208,12 @@ def stabilized_loop(r: Realization, tol: float, context: str) -> StabilityMatrix
 # ---------------------------------------------------------------------------
 
 
-def _members(bundle, tol: float, strictly_proper: tuple[str, ...] = ()):
+def _members(bundle, strictly_proper: tuple[str, ...] = ()):
     """Return ``bundle`` once every block is stable proper, and strictly
     proper as well for the fields named in ``strictly_proper``."""
     for f in fields(bundle):
         strict = f.name in strictly_proper
-        c = getattr(bundle, f.name).classify(tol)
+        c = getattr(bundle, f.name).classify()
         if not (c.in_zinv_rh_inf if strict else c.in_rh_inf):
             kind = "strictly proper and stable" if strict else "stable proper"
             raise InvariantViolation(f"{type(bundle).__name__} block {f.name} must be {kind}")
@@ -286,11 +279,11 @@ def _lemma_identities(entry: "Parameterization", loop: Realization, bundle):
                     name + ": S (I - R) = I fails in column {a} at block ({c}, {a})")
 
 
-def _checked(bundle, plant, tol: float):
+def _checked(bundle, plant):
     """Return ``bundle`` once its memberships and lemma identities hold, in its loop
     with K = 0 around ``plant`` (for IOP, around G or (zI - A)^{-1} B)."""
     entry = next(e for e in REGISTRY.values() if e.bundle is type(bundle))
-    _members(bundle, tol, entry.strictly_proper)
+    _members(bundle, entry.strictly_proper)
     if isinstance(plant, TFMatrix):
         loop = plant_feedback_loop(plant, TFMatrix.zeros(plant.cols, plant.rows))
     else:
@@ -312,7 +305,9 @@ class CoprimeFactors:
 
         [[Ml, -Nl], [-Vl, Ul]] @ [[Ur, Nr], [Vr, Mr]] = I
 
-    holds exactly.
+    holds exactly.  ``validate`` does not compare Ml^{-1} Nl with Nr Mr^{-1}:
+    once Ml and Mr invert, the (y, u) block of the Bezout product,
+    Ml Nr - Nl Mr = 0, already makes them equal.
     """
 
     Ml: TFMatrix
@@ -353,20 +348,17 @@ class CoprimeFactors:
         )
         return left @ right
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        _members(self, tol)
+    def validate(self) -> None:
+        _members(self)
         sp = SignalSpace(self.Ml.rows.blocks + self.Mr.rows.blocks)
         if self.bezout_product() != TFMatrix.identity(sp):
             raise InvariantViolation("double Bezout identity fails")
         # Ml, Mr must be invertible with proper inverses so that G = Ml^{-1} Nl
         # is well defined; their inverses carry the plant's poles, so they are
         # stable only when the plant itself is.
-        ml_inv, mr_inv = self.Ml.inverse(), self.Mr.inverse()
-        for name, inv in (("Ml", ml_inv), ("Mr", mr_inv)):
-            if not inv.classify(tol).all_proper:
+        for name, m in (("Ml", self.Ml), ("Mr", self.Mr)):
+            if not m.inverse().classify().all_proper:
                 raise InvariantViolation(f"{name} is not invertible with a proper inverse")
-        if ml_inv @ self.Nl != self.Nr @ mr_inv:
-            raise InvariantViolation("left and right factorizations disagree about the plant")
 
 
 @dataclass(frozen=True)
@@ -376,8 +368,8 @@ class YoulaParam:
     Q: TFMatrix
 
     @classmethod
-    def checked(cls, Q: TFMatrix, tol: float = DEFAULT_TOL) -> "YoulaParam":
-        return _members(cls(Q), tol)
+    def checked(cls, Q: TFMatrix) -> "YoulaParam":
+        return _members(cls(Q))
 
 
 @dataclass(frozen=True)
@@ -394,8 +386,8 @@ class IOPParam:
     Z: TFMatrix
 
     @classmethod
-    def checked(cls, Y, U, W, Z, g: TFMatrix, tol: float = DEFAULT_TOL) -> "IOPParam":
-        return _checked(cls(Y, U, W, Z), g, tol)
+    def checked(cls, Y, U, W, Z, g: TFMatrix) -> "IOPParam":
+        return _checked(cls(Y, U, W, Z), g)
 
 
 @dataclass(frozen=True)
@@ -407,8 +399,8 @@ class SLPStateFeedback:
     phi_u: TFMatrix
 
     @classmethod
-    def checked(cls, phi_x, phi_u, plant: PlantSS, tol: float = DEFAULT_TOL) -> "SLPStateFeedback":
-        return _checked(cls(phi_x, phi_u), plant, tol)
+    def checked(cls, phi_x, phi_u, plant: PlantSS) -> "SLPStateFeedback":
+        return _checked(cls(phi_x, phi_u), plant)
 
 
 @dataclass(frozen=True)
@@ -423,8 +415,8 @@ class SLPOutputFeedback:
     phi_uy: TFMatrix
 
     @classmethod
-    def checked(cls, phi_xx, phi_ux, phi_xy, phi_uy, plant: PlantSS, tol: float = DEFAULT_TOL):
-        return _checked(cls(phi_xx, phi_ux, phi_xy, phi_uy), plant, tol)
+    def checked(cls, phi_xx, phi_ux, phi_xy, phi_uy, plant: PlantSS):
+        return _checked(cls(phi_xx, phi_ux, phi_xy, phi_uy), plant)
 
 
 @dataclass(frozen=True)
@@ -438,8 +430,8 @@ class MixedParam1:
     phi_uy: TFMatrix
 
     @classmethod
-    def checked(cls, phi_yx, phi_ux, phi_yy, phi_uy, plant: PlantSS, tol: float = DEFAULT_TOL):
-        return _checked(cls(phi_yx, phi_ux, phi_yy, phi_uy), plant, tol)
+    def checked(cls, phi_yx, phi_ux, phi_yy, phi_uy, plant: PlantSS):
+        return _checked(cls(phi_yx, phi_ux, phi_yy, phi_uy), plant)
 
 
 @dataclass(frozen=True)
@@ -453,8 +445,8 @@ class MixedParam2:
     phi_uu: TFMatrix
 
     @classmethod
-    def checked(cls, phi_xy, phi_uy, phi_xu, phi_uu, plant: PlantSS, tol: float = DEFAULT_TOL):
-        return _checked(cls(phi_xy, phi_uy, phi_xu, phi_uu), plant, tol)
+    def checked(cls, phi_xy, phi_uy, phi_xu, phi_uu, plant: PlantSS):
+        return _checked(cls(phi_xy, phi_uy, phi_xu, phi_uu), plant)
 
 
 # ---------------------------------------------------------------------------
@@ -462,37 +454,35 @@ class MixedParam2:
 # ---------------------------------------------------------------------------
 
 
-def coprime_factorize(plant: PlantSS, F, L, tol: float = DEFAULT_TOL) -> CoprimeFactors:
+def coprime_factorize(plant: PlantSS, F, L) -> CoprimeFactors:
     """Doubly coprime factorization from stabilizing gains F and L.
 
-    F (m x n) must make A + BF Schur stable and L (n x p) must make A + LC
-    Schur stable; both checks are numeric with margin ``tol``.  The eight
-    factors are the standard observer/state-feedback construction:
+    F (m x n) and L (n x p) must make A + BF and A + LC Schur stable, that
+    is, Phi and Psi below must lie in RH-infinity.  The eight factors are
+    the standard observer/state-feedback construction:
 
         Mr = I + F Phi B     Nr = (C+DF) Phi B + D   with Phi = (zI-A-BF)^{-1}
         Vr = -F Phi L        Ur = I - (C+DF) Phi L
         Ml = I + C Psi L     Nl = C Psi (B+LD) + D   with Psi = (zI-A-LC)^{-1}
         Vl = -F Psi L        Ul = I - F Psi (B+LD)
 
-    The result is validated exactly (Bezout, plant consistency) and
-    numerically (stable-proper memberships) before it is returned.
+    The result is validated exactly (Bezout) and by pole tests
+    (stable-proper memberships) before it is returned.
     """
     F = exact_matrix(F)
     L = exact_matrix(L)
     n, m, p = plant.n, plant.m, plant.p
     if F.shape != (m, n) or L.shape != (n, p):
         raise InvariantViolation("gain shapes must be F: m x n and L: n x p")
-    a_bf = plant.A + plant.B @ F
-    a_lc = plant.A + L @ plant.C
-    if spectral_radius(a_bf) >= 1.0 - tol:
-        raise InvariantViolation("F does not stabilize: spectral radius of A + BF is not < 1")
-    if spectral_radius(a_lc) >= 1.0 - tol:
-        raise InvariantViolation("L does not stabilize: spectral radius of A + LC is not < 1")
-
     x_sp, u_sp, y_sp = plant.x_space, plant.u_space, plant.y_space
+    phi = _z_minus(plant.A + plant.B @ F, x_sp).inverse()
+    psi = _z_minus(plant.A + L @ plant.C, x_sp).inverse()
+    if not phi.classify().in_rh_inf:
+        raise InvariantViolation("F does not stabilize: A + BF is not Schur stable")
+    if not psi.classify().in_rh_inf:
+        raise InvariantViolation("L does not stabilize: A + LC is not Schur stable")
+
     const = TFMatrix.constant
-    phi = _z_minus(a_bf, x_sp).inverse()
-    psi = _z_minus(a_lc, x_sp).inverse()
     f_c = const(u_sp, x_sp, F)
     l_c = const(x_sp, y_sp, L)
     b_c = const(x_sp, u_sp, plant.B)
@@ -513,7 +503,7 @@ def coprime_factorize(plant: PlantSS, F, L, tol: float = DEFAULT_TOL) -> Coprime
         Vr=-(f_c @ phi @ l_c),
         Mr=eye_u + f_c @ phi @ b_c,
     )
-    factors.validate(tol)
+    factors.validate()
     return factors
 
 
@@ -522,16 +512,16 @@ def coprime_factorize(plant: PlantSS, F, L, tol: float = DEFAULT_TOL) -> Coprime
 # ---------------------------------------------------------------------------
 
 
-def _bundle_of_loop(entry: "Parameterization", loop: Realization, plant, tol: float):
+def _bundle_of_loop(entry: "Parameterization", loop: Realization, plant):
     """The entry's blocks of the stabilized loop's S, checked against ``plant``."""
-    s = stabilized_loop(loop, tol, f"{entry.name}_from_controller")
-    return entry.bundle.checked(*(s.S.block(r, c) for r, c in _held_blocks(entry, loop)), plant, tol)
+    s = stabilized_loop(loop, f"{entry.name}_from_controller")
+    return entry.bundle.checked(*(s.S.block(r, c) for r, c in _held_blocks(entry, loop)), plant)
 
 
-def _from_plant_loop(name: str, plant: PlantSS, k: TFMatrix, tol: float):
+def _from_plant_loop(name: str, plant: PlantSS, k: TFMatrix):
     """The named bundle of the loop that k closes around the plant's state equation."""
     entry = REGISTRY[name]
-    return _bundle_of_loop(entry, _plant_loop(plant, k, entry.signal), plant, tol)
+    return _bundle_of_loop(entry, _plant_loop(plant, k, entry.signal), plant)
 
 
 def youla_to_controller(f: CoprimeFactors, q: YoulaParam) -> TFMatrix:
@@ -539,7 +529,7 @@ def youla_to_controller(f: CoprimeFactors, q: YoulaParam) -> TFMatrix:
     return (f.Vr - f.Mr @ q.Q) @ (f.Ur - f.Nr @ q.Q).inverse()
 
 
-def controller_to_youla(f: CoprimeFactors, k: TFMatrix, tol: float = DEFAULT_TOL) -> YoulaParam:
+def controller_to_youla(f: CoprimeFactors, k: TFMatrix) -> YoulaParam:
     """Q = Mr^{-1} (Vr - S_ux Ml^{-1}) from the closed loop's control response.
 
     The controller must be admissible: its loop with the factored plant has
@@ -547,18 +537,18 @@ def controller_to_youla(f: CoprimeFactors, k: TFMatrix, tol: float = DEFAULT_TOL
     """
     g = f.g()
     loop = plant_feedback_loop(g, k)
-    s = stabilized_loop(loop, tol, "controller_to_youla")
+    s = stabilized_loop(loop, "controller_to_youla")
     out_name = g.rows.names[0]
     s_ux = s.S.block(g.cols.names[0], out_name)
     q = f.Mr.inverse() @ (f.Vr - s_ux @ f.Ml.inverse())
-    return YoulaParam.checked(q, tol)
+    return YoulaParam.checked(q)
 
 
-def iop_from_controller(g: TFMatrix, k: TFMatrix, tol: float = DEFAULT_TOL) -> IOPParam:
+def iop_from_controller(g: TFMatrix, k: TFMatrix) -> IOPParam:
     """Extract {Y, U, W, Z} as the blocks of (I - R)^{-1} for the (G, K) loop."""
-    if not g.classify(tol).all_strictly_proper:
+    if not g.classify().all_strictly_proper:
         raise InvariantViolation("IOP extraction requires a strictly proper plant")
-    return _bundle_of_loop(REGISTRY["iop"], plant_feedback_loop(g, k), g, tol)
+    return _bundle_of_loop(REGISTRY["iop"], plant_feedback_loop(g, k), g)
 
 
 def iop_to_controller(p: IOPParam) -> TFMatrix:
@@ -571,9 +561,9 @@ def slp_sf_to_controller(p: SLPStateFeedback) -> TFMatrix:
     return p.phi_u @ p.phi_x.inverse()
 
 
-def slp_sf_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL) -> SLPStateFeedback:
+def slp_sf_from_controller(plant: PlantSS, k: TFMatrix) -> SLPStateFeedback:
     """Extract {Phi_x, Phi_u} as the state-disturbance columns of the loop's S."""
-    return _from_plant_loop("slp_sf", plant, k, tol)
+    return _from_plant_loop("slp_sf", plant, k)
 
 
 def slp_of_to_controller(p: SLPOutputFeedback, D) -> TFMatrix:
@@ -590,9 +580,9 @@ def slp_of_to_controller(p: SLPOutputFeedback, D) -> TFMatrix:
     return k0 @ (TFMatrix.identity(y_sp) + d_c @ k0).inverse()
 
 
-def slp_of_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL) -> SLPOutputFeedback:
+def slp_of_from_controller(plant: PlantSS, k: TFMatrix) -> SLPOutputFeedback:
     """Extract {Phi_xx, Phi_ux, Phi_xy, Phi_uy} from the output-feedback loop's S."""
-    return _from_plant_loop("slp_of", plant, k, tol)
+    return _from_plant_loop("slp_of", plant, k)
 
 
 def mixed1_to_controller(p: MixedParam1) -> TFMatrix:
@@ -600,9 +590,9 @@ def mixed1_to_controller(p: MixedParam1) -> TFMatrix:
     return p.phi_uy @ p.phi_yy.inverse()
 
 
-def mixed1_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL) -> MixedParam1:
+def mixed1_from_controller(plant: PlantSS, k: TFMatrix) -> MixedParam1:
     """Extract {Phi_yx, Phi_ux, Phi_yy, Phi_uy} from the output-feedback loop's S."""
-    return _from_plant_loop("mixed1", plant, k, tol)
+    return _from_plant_loop("mixed1", plant, k)
 
 
 def mixed2_to_controller(p: MixedParam2) -> TFMatrix:
@@ -610,9 +600,9 @@ def mixed2_to_controller(p: MixedParam2) -> TFMatrix:
     return p.phi_uu.inverse() @ p.phi_uy
 
 
-def mixed2_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL) -> MixedParam2:
+def mixed2_from_controller(plant: PlantSS, k: TFMatrix) -> MixedParam2:
     """Extract {Phi_xy, Phi_uy, Phi_xu, Phi_uu} from the output-feedback loop's S."""
-    return _from_plant_loop("mixed2", plant, k, tol)
+    return _from_plant_loop("mixed2", plant, k)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +610,7 @@ def mixed2_from_controller(plant: PlantSS, k: TFMatrix, tol: float = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 
 
-def youla_to_iop(f: CoprimeFactors, q: YoulaParam, tol: float = DEFAULT_TOL) -> IOPParam:
+def youla_to_iop(f: CoprimeFactors, q: YoulaParam) -> IOPParam:
     """Translate a Youla parameter into the input-output bundle:
 
     [[Y, W], [U, Z]] = [[(Ur-NrQ)Ml, (Ur-NrQ)Nl], [(Vr-MrQ)Ml, I+(Vr-MrQ)Nl]].
@@ -629,12 +619,11 @@ def youla_to_iop(f: CoprimeFactors, q: YoulaParam, tol: float = DEFAULT_TOL) -> 
     v = f.Vr - f.Mr @ q.Q
     eye_u = TFMatrix.identity(f.Mr.rows)
     return IOPParam.checked(
-        Y=e @ f.Ml, W=e @ f.Nl, U=v @ f.Ml, Z=eye_u + v @ f.Nl,
-        g=f.g(), tol=tol,
+        Y=e @ f.Ml, W=e @ f.Nl, U=v @ f.Ml, Z=eye_u + v @ f.Nl, g=f.g(),
     )
 
 
-def slp_sf_to_iop(p: SLPStateFeedback, plant: PlantSS, tol: float = DEFAULT_TOL) -> IOPParam:
+def slp_sf_to_iop(p: SLPStateFeedback, plant: PlantSS) -> IOPParam:
     """Translate the state-feedback bundle into the input-output bundle.
 
     The loop over (x, u) is equivalent to the plant/controller loop with
@@ -647,11 +636,11 @@ def slp_sf_to_iop(p: SLPStateFeedback, plant: PlantSS, tol: float = DEFAULT_TOL)
     eye_u = TFMatrix.identity(plant.u_space)
     return IOPParam.checked(
         Y=p.phi_x @ zia, W=p.phi_x @ b, U=p.phi_u @ zia, Z=eye_u + p.phi_u @ b,
-        g=plant.state_transfer(), tol=tol,
+        g=plant.state_transfer(),
     )
 
 
-def slp_of_to_iop(p: SLPOutputFeedback, plant: PlantSS, tol: float = DEFAULT_TOL) -> IOPParam:
+def slp_of_to_iop(p: SLPOutputFeedback, plant: PlantSS) -> IOPParam:
     """Translate the output-feedback bundle into the input-output bundle:
 
     Y = C Phi_xy + D Phi_uy + I        U = Phi_uy
@@ -665,7 +654,7 @@ def slp_of_to_iop(p: SLPOutputFeedback, plant: PlantSS, tol: float = DEFAULT_TOL
     y = c @ p.phi_xy + d @ p.phi_uy + TFMatrix.identity(plant.y_space)
     z = p.phi_ux @ b + p.phi_uy @ d + TFMatrix.identity(plant.u_space)
     w = (c @ p.phi_xx + d @ p.phi_ux) @ b + y @ d
-    return IOPParam.checked(Y=y, U=p.phi_uy, W=w, Z=z, g=plant.transfer(), tol=tol)
+    return IOPParam.checked(Y=y, U=p.phi_uy, W=w, Z=z, g=plant.transfer())
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +684,7 @@ class Parameterization:
     bundle: type
     signal: str
     blocks: tuple[tuple[str, str], ...]
-    #: (plant, factors, k, tol) -> bundle
+    #: (plant, factors, k) -> bundle
     from_controller: Callable[..., Any]
     #: (bundle, plant, factors) -> k
     to_controller: Callable[..., TFMatrix]
@@ -718,13 +707,13 @@ def _needed(factors: Callable[[], CoprimeFactors] | None) -> CoprimeFactors:
 REGISTRY: dict[str, Parameterization] = {p.name: p for p in (
     Parameterization(
         "youla", YoulaParam, "y", (),
-        from_controller=lambda plant, f, k, tol: controller_to_youla(_needed(f), k, tol),
+        from_controller=lambda plant, f, k: controller_to_youla(_needed(f), k),
         to_controller=lambda q, plant, f: youla_to_controller(_needed(f), q),
         plant_map=None,
     ),
     Parameterization(
         "iop", IOPParam, "y", (("y", "y"), ("u", "y"), ("y", "u"), ("u", "u")),
-        from_controller=lambda plant, f, k, tol: iop_from_controller(plant.transfer(), k, tol),
+        from_controller=lambda plant, f, k: iop_from_controller(plant.transfer(), k),
         to_controller=lambda p, plant, f: iop_to_controller(p),
         # G, or (zI - A)^{-1} B for a bundle whose rows measure the state
         plant_map=lambda plant, label: (
@@ -732,34 +721,34 @@ REGISTRY: dict[str, Parameterization] = {p.name: p for p in (
     ),
     Parameterization(
         "slp_sf", SLPStateFeedback, "x", (("x", "x"), ("u", "x")),
-        from_controller=lambda plant, f, k, tol: slp_sf_from_controller(plant, k, tol),
+        from_controller=lambda plant, f, k: slp_sf_from_controller(plant, k),
         to_controller=lambda p, plant, f: slp_sf_to_controller(p),
         strictly_proper=("phi_x", "phi_u"),
     ),
     Parameterization(
         "slp_of", SLPOutputFeedback, "y", (("x", "x"), ("u", "x"), ("x", "y"), ("u", "y")),
-        from_controller=lambda plant, f, k, tol: slp_of_from_controller(plant, k, tol),
+        from_controller=lambda plant, f, k: slp_of_from_controller(plant, k),
         to_controller=lambda p, plant, f: slp_of_to_controller(p, plant.D),
         strictly_proper=("phi_xx", "phi_ux", "phi_xy"),
     ),
     Parameterization(
         "mixed1", MixedParam1, "y", (("y", "x"), ("u", "x"), ("y", "y"), ("u", "y")),
-        from_controller=lambda plant, f, k, tol: mixed1_from_controller(plant, k, tol),
+        from_controller=lambda plant, f, k: mixed1_from_controller(plant, k),
         to_controller=lambda p, plant, f: mixed1_to_controller(p),
     ),
     Parameterization(
         "mixed2", MixedParam2, "y", (("x", "y"), ("u", "y"), ("x", "u"), ("u", "u")),
-        from_controller=lambda plant, f, k, tol: mixed2_from_controller(plant, k, tol),
+        from_controller=lambda plant, f, k: mixed2_from_controller(plant, k),
         to_controller=lambda p, plant, f: mixed2_to_controller(p),
     ),
 )}
 
-#: (source, target) -> (bundle, plant, factors, tol) -> bundle, for the pairs
+#: (source, target) -> (bundle, plant, factors) -> bundle, for the pairs
 #: that translate without passing through the controller
 DIRECT_MAPS: dict[tuple[str, str], Callable[..., Any]] = {
-    ("youla", "iop"): lambda q, plant, f, tol: youla_to_iop(_needed(f), q, tol),
-    ("slp_sf", "iop"): lambda p, plant, f, tol: slp_sf_to_iop(p, plant, tol),
-    ("slp_of", "iop"): lambda p, plant, f, tol: slp_of_to_iop(p, plant, tol),
+    ("youla", "iop"): lambda q, plant, f: youla_to_iop(_needed(f), q),
+    ("slp_sf", "iop"): lambda p, plant, f: slp_sf_to_iop(p, plant),
+    ("slp_of", "iop"): lambda p, plant, f: slp_of_to_iop(p, plant),
 }
 
 

@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import ToolkitError
 
-#: Default margin used when testing |pole| < 1 - tol.  Poles on or outside
-#: the unit circle must be rejected, so the inequality is strict.
+#: The one pole margin: a function is stable when every pole has
+#: |pole| < 1 - DEFAULT_TOL.  Poles on or outside the unit circle must be
+#: rejected, so the inequality is strict.
 DEFAULT_TOL = 1e-8
 
 Scalar = Union[int, Fraction]
@@ -571,11 +572,11 @@ class RatFun:
         desc = [float(c) for c in reversed(self.den.coeffs)]
         return list(np.roots(desc))
 
-    def is_stable(self, tol: float = DEFAULT_TOL) -> bool:
-        """Membership in RH-infinity: proper with all poles inside |z| < 1 - tol."""
+    def is_stable(self) -> bool:
+        """Membership in RH-infinity: proper with all poles inside |z| < 1 - DEFAULT_TOL."""
         if not self.is_proper:
             return False
-        return all(abs(p) < 1.0 - tol for p in self.poles())
+        return all(abs(p) < 1.0 - DEFAULT_TOL for p in self.poles())
 
     def series(self, n: int) -> list[Fraction]:
         """Markov parameters h_0 .. h_n of a proper rational function.

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InvariantViolation, SingularMatrixError, SpaceMismatchError
-from .ratfun import DEFAULT_TOL
 from .tfmatrix import SignalSpace, TFMatrix, embed
 
 
@@ -69,8 +68,9 @@ class StabilityMatrix:
 class Transformation:
     """Invertible disturbance-basis change d = T w.
 
-    Stores both T and its inverse; the product identities are checked
-    exactly on construction.
+    Stores both T and its inverse; T T_inv = T_inv T = I is checked exactly
+    on construction.  One product suffices: over the field of rational
+    functions a one-sided inverse of a square matrix is two-sided.
     """
 
     T: TFMatrix
@@ -80,7 +80,7 @@ class Transformation:
         if not self.T.is_square or self.T.rows != self.T_inv.rows:
             raise SpaceMismatchError("transformation matrices must be square over one space")
         eye = TFMatrix.identity(self.T.rows)
-        if self.T @ self.T_inv != eye or self.T_inv @ self.T != eye:
+        if self.T @ self.T_inv != eye:
             raise InvariantViolation("T and T_inv are not exact inverses")
 
     @classmethod
@@ -124,17 +124,18 @@ def stability_from_realization(r: Realization) -> StabilityMatrix:
 
 
 def verify_lemma(r: Realization, s: StabilityMatrix) -> bool:
-    """Check (I - R) S = S (I - R) = I exactly."""
+    """Check (I - R) S = S (I - R) = I exactly.
+
+    Only (I - R) S = I is computed: I - R and S are square over the field of
+    rational functions, where a one-sided inverse is two-sided.
+    """
     if r.space != s.space:
         raise SpaceMismatchError("realization and stability matrix use different spaces")
     eye = TFMatrix.identity(r.space)
-    m = eye - r.R
-    return m @ s.S == eye and s.S @ m == eye
+    return (eye - r.R) @ s.S == eye
 
 
-def check_conditions(
-    r: Realization, s: StabilityMatrix, tol: float = DEFAULT_TOL
-) -> ConditionReport:
+def check_conditions(r: Realization, s: StabilityMatrix) -> ConditionReport:
     """Causality and internal-stability conditions for a synthesized loop.
 
     Off-diagonal blocks of R must be proper and every block of S must be
@@ -148,11 +149,11 @@ def check_conditions(
     names = r.space.names
     for a in names:
         for b in names:
-            if a != b and not r.R.block(a, b).classify(tol).all_proper:
+            if a != b and not r.R.block(a, b).classify().all_proper:
                 findings.append(BlockFinding("R", a, b, "improper"))
     for a in names:
         for b in names:
-            cls = s.S.block(a, b).classify(tol)
+            cls = s.S.block(a, b).classify()
             if not cls.all_proper:
                 findings.append(BlockFinding("S", a, b, "improper"))
             elif not cls.in_rh_inf:

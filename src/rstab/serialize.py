@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SchemaError, ToolkitError
 from .parameterizations import REGISTRY, CoprimeFactors, PlantSS
-from .ratfun import DEFAULT_TOL, RatFun
+from .ratfun import RatFun
 from .realization import Realization, StabilityMatrix
 from .sls import FIRPhi, SimTrace, fir_from_tfmatrix
 from .tfmatrix import SignalSpace, TFMatrix
@@ -187,7 +187,7 @@ def bundle_to_doc(parameterization: str, bundle) -> dict:
     )
 
 
-def bundle_from_doc(doc, plant: PlantSS | None = None, tol: float = DEFAULT_TOL):
+def bundle_from_doc(doc, plant: PlantSS | None = None):
     """Load and validate a parameter bundle.
 
     Returns (parameterization, bundle).  Bundles whose invariants involve
@@ -204,10 +204,10 @@ def bundle_from_doc(doc, plant: PlantSS | None = None, tol: float = DEFAULT_TOL)
     with _parsing("parameter bundle"):
         blocks = [tfmatrix_from_doc(doc["blocks"][f]) for f in entry.fields]
     if entry.plant_map is None:
-        return kind, entry.bundle.checked(*blocks, tol)
+        return kind, entry.bundle.checked(*blocks)
     if plant is None:
         raise SchemaError(f"validating a {kind} bundle requires the plant")
-    return kind, entry.bundle.checked(*blocks, entry.plant_map(plant, blocks[0].rows.names[0]), tol)
+    return kind, entry.bundle.checked(*blocks, entry.plant_map(plant, blocks[0].rows.names[0]))
 
 
 def coprime_to_doc(f: CoprimeFactors) -> dict:
@@ -217,12 +217,12 @@ def coprime_to_doc(f: CoprimeFactors) -> dict:
     )
 
 
-def coprime_from_doc(doc, tol: float = DEFAULT_TOL) -> CoprimeFactors:
+def coprime_from_doc(doc) -> CoprimeFactors:
     _check_header(doc, "coprime_factors")
     with _parsing("coprime factor document"):
         blocks = {name: tfmatrix_from_doc(doc["blocks"][name]) for name in COPRIME_FIELDS}
     f = CoprimeFactors(**blocks)
-    f.validate(tol)
+    f.validate()
     return f
 
 

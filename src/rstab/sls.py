@@ -37,8 +37,8 @@ from .errors import (
     SingularMatrixError,
     SpaceMismatchError,
 )
-from .parameterizations import PlantSS, SLPStateFeedback, _dynamics_block, exact_matrix, spectral_radius
-from .ratfun import DEFAULT_TOL, Poly, RatFun
+from .parameterizations import PlantSS, SLPStateFeedback, _dynamics_block, _z_minus, exact_matrix
+from .ratfun import Poly, RatFun
 from .realization import (
     BlockFinding,
     Realization,
@@ -125,11 +125,11 @@ def fir_from_tfmatrix(m: TFMatrix, horizon: int | None = None) -> FIRPhi:
     return FIRPhi(tuple(taps))
 
 
-def slp_from_fir(plant: PlantSS, phi_x: FIRPhi, phi_u: FIRPhi, tol: float = DEFAULT_TOL) -> SLPStateFeedback:
+def slp_from_fir(plant: PlantSS, phi_x: FIRPhi, phi_u: FIRPhi) -> SLPStateFeedback:
     """Validate an FIR pair as a state-feedback bundle."""
     px = fir_to_tfmatrix(phi_x, plant.x_space, plant.x_space)
     pu = fir_to_tfmatrix(phi_u, plant.u_space, plant.x_space)
-    return SLPStateFeedback.checked(px, pu, plant, tol)
+    return SLPStateFeedback.checked(px, pu, plant)
 
 
 def fir_from_slp(p: SLPStateFeedback, horizon: int | None = None) -> tuple[FIRPhi, FIRPhi]:
@@ -295,17 +295,17 @@ class CertificationReport:
     stability: StabilityMatrix
 
 
-def certify_realization(v: RealizationVariant, plant: PlantSS, tol: float = DEFAULT_TOL) -> CertificationReport:
+def certify_realization(v: RealizationVariant, plant: PlantSS) -> CertificationReport:
     """Build the variant, invert I - R exactly, and test every block."""
     r = build_realization(v, plant)
     s = stability_from_realization(r)
-    report = check_conditions(r, s, tol)
+    report = check_conditions(r, s)
     schur = None
     delta_ok = None
     if v.kind == DEPLOYMENT:
-        schur = spectral_radius(plant.A) < 1.0 - tol
+        schur = plant.resolvent().classify().in_rh_inf
     if v.kind == DESIGN_SEPARATION:
-        delta_ok = s.S.block("delta", "x").classify(tol).in_zinv_rh_inf
+        delta_ok = s.S.block("delta", "x").classify().in_zinv_rh_inf
     return CertificationReport(
         variant=v.kind,
         passed=report.passed,
@@ -464,8 +464,9 @@ def dare_lqr(plant: PlantSS, Qw, Rw, max_iter: int = 10_000, tol: float = 1e-12)
 
     Iterates P <- Qw + A'PA - A'PB (Rw + B'PB)^{-1} B'PA until successive
     iterates agree within ``tol`` and returns K with u = K x and A + BK
-    Schur stable.  Divergence (growth past 1e14) or exhaustion of
-    ``max_iter`` raises ConvergenceError.
+    Schur stable: (zI - A - BK)^{-1}, with the float A + BK lifted exactly,
+    lies in RH-infinity.  A gain that fails this, divergence (growth past
+    1e14) or exhaustion of ``max_iter`` raises ConvergenceError.
     """
     a = plant.A.astype(float)
     b = plant.B.astype(float)
@@ -482,7 +483,8 @@ def dare_lqr(plant: PlantSS, Qw, Rw, max_iter: int = 10_000, tol: float = 1e-12)
         if np.abs(p_next - p).max() < tol:
             p = p_next
             gain = -np.linalg.solve(rw + b.T @ p @ b, b.T @ p @ a)
-            if spectral_radius(a + b @ gain) >= 1.0:
+            closed = _z_minus(exact_matrix(a + b @ gain), plant.x_space).inverse()
+            if not closed.classify().in_rh_inf:
                 raise ConvergenceError("Riccati iteration converged to a non-stabilizing gain")
             return gain
         p = p_next

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import SingularMatrixError, SpaceMismatchError
-from .ratfun import DEFAULT_TOL, Poly, RatFun
+from .ratfun import Poly, RatFun
 
 
 @dataclass(frozen=True)
@@ -330,12 +330,12 @@ class TFMatrix:
 
     # -- analysis -----------------------------------------------------------
 
-    def classify(self, tol: float = DEFAULT_TOL) -> TFClassification:
+    def classify(self) -> TFClassification:
         """Entrywise aggregation of properness and RH-infinity membership."""
         flat = [e for row in self.entries for e in row]
         all_proper = all(e.is_proper for e in flat)
         all_sp = all(e.is_strictly_proper for e in flat)
-        stable = all_proper and all(e.is_stable(tol) for e in flat)
+        stable = all_proper and all(e.is_stable() for e in flat)
         return TFClassification(
             all_proper=all_proper,
             all_strictly_proper=all_sp,

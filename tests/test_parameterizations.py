@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rstab import (
-    DEFAULT_TOL,
     IOPParam,
     MixedParam1,
     MixedParam2,
@@ -513,7 +512,7 @@ def _library_bundle(name, plant):
     if name != "iop":
         if REGISTRY[name].signal == "x":
             k = k.relabel(U1, X1)
-        return REGISTRY[name].from_controller(plant, None, k, DEFAULT_TOL), plant
+        return REGISTRY[name].from_controller(plant, None, k), plant
     if plant.is_strictly_proper:  # the IOP bundle of the loop that measures the state
         g = plant.state_transfer()
         return iop_from_controller(g, k.relabel(U1, X1)), g

@@ -397,6 +397,32 @@ class TestCLIInputs:
         code, report = run(JobSpec("transmogrify"))
         assert code == 2 and "transmogrify" in report["details"]["error"]
 
+    def test_pole_margin_is_not_an_option(self, tmp_path):
+        # a negative margin would widen the stability region and pass the
+        # deployment variant on the unstable plant x+ = 2 x + u
+        plant_path = write(tmp_path, "p2.json",
+                           serialize.plant_to_doc(PlantSS.state_feedback([[2]], [[1]])))
+        fir_path = write(tmp_path, "fir2.json", {
+            "schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+            "phi_x": [[["1"]]], "phi_u": [[["-2"]]],
+        })
+        inputs = {"plant": plant_path, "fir": fir_path}
+        code, report = run(JobSpec("certify", inputs, {"variant": "deployment", "tol": -5.0}))
+        assert code == 2 and not report["passed"]
+        assert "'tol'" in report["details"]["error"]
+        code, report = run(JobSpec("certify", inputs, {"variant": "deployment"}))
+        assert code == 1 and report["details"]["tol"] == 1e-8
+
+    def test_main_has_no_tol_flag(self, tmp_path, capsys):
+        from rstab.cli import main
+
+        r = Realization(SP, TFMatrix.zeros(SP, SP))
+        path = write(tmp_path, "r.json", serialize.realization_to_doc(r))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", path, "--tol", "-5"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_key_error_inside_a_handler_is_not_a_parse_error(self, tmp_path, monkeypatch):
         import rstab.cli
 
@@ -509,6 +535,9 @@ COMMAND_INPUTS = {
     "convert": ("bundle", "plant", "factors"), "verify": ("realization",), "certify": ("fir", "plant"),
 }
 
+#: the commands that write a document and so take the option ``out``
+WRITES = ("convert", "synthesize", "simulate", "factorize")
+
 
 @pytest.mark.parametrize("command, broken, corrupt, options, named", MALFORMED_JOBS.values(),
                          ids=MALFORMED_JOBS.keys())
@@ -530,7 +559,9 @@ def test_malformed_document_or_option_is_a_parse_error(
     # 1e400 is a JSON number that Python reads as inf
     path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
     inputs = {**{name: paths[name] for name in COMMAND_INPUTS[command]}, broken: str(path)}
-    code, report = run(JobSpec(command, inputs, {"out": str(tmp_path / "out.json"), **options}))
+    if command in WRITES:
+        options = {"out": str(tmp_path / "out.json"), **options}
+    code, report = run(JobSpec(command, inputs, options))
     assert code == 2 and report["exit_code"] == 2, report
     assert named in report["details"]["error"]
 
@@ -546,6 +577,7 @@ MISTYPED_JOBS = {
     "certify_tol_string": ("certify", "tol", "x"),
     "certify_tol_none": ("certify", "tol", None),
     "certify_tol_bool": ("certify", "tol", False),
+    "synthesize_option_misspelt": ("synthesize", "horizn", 4),
     "simulate_out_number": ("simulate", "out", 3),
     "factorize_plant_none": ("factorize", "plant", None),
     "factorize_plant_number": ("factorize", "plant", 3),
@@ -558,7 +590,7 @@ def test_mistyped_input_or_option_is_a_parse_error(tmp_path, scalar_plant_doc, c
     fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
            "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
     inputs = {"plant": plant_path}
-    options = {"out": str(tmp_path / "out.json")}
+    options = {"out": str(tmp_path / "out.json")} if command in WRITES else {}
     if command in ("simulate", "certify"):
         inputs["fir"] = write(tmp_path, "fir.json", fir)
         options["variant"] = "original_sls"

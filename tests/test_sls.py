@@ -27,7 +27,6 @@ from rstab import (
     verify_lemma,
 )
 from rstab.errors import ConvergenceError, InfeasibleError, InvariantViolation
-from rstab.parameterizations import spectral_radius
 
 from helpers import dense_fir_h2, dyadic_fir_pair, rand_fraction, reference_simulate
 
@@ -280,6 +279,14 @@ class TestDareLqr:
         with pytest.raises(ConvergenceError):
             dare_lqr(PlantSS.state_feedback([[2.0]], [[0.0]]), [[1.0]], [[1.0]])
 
+    @pytest.mark.parametrize("a", [2.0, 1.0 - 1e-9])
+    def test_non_stabilizing_gain(self, a):
+        # with B = 0 and Qw = 0 the recursion stops at P = 0 and K = 0, so
+        # A + BK = A; a pole inside the unit circle but within the 1e-8
+        # margin is refused as well
+        with pytest.raises(ConvergenceError, match="non-stabilizing"):
+            dare_lqr(PlantSS.state_feedback([[a]], [[0.0]]), [[0.0]], [[1.0]])
+
 
 class TestSimulate:
     def test_zero_disturbance_is_zero(self):
@@ -341,7 +348,7 @@ class TestSimulate:
             # deployment on an unstable A is internally unstable: rounding
             # grows in both recursions alike, so only a Schur-stable A is
             # compared at this tolerance
-            if spectral_radius(plant.A) < 1.0:
+            if plant.resolvent().classify().in_rh_inf:
                 kinds.append(RealizationVariant.deployment(fx, fu))
                 deployments += 1
             d = {"x": np_rng.normal(size=(horizon + 1, n)),

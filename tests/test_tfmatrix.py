@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rstab import RatFun, SignalSpace, TFMatrix, embed, shift_identity
+from rstab import DEFAULT_TOL, RatFun, SignalSpace, TFMatrix, embed, shift_identity
 from rstab.errors import SingularMatrixError, SpaceMismatchError
 
 from helpers import adjugate_inverse, rand_ratfun
@@ -151,6 +152,25 @@ class TestClassify:
         m = TFMatrix(SignalSpace.make(x=1), SignalSpace.make(x=1), [[RatFun(1, [-2, 1])]])
         cls = m.classify()
         assert cls.all_proper and not cls.in_rh_inf
+
+    def test_resolvent_stability_matches_numpy_eigenvalues(self):
+        # (zI - A)^{-1} lies in RH-infinity exactly when A is Schur stable
+        # with margin DEFAULT_TOL; numpy's eigenvalues are the oracle, away
+        # from the margin where both float computations could disagree
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(80):
+            n = rng.randint(1, 3)
+            a = [[F(rng.randint(-6, 6), rng.randint(3, 9)) for _ in range(n)] for _ in range(n)]
+            radius = max(abs(np.linalg.eigvals(np.array(a, dtype=float))))
+            if abs(radius - (1 - DEFAULT_TOL)) < 1e-3:
+                continue
+            sp = SignalSpace.make(x=n)
+            resolvent = (TFMatrix.diagonal(sp, RatFun.z()) - TFMatrix.constant(sp, sp, a)).inverse()
+            expected = radius < 1 - DEFAULT_TOL
+            assert resolvent.classify().in_rh_inf == expected, a
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestEmbed:
