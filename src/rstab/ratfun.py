@@ -192,20 +192,34 @@ class Poly:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dden = o.degree
-        monic = o.lc == 1
-        inv_lc = 1 if monic else 1 / o.lc
-        body = o.coeffs[:dden]
-        quo = [Fraction(0)] * max(len(rem) - dden, 0)
-        for k in range(len(rem) - dden - 1, -1, -1):
-            c = rem[k + dden] if monic else rem[k + dden] * inv_lc
+        dd = o.degree
+        if self.degree < dd:
+            return Poly(()), self
+        # fraction-free long division of the integer lifts; a step scales by
+        # lb only when inexact, which never happens when o divides self
+        rem, da = _int_lift_pair(self.coeffs)
+        ib, db = _int_lift_pair(o.coeffs)
+        lb = ib[-1]
+        body = ib[:dd]
+        quo = [0] * (len(rem) - dd)
+        scale = da
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + dd]
             if c:
-                quo[k] = c
+                q, r = divmod(c, lb)
+                if r:
+                    rem = [lb * v for v in rem[: k + dd]]
+                    quo = [lb * v for v in quo]
+                    scale *= lb
+                    q = c
+                quo[k] = q
                 for j, bj in enumerate(body):
                     if bj:
-                        rem[k + j] -= c * bj
-        return Poly(quo), Poly(rem[:dden])
+                        rem[k + j] -= q * bj
+        quotient = Poly([Fraction(q * db, scale) for q in quo])
+        if not any(rem[:dd]):
+            return quotient, Poly(())
+        return quotient, Poly([Fraction(r, scale) for r in rem[:dd]])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -250,7 +264,7 @@ def _gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int:
     while b and b[-1] == 0:
         b.pop()
     while b:
-        inv = pow(b[-1], p - 2, p)
+        inv = pow(b[-1], -1, p)
         db = len(b) - 1
         r = list(a)
         while len(r) - 1 >= db:
@@ -318,7 +332,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         ia, ib = ib, ia
     while ib:
         ia, ib = ib, _primitive(_pseudo_rem(ia, ib))
-    return Poly(ia).monic()
+    lead = ia[-1]
+    return Poly([Fraction(c, lead) for c in ia])
 
 
 def _poly_str(p: Poly, var: str = "z") -> str:

@@ -52,10 +52,18 @@ def _parsing(what: str):
         raise SchemaError(f"malformed {what}: {exc}") from exc
 
 
+def _exact(value: Any) -> Fraction:
+    """The one reader of an exact scalar in a document: "p/q", a decimal
+    string, an int or a float.  JSON true and false are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return Fraction(value)
+
+
 def parse_scalar(value: Any) -> Fraction:
     """Accept "p/q", decimal strings, ints, and floats; return an exact Fraction."""
     with _parsing(f"scalar {value!r}"):
-        return Fraction(value)
+        return _exact(value)
 
 
 def scalar_str(value: Fraction) -> str:
@@ -74,7 +82,7 @@ def real_matrix_from_doc(doc) -> list[list[Fraction]]:
         raise SchemaError("expected a nested list for a real matrix")
     if any(len(r) != len(doc[0]) for r in doc):
         raise SchemaError("the rows of a real matrix must have equal lengths")
-    return [[Fraction(v) for v in row] for row in doc]
+    return [[_exact(v) for v in row] for row in doc]
 
 
 def ratfun_to_doc(r: RatFun) -> dict:
@@ -86,7 +94,7 @@ def ratfun_to_doc(r: RatFun) -> dict:
 
 def ratfun_from_doc(doc) -> RatFun:
     with _parsing("rational function document"):
-        return RatFun([Fraction(c) for c in doc["num"]], [Fraction(c) for c in doc["den"]])
+        return RatFun([_exact(c) for c in doc["num"]], [_exact(c) for c in doc["den"]])
 
 
 def space_to_doc(s: SignalSpace) -> list[list]:

@@ -188,6 +188,21 @@ def rand_fir_tfmatrix(
     return TFMatrix(rows, cols, ent)
 
 
+def reference_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Schoolbook long division over Fraction: a = q * b + r with deg r < deg b."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    db = b.degree
+    quo = [Fraction(0)] * max(len(rem) - db, 0)
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = rem[k + db] / b.lc
+        quo[k] = c
+        for j in range(db):
+            rem[k + j] -= c * b.coeffs[j]
+    return Poly(quo), Poly(rem[:db])
+
+
 def conv_truncated(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
     out = []
     for k in range(n + 1):

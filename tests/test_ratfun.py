@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rstab import Poly, RatFun, SignalSpace, TFMatrix, poly_gcd
+from rstab import Poly, RatFun, SignalSpace, TFMatrix, poly_gcd, ratfun
 from rstab.errors import ToolkitError
 
-from helpers import conv_truncated
+from helpers import conv_truncated, reference_divmod
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 polys = st.lists(fractions, min_size=0, max_size=4).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 ratfuns = st.builds(RatFun, polys, nonzero_polys)
 proper_ratfuns = ratfuns.filter(lambda r: r.is_proper)
+#: divisors with wider coefficients, so most are non-monic and leave a remainder
+divisors = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                    min_size=1, max_size=4).map(Poly).filter(bool)
+
+#: the modulus of the coprimality pre-check in poly_gcd, 2^31 - 1
+P = (1 << 31) - 1
 
 
 def rf(num, den=1):
@@ -42,6 +48,86 @@ class TestPolyGcd:
         assert d % poly_gcd(g, d) == Poly.zero()
         if not (a * g).is_zero:
             assert d.lc == 1
+
+
+class TestPolyDivmod:
+    @pytest.mark.parametrize("a, b", [
+        (Poly([1, 2, 3, 4]), Poly([F(2, 3), F(-5, 7)])),  # non-monic, inexact steps
+        (Poly([F(1, 2), 0, 3]), Poly([F(-3, 2)])),  # constant divisor
+        (Poly([1, 0, 1]), Poly([1, 1])),  # does not divide
+        (Poly([1, 1]), Poly([0, 0, 5])),  # divisor of higher degree
+        (Poly(()), Poly([3, 2])),
+    ], ids=["non_monic", "constant", "non_dividing", "higher_degree", "zero_dividend"])
+    def test_examples_match_the_reference(self, a, b):
+        assert divmod(a, b) == reference_divmod(a, b)
+
+    @given(polys, divisors)
+    def test_matches_the_reference(self, a, b):
+        assert divmod(a, b) == reference_divmod(a, b)
+
+    @given(polys, divisors)
+    def test_exact_division_by_a_factor(self, a, g):
+        q, r = divmod(a * g, g)
+        assert q == a and r.is_zero
+
+    @given(polys, divisors)
+    def test_division_identity(self, a, b):
+        q, r = divmod(a, b)
+        assert a == q * b + r
+        assert r.degree < b.degree
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(Poly([1, 1]), Poly.zero())
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_monic_gcd(sympy, a: Poly, b: Poly) -> Poly:
+    z = sympy.Symbol("z")
+    pa, pb = (sympy.Poly(list(reversed(p.coeffs)), z, domain="QQ") for p in (a, b))
+    g = sympy.gcd(pa, pb).monic()
+    return Poly(F(int(c.p), int(c.q)) for c in reversed(g.all_coeffs()))
+
+
+def planted(u: Poly, lead) -> Poly:
+    """u + lead * z^(deg u + 1), a polynomial whose leading coefficient is ``lead``."""
+    return Poly(list(u.coeffs) + [lead])
+
+
+class TestPolyGcdOracle:
+    """poly_gcd against SymPy on planted-factor pairs.  A leading coefficient
+    that is a multiple of P makes the integer lifts' leading coefficients
+    multiples of P; when both are, the modular pre-check is skipped."""
+
+    @settings(max_examples=60)
+    @given(polys, polys, polys, st.sampled_from([1, P, -2 * P]), st.sampled_from([1, P]))
+    def test_matches_sympy(self, sympy, u, v, g, g_lead, u_lead):
+        g = planted(g, g_lead)
+        a, b = planted(u, u_lead) * g, planted(v, 1) * g
+        assert poly_gcd(a, b) == sympy_monic_gcd(sympy, a, b)
+
+    @pytest.mark.parametrize("g_lead, u_lead, prechecked", [
+        (1, 1, True),  # neither lead is a multiple of P
+        (1, P, True),  # one is
+        (P, 1, False),  # both are: z + 1 and z + 2 stay coprime mod P, but P z + 1 is common
+    ])
+    def test_precheck_guard(self, sympy, monkeypatch, g_lead, u_lead, prechecked):
+        calls = []
+
+        def spy(a, b, p):
+            calls.append(p)
+            return precheck(a, b, p)
+
+        precheck = ratfun._gcd_degree_mod_p
+        monkeypatch.setattr(ratfun, "_gcd_degree_mod_p", spy)
+        g = Poly([1, g_lead])
+        a, b = Poly([1, u_lead]) * g, Poly([2, 1]) * g
+        assert poly_gcd(a, b) == sympy_monic_gcd(sympy, a, b) == g.monic()
+        assert calls == ([P] if prechecked else [])
 
 
 class TestArithmetic:

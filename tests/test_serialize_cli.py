@@ -54,8 +54,9 @@ class TestDocuments:
         assert serialize.parse_scalar("0.25") == F(1, 4)
         assert serialize.parse_scalar("1e-3") == F(1, 1000)
         assert serialize.parse_scalar(3) == 3
-        with pytest.raises(SchemaError):
-            serialize.parse_scalar("not-a-number")
+        for value in ("not-a-number", True, False):
+            with pytest.raises(SchemaError):
+                serialize.parse_scalar(value)
 
     def test_tfmatrix_roundtrip(self):
         rng = random.Random(1)
@@ -529,6 +530,14 @@ MALFORMED_JOBS = {
                                 {"target": "youla"}, "plant document"),
     "unknown_variant": ("certify", "fir", lambda doc: None, {"variant": "bogus"},
                         "variant 'bogus'"),
+    # JSON true and false are not the numbers 1 and 0
+    "plant_entry_bool": ("convert", "plant", lambda doc: doc.update(D=[[False]]),
+                         {"target": "youla"}, "plant document"),
+    "ratfun_coeff_bool": ("verify", "realization",
+                          lambda doc: doc["entries"][0].__setitem__(0, {"num": [True], "den": [1]}),
+                          {}, "rational function document"),
+    "fir_tap_bool": ("certify", "fir", lambda doc: doc.update(phi_x=[[[True]]]),
+                     {"variant": "deployment"}, "fir_bundle"),
 }
 
 COMMAND_INPUTS = {
