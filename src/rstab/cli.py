@@ -212,33 +212,36 @@ def _cmd_factorize(job: JobSpec) -> tuple[int, dict]:
     )
 
 
-#: command -> (handler, the inputs it needs, the options it needs and takes)
+#: command -> (handler, the inputs it needs, the inputs it may take, the
+#: options it needs and takes); run() refuses every other input and option,
+#: and main() reads the parsed arguments by these names
 _COMMANDS = {
-    "verify": (_cmd_verify, ("realization",), ()),
-    "convert": (_cmd_convert, ("bundle", "plant"), ("target", "out")),
-    "synthesize": (_cmd_synthesize, ("plant",), ("horizon", "out")),
-    "certify": (_cmd_certify, ("fir", "plant"), ("variant",)),
-    "simulate": (_cmd_simulate, ("fir", "plant"), ("variant", "horizon", "out")),
-    "factorize": (_cmd_factorize, ("plant",), ("out",)),
+    "verify": (_cmd_verify, ("realization",), (), ()),
+    "convert": (_cmd_convert, ("bundle", "plant"), ("factors",), ("target", "out")),
+    "synthesize": (_cmd_synthesize, ("plant",), ("weights",), ("horizon", "out")),
+    "certify": (_cmd_certify, ("fir", "plant"), (), ("variant",)),
+    "simulate": (_cmd_simulate, ("fir", "plant"), ("disturbance",), ("variant", "horizon", "out")),
+    "factorize": (_cmd_factorize, ("plant",), ("gains",), ("out",)),
 }
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
     """Execute one job and return (exit_code, report document).
 
-    An unknown command, a missing or mistyped input or option, an option the
-    command does not take, or an option value outside its choices is a parse
-    error, found before the handler runs.
+    An unknown command, a missing or mistyped input or option, an input or
+    option the command does not take, or an option value outside its choices
+    is a parse error, found before the handler runs.
     """
     try:
         if job.command not in _COMMANDS:
             raise SchemaError(f"unknown command {job.command!r}")
-        handler, inputs, options = _COMMANDS[job.command]
+        handler, inputs, optional, options = _COMMANDS[job.command]
         missing = [f"input {n!r}" for n in inputs if n not in job.inputs]
         missing += [f"option {n!r}" for n in options if n not in job.options]
         if missing:
             raise SchemaError(f"{job.command} is missing {', '.join(missing)}")
-        unknown = [f"option {n!r}" for n in job.options if n not in options]
+        unknown = [f"input {n!r}" for n in job.inputs if n not in inputs + optional]
+        unknown += [f"option {n!r}" for n in job.options if n not in options]
         if unknown:
             raise SchemaError(f"{job.command} does not take {', '.join(unknown)}")
         for name, allowed in _CHOICES.items():
@@ -323,19 +326,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> None:
     args = _parser().parse_args(argv)
-    inputs = {}
-    options: dict[str, Any] = {}
-    for name in ("realization", "bundle", "fir", "plant", "factors", "weights",
-                 "gains", "disturbance"):
-        value = getattr(args, name, None)
-        if value is not None:
-            inputs[name] = value
-    for name in ("target", "horizon", "variant", "out"):
-        value = getattr(args, name, None)
-        if value is not None:
-            options[name] = value
-    job = JobSpec(command=args.command, inputs=inputs, options=options)
-    code, report = run(job)
+    given = {n: v for n, v in vars(args).items() if v is not None}
+    _, inputs, optional, options = _COMMANDS[args.command]
+    code, report = run(JobSpec(
+        args.command,
+        {n: given[n] for n in inputs + optional if n in given},
+        {n: given[n] for n in options if n in given},
+    ))
     _print_report(report)
     if args.report:
         serialize.dump_document(report, args.report)

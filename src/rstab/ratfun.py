@@ -16,8 +16,9 @@ computed in floating point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,14 +35,15 @@ CoeffsLike = Union["Poly", Scalar, Sequence[Scalar]]
 
 def _as_coeff(value) -> Fraction:
     """The one rule for exact scalars: a Fraction, an int, a float (exactly),
-    a decimal or "p/q" string, or a numpy scalar of one of these."""
+    a decimal or "p/q" string, or a numpy scalar of one of these.  A bool is
+    not a number here."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, np.generic):
         value = value.item()
-    if isinstance(value, (int, float, str)):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a polynomial coefficient")
+    raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
 class Poly:
@@ -112,11 +114,10 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly((other,))
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -127,7 +128,7 @@ class Poly:
     def _coerce(other) -> "Poly | None":
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return Poly((other,))
         return None
 
@@ -336,7 +337,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly([Fraction(c, lead) for c in ia])
 
 
-def _poly_str(p: Poly, var: str = "z") -> str:
+def _poly_str(p: Poly) -> str:
     if p.is_zero:
         return "0"
     parts = []
@@ -347,7 +348,7 @@ def _poly_str(p: Poly, var: str = "z") -> str:
         if k == 0:
             term = str(c)
         else:
-            zk = var if k == 1 else f"{var}^{k}"
+            zk = "z" if k == 1 else f"z^{k}"
             if c == 1:
                 term = zk
             elif c == -1:
@@ -421,16 +422,15 @@ class RatFun:
     def _to_poly(value: CoeffsLike) -> Poly:
         if isinstance(value, Poly):
             return value
-        try:
-            return Poly((_as_coeff(value),))
-        except TypeError:  # not a scalar: a coefficient sequence
-            return Poly(value)
+        if isinstance(value, str) or not isinstance(value, Iterable):  # a scalar
+            return Poly((value,))
+        return Poly(value)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def constant(cls, c) -> "RatFun":
-        return cls(Poly((_as_coeff(c),)), Poly.one())
+        return cls(Poly((c,)), Poly.one())
 
     @classmethod
     def zero(cls) -> "RatFun":
@@ -473,7 +473,7 @@ class RatFun:
     def _coerce(other) -> "RatFun | None":
         if isinstance(other, RatFun):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return RatFun.constant(other)
         if isinstance(other, Poly):
             return RatFun(other, Poly.one())

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SchemaError, ToolkitError
 from .parameterizations import REGISTRY, CoprimeFactors, PlantSS
-from .ratfun import RatFun
+from .ratfun import RatFun, _as_coeff
 from .realization import Realization, StabilityMatrix
 from .sls import FIRPhi, SimTrace, fir_from_tfmatrix
 from .tfmatrix import SignalSpace, TFMatrix
@@ -52,18 +52,10 @@ def _parsing(what: str):
         raise SchemaError(f"malformed {what}: {exc}") from exc
 
 
-def _exact(value: Any) -> Fraction:
-    """The one reader of an exact scalar in a document: "p/q", a decimal
-    string, an int or a float.  JSON true and false are not numbers."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return Fraction(value)
-
-
 def parse_scalar(value: Any) -> Fraction:
     """Accept "p/q", decimal strings, ints, and floats; return an exact Fraction."""
     with _parsing(f"scalar {value!r}"):
-        return _exact(value)
+        return _as_coeff(value)
 
 
 def scalar_str(value: Fraction) -> str:
@@ -82,7 +74,7 @@ def real_matrix_from_doc(doc) -> list[list[Fraction]]:
         raise SchemaError("expected a nested list for a real matrix")
     if any(len(r) != len(doc[0]) for r in doc):
         raise SchemaError("the rows of a real matrix must have equal lengths")
-    return [[_exact(v) for v in row] for row in doc]
+    return [[_as_coeff(v) for v in row] for row in doc]
 
 
 def ratfun_to_doc(r: RatFun) -> dict:
@@ -94,7 +86,7 @@ def ratfun_to_doc(r: RatFun) -> dict:
 
 def ratfun_from_doc(doc) -> RatFun:
     with _parsing("rational function document"):
-        return RatFun([_exact(c) for c in doc["num"]], [_exact(c) for c in doc["den"]])
+        return RatFun([_as_coeff(c) for c in doc["num"]], [_as_coeff(c) for c in doc["den"]])
 
 
 def space_to_doc(s: SignalSpace) -> list[list]:
@@ -276,9 +268,7 @@ def disturbance_from_doc(doc) -> dict[str, np.ndarray]:
     out = {}
     for name, rows in signals.items():
         with _parsing(f"disturbance for {name!r}"):
-            out[name] = np.array([[float(v) for v in row] for row in rows], dtype=float)
-        if not np.isfinite(out[name]).all():
-            raise SchemaError(f"disturbance for {name!r} has a non-finite entry")
+            out[name] = np.array([[float(_as_coeff(v)) for v in row] for row in rows], dtype=float)
     return out
 
 

@@ -389,6 +389,24 @@ def _solve_exact(
     return x
 
 
+def _is_psd(w: np.ndarray) -> bool:
+    """Whether an exact square matrix is symmetric positive semidefinite.
+
+    Symmetric elimination: every Schur complement of a PSD matrix is PSD, so
+    no pivot may be negative, and a zero pivot must head a zero row.
+    """
+    if not (w == w.T).all():
+        return False
+    s = w.copy()
+    for k in range(len(s)):
+        pivot, row = s[k, k], s[k, k + 1:]
+        if pivot < 0 or (pivot == 0 and any(row)):
+            return False
+        if pivot > 0:
+            s[k + 1:, k + 1:] -= np.outer(row, row) / pivot
+    return True
+
+
 def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
     """FIR H2 state-feedback synthesis at horizon T.
 
@@ -414,7 +432,9 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
     all n columns, exactly over the rationals; Phi_x is rebuilt by the
     recursion, making the affine identity of the returned bundle exact, not
     merely small.  Infeasible horizons (e.g. unstabilizable pairs) raise
-    InfeasibleError.
+    InfeasibleError.  Qw and Rw must be exactly symmetric positive
+    semidefinite, or the KKT point minimizes nothing; any other weight
+    raises InvariantViolation.
     """
     if T < 1:
         raise InvariantViolation("horizon must be at least 1")
@@ -424,6 +444,9 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
     rw = exact_matrix(Rw)
     if qw.shape != (n, n) or rw.shape != (m, m):
         raise InvariantViolation("weight shapes must be Qw: n x n and Rw: m x m")
+    for name, weight in (("Qw", qw), ("Rw", rw)):
+        if not _is_psd(weight):
+            raise InvariantViolation(f"{name} must be symmetric positive semidefinite")
     powers = [exact_matrix(np.eye(n, dtype=int))]  # A^0 .. A^T
     for _ in range(T):
         powers.append(a @ powers[-1])
@@ -459,28 +482,34 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
     return slp_from_fir(plant, FIRPhi(tuple(x_taps)), FIRPhi(tuple(u_taps)))
 
 
-def dare_lqr(plant: PlantSS, Qw, Rw, max_iter: int = 10_000, tol: float = 1e-12) -> np.ndarray:
+#: the Riccati iteration stops once successive iterates agree within
+#: DARE_TOL, and gives up after DARE_MAX_ITER steps
+DARE_TOL = 1e-12
+DARE_MAX_ITER = 10_000
+
+
+def dare_lqr(plant: PlantSS, Qw, Rw) -> np.ndarray:
     """LQR gain by fixed-point iteration of the discrete Riccati recursion.
 
     Iterates P <- Qw + A'PA - A'PB (Rw + B'PB)^{-1} B'PA until successive
-    iterates agree within ``tol`` and returns K with u = K x and A + BK
+    iterates agree within ``DARE_TOL`` and returns K with u = K x and A + BK
     Schur stable: (zI - A - BK)^{-1}, with the float A + BK lifted exactly,
     lies in RH-infinity.  A gain that fails this, divergence (growth past
-    1e14) or exhaustion of ``max_iter`` raises ConvergenceError.
+    1e14) or exhaustion of ``DARE_MAX_ITER`` steps raises ConvergenceError.
     """
     a = plant.A.astype(float)
     b = plant.B.astype(float)
     qw = np.atleast_2d(np.asarray(Qw, dtype=float))
     rw = np.atleast_2d(np.asarray(Rw, dtype=float))
     p = qw.copy()
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         btpb = rw + b.T @ p @ b
         k = -np.linalg.solve(btpb, b.T @ p @ a)
         p_next = qw + a.T @ p @ a + a.T @ p @ b @ k
         p_next = (p_next + p_next.T) / 2.0
         if not np.isfinite(p_next).all() or np.abs(p_next).max() > 1e14:
             raise ConvergenceError("Riccati iteration diverged")
-        if np.abs(p_next - p).max() < tol:
+        if np.abs(p_next - p).max() < DARE_TOL:
             p = p_next
             gain = -np.linalg.solve(rw + b.T @ p @ b, b.T @ p @ a)
             closed = _z_minus(exact_matrix(a + b @ gain), plant.x_space).inverse()
@@ -488,7 +517,7 @@ def dare_lqr(plant: PlantSS, Qw, Rw, max_iter: int = 10_000, tol: float = 1e-12)
                 raise ConvergenceError("Riccati iteration converged to a non-stabilizing gain")
             return gain
         p = p_next
-    raise ConvergenceError(f"Riccati iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"Riccati iteration did not converge in {DARE_MAX_ITER} steps")
 
 
 # ---------------------------------------------------------------------------

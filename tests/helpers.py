@@ -270,6 +270,7 @@ def dense_fir_h2(plant: PlantSS, qw, rw, horizon: int) -> tuple[list[np.ndarray]
     constraint row; the rows are the FIR instances of
     (zI - A) Phi_x - B Phi_u = I written out by hand.  The library poses
     the same problem on Phi_u alone; both share only the exact solver.
+    The weights enter the KKT blocks as given, so they must be symmetric.
     Raises InfeasibleError when no FIR response pair exists.
     """
     from rstab.sls import _solve_exact

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rstab import Poly, RatFun, SignalSpace, TFMatrix, poly_gcd, ratfun
+from rstab import FIRPhi, PlantSS, Poly, RatFun, SignalSpace, TFMatrix, poly_gcd, ratfun
 from rstab.errors import ToolkitError
 
 from helpers import conv_truncated, reference_divmod
@@ -235,3 +235,27 @@ SP2 = SignalSpace.single("x", 2)
 ], ids=["int64_matrix", "float32_matrix", "int64_coeff", "scalar_ratfun", "numpy_coeff_lists"])
 def test_numpy_scalars_follow_the_exact_scalar_rule(build, want):
     assert build() == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly([True]),
+    lambda: RatFun(np.bool_(True)),
+    lambda: RatFun([1, False]),
+    lambda: TFMatrix.constant(SP2, SP2, np.eye(2, dtype=bool)),
+    lambda: PlantSS([[True]], [[1]], [[1]], [[0]]),
+    lambda: FIRPhi(([[True]],)),
+], ids=["poly_coeff", "numpy_bool_ratfun", "ratfun_coeff_list", "bool_matrix", "plant_entry",
+        "fir_tap"])
+def test_booleans_are_not_exact_scalars(build):
+    with pytest.raises(TypeError, match="exact scalar"):
+        build()
+
+
+@pytest.mark.parametrize("x", [Poly([1]), RatFun(1)], ids=["poly", "ratfun"])
+def test_booleans_are_not_operands(x):
+    assert (x == True) is False and (x != True) is True  # noqa: E712
+    assert x == 1
+    with pytest.raises(TypeError):
+        x + True
+    with pytest.raises(TypeError):
+        False * x

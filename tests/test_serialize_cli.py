@@ -464,12 +464,12 @@ class TestCLIInputs:
         assert code == 1 and report["exit_code"] == 1
         assert "'X'" in report["details"]["error"]
 
-    @pytest.mark.parametrize("value", ["1e400", "NaN"])
+    @pytest.mark.parametrize("value", ["1e400", "NaN", "true"])
     def test_simulate_non_finite_disturbance_exit_two(self, tmp_path, scalar_plant_doc, value):
         _, plant_path = scalar_plant_doc
         fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
                "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
-        # JSON numbers that Python reads as inf and nan
+        # JSON numbers that Python reads as inf and nan, and a JSON boolean
         disturbance = tmp_path / "d.json"
         disturbance.write_text(
             '{"schema_version": 1, "kind": "disturbance", "signals": {"x": [[%s]]}}' % value)
@@ -593,9 +593,9 @@ MISTYPED_JOBS = {
 }
 
 
-@pytest.mark.parametrize("command, name, value", MISTYPED_JOBS.values(), ids=MISTYPED_JOBS.keys())
-def test_mistyped_input_or_option_is_a_parse_error(tmp_path, scalar_plant_doc, command, name, value):
-    _, plant_path = scalar_plant_doc
+def _passing_job(tmp_path, scalar_plant_doc, command) -> tuple[dict, dict]:
+    """The inputs and options of a ``command`` job on the scalar plant that exits 0."""
+    plant, plant_path = scalar_plant_doc
     fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
            "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
     inputs = {"plant": plant_path}
@@ -605,7 +605,17 @@ def test_mistyped_input_or_option_is_a_parse_error(tmp_path, scalar_plant_doc, c
         options["variant"] = "original_sls"
     if command in ("simulate", "synthesize"):
         options["horizon"] = 3
+    if command == "convert":
+        bundle = synthesize_sf_h2(plant, [[1]], [[1]], 1)
+        inputs["bundle"] = write(tmp_path, "slp_sf.json", serialize.bundle_to_doc("slp_sf", bundle))
+        options["target"] = "slp_sf"
     assert run(JobSpec(command, dict(inputs), dict(options)))[0] == 0
+    return inputs, options
+
+
+@pytest.mark.parametrize("command, name, value", MISTYPED_JOBS.values(), ids=MISTYPED_JOBS.keys())
+def test_mistyped_input_or_option_is_a_parse_error(tmp_path, scalar_plant_doc, command, name, value):
+    inputs, options = _passing_job(tmp_path, scalar_plant_doc, command)
     if name in inputs:
         inputs[name] = value
     else:
@@ -613,3 +623,69 @@ def test_mistyped_input_or_option_is_a_parse_error(tmp_path, scalar_plant_doc, c
     code, report = run(JobSpec(command, inputs, options))
     assert code == 2 and report["exit_code"] == 2, report
     assert repr(name) in report["details"]["error"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("convert", "factor"), ("synthesize", "weigths"), ("simulate", "disturbnce"),
+    ("factorize", "gainz"), ("certify", "disturbance"),
+])
+def test_an_input_the_command_does_not_take_is_a_parse_error(
+        tmp_path, scalar_plant_doc, command, name):
+    inputs, options = _passing_job(tmp_path, scalar_plant_doc, command)
+    inputs[name] = inputs["plant"]
+    code, report = run(JobSpec(command, inputs, options))
+    assert code == 2 and report["exit_code"] == 2, report
+    assert f"does not take input {name!r}" in report["details"]["error"]
+
+
+def test_synthesize_refuses_weights_that_are_not_positive_semidefinite(
+        tmp_path, scalar_plant_doc):
+    inputs, options = _passing_job(tmp_path, scalar_plant_doc, "synthesize")
+    inputs["weights"] = write(tmp_path, "w.json", {
+        "schema_version": 1, "kind": "weights", "qw": [["1"]], "rw": [["-1"]]})
+    code, report = run(JobSpec("synthesize", inputs, options))
+    assert code == 1 and report["exit_code"] == 1, report
+    assert "Rw must be symmetric positive semidefinite" in report["details"]["error"]
+
+
+#: command -> (its arguments with every optional flag, the inputs and options main passes on)
+MAIN_JOBS = {
+    "verify": (["r.json"], {"realization": "r.json"}, {}),
+    "convert": (["b.json", "--plant", "p.json", "--to", "mixed2", "--factors", "f.json",
+                 "--out", "o.json"],
+                {"bundle": "b.json", "plant": "p.json", "factors": "f.json"},
+                {"target": "mixed2", "out": "o.json"}),
+    "synthesize": (["--plant", "p.json", "--horizon", "5", "--weights", "w.json", "--out", "o.json"],
+                   {"plant": "p.json", "weights": "w.json"}, {"horizon": 5, "out": "o.json"}),
+    "certify": (["f.json", "--plant", "p.json", "--variant", "deployment"],
+                {"fir": "f.json", "plant": "p.json"}, {"variant": "deployment"}),
+    "simulate": (["f.json", "--plant", "p.json", "--variant", "design_separation",
+                  "--horizon", "7", "--disturbance", "d.json", "--out", "o.json"],
+                 {"fir": "f.json", "plant": "p.json", "disturbance": "d.json"},
+                 {"variant": "design_separation", "horizon": 7, "out": "o.json"}),
+    "factorize": (["--plant", "p.json", "--gains", "g.json", "--out", "o.json"],
+                  {"plant": "p.json", "gains": "g.json"}, {"out": "o.json"}),
+}
+
+
+@pytest.mark.parametrize("command", MAIN_JOBS)
+def test_main_splits_arguments_into_inputs_and_options(tmp_path, monkeypatch, capsys, command):
+    import rstab.cli
+
+    jobs = []
+
+    def fake_run(job):
+        jobs.append(job)
+        return 0, {"command": job.command, "passed": True}
+
+    monkeypatch.setattr(rstab.cli, "run", fake_run)
+    argv, inputs, options = MAIN_JOBS[command]
+    report_path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        rstab.cli.main([command, *argv, "--report", str(report_path)])
+    assert exc.value.code == 0
+    assert f"{command}: PASS" in capsys.readouterr().out
+    assert json.loads(report_path.read_text()) == {"command": command, "passed": True}
+    assert jobs == [JobSpec(command, inputs, options)]
+    if "horizon" in options:
+        assert type(jobs[0].options["horizon"]) is int

@@ -34,6 +34,7 @@ SCALAR = PlantSS.state_feedback([[0.5]], [[1.0]])
 FX = FIRPhi((np.array([[1.0]]),))            # Phi_x = z^{-1}
 FU = FIRPhi((np.array([[-0.5]]),))           # Phi_u = -1/(2z)
 X1, U1 = SCALAR.x_space, SCALAR.u_space
+WEIGHTED = PlantSS.state_feedback([[F(1, 2), 1], [0, F(1, 3)]], [[0], [1]])
 
 
 def variants(fx=FX, fu=FU):
@@ -222,6 +223,21 @@ class TestSynthesize:
         synthesize_sf_h2(plant, np.eye(2), [[1.0]], 7)
         assert shapes == [(1 * 7 + 2, 1 * 7 + 2, 1 * 7 + 2, 2)]
 
+    @pytest.mark.parametrize("qw, rw, named", [
+        ([[2, 1], [0, 2]], [[1]], "Qw"),  # its symmetric part defines the same cost
+        ([[1, 2], [2, 1]], [[1]], "Qw"),  # symmetric but indefinite
+        (np.eye(2), [[-1]], "Rw"),        # the KKT point is a stationary point only
+    ], ids=["asymmetric_qw", "indefinite_qw", "negative_rw"])
+    def test_weights_must_be_symmetric_positive_semidefinite(self, qw, rw, named):
+        with pytest.raises(InvariantViolation, match=f"{named} must be symmetric positive semidefinite"):
+            synthesize_sf_h2(WEIGHTED, qw, rw, 3)
+
+    def test_semidefinite_weights_are_accepted(self):
+        # the symmetric part of the refused Qw = [[2, 1], [0, 2]]
+        _, fu = fir_from_slp(synthesize_sf_h2(WEIGHTED, [[2, F(1, 2)], [F(1, 2), 2]], [[1]], 3), 3)
+        assert fu.taps[0].tolist() == [[F(-31, 206), F(-178, 309)]]
+        synthesize_sf_h2(WEIGHTED, [[1, 1], [1, 1]], [[1]], 3)  # a singular Qw
+
     def test_matches_the_dense_formulation(self):
         """Phi_x and Phi_u equal, exactly, those of the KKT system posed on
         every tap, and both refuse the same horizons."""
@@ -233,10 +249,7 @@ class TestSynthesize:
             b = [[rand_fraction(rng) if rng.random() < 0.6 else 0 for _ in range(m)]
                  for _ in range(n)]
             plant = PlantSS.state_feedback(a, b)
-            # Qw need not be symmetric; Rw stays positive definite so the
-            # minimizer is unique
-            qw = [[rand_fraction(rng) + 3 * (i == j) for j in range(n)] for i in range(n)]
-            rw = [[rand_fraction(rng, 1, 4) + 3 * (i == j) for j in range(m)] for i in range(m)]
+            qw, rw = dominant_weight(rng, n), dominant_weight(rng, m)
             try:
                 want = dense_fir_h2(plant, qw, rw, horizon)
             except InfeasibleError:
@@ -248,6 +261,18 @@ class TestSynthesize:
             for taps, fir in zip(want, got):
                 assert all((w == g).all() for w, g in zip(taps, fir.taps))
         assert 0 < infeasible < 40
+
+
+def dominant_weight(rng, k: int) -> list[list[F]]:
+    """A symmetric, strictly diagonally dominant weight with a positive
+    diagonal: positive definite, so the minimizer is unique."""
+    w = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i):
+            w[i][j] = w[j][i] = rand_fraction(rng)
+    for i in range(k):
+        w[i][i] = sum(abs(v) for v in w[i]) + rand_fraction(rng, 1, 4) + 2
+    return w
 
 
 class TestDareLqr:
