@@ -58,6 +58,10 @@ _CHOICES = {"target": PARAMETERIZATIONS, "variant": VARIANT_KINDS}
 #: the types each typed option takes; a bool is never a number here
 _TYPES = {"out": ((str, os.PathLike), "a path"), "horizon": (int, "an integer")}
 
+#: the least value of an integer option, by (command, option): a synthesized
+#: FIR response has at least one tap, and a simulation runs zero or more steps
+_LEAST = {("synthesize", "horizon"): 1, ("simulate", "horizon"): 0}
+
 
 @dataclass
 class JobSpec:
@@ -229,8 +233,9 @@ def run(job: JobSpec) -> tuple[int, dict]:
     """Execute one job and return (exit_code, report document).
 
     An unknown command, a missing or mistyped input or option, an input or
-    option the command does not take, or an option value outside its choices
-    is a parse error, found before the handler runs.
+    option the command does not take, an option value outside its choices,
+    or an integer option below its least value is a parse error, found
+    before the handler runs.
     """
     try:
         if job.command not in _COMMANDS:
@@ -253,6 +258,10 @@ def run(job: JobSpec) -> tuple[int, dict]:
         for label, value, (types, what) in typed:
             if isinstance(value, bool) or not isinstance(value, types):
                 raise SchemaError(f"{label} must be {what}, not {value!r}")
+        for (command, name), least in _LEAST.items():
+            if command == job.command and job.options[name] < least:
+                raise SchemaError(
+                    f"option {name!r} must be at least {least}, not {job.options[name]!r}")
         return handler(job)
     except ToolkitError as exc:
         code = next((c for kind, c in _ERROR_EXITS if isinstance(exc, kind)), EXIT_CHECK_FAILED)

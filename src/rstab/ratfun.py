@@ -1,10 +1,12 @@
 """Exact rational functions in z over arbitrary-precision rationals.
 
-A polynomial is a tuple of ``fractions.Fraction`` coefficients in ascending
-powers of z, with a nonzero trailing coefficient (the zero polynomial is the
-empty tuple).  A rational function is a cancelled quotient ``num/den`` whose
-denominator is monic and nonzero, so equal values always have identical
-representations and ``==`` is a structural comparison.
+A polynomial is stored as a rational content times a primitive integer
+polynomial: a ``fractions.Fraction`` and a tuple of ints in ascending powers
+of z whose gcd is 1 and whose leading entry is positive (the zero polynomial
+has content 0 and the empty tuple).  Its ``Fraction`` coefficients are a
+view computed on demand.  A rational function is a cancelled quotient
+``num/den`` whose denominator is monic and nonzero.  Both forms are unique,
+so ``==`` is a structural comparison.
 
 Properness is a degree comparison (strictly proper, biproper, improper),
 poles are the roots of the cancelled denominator, and ``series`` expands a
@@ -47,17 +49,28 @@ def _as_coeff(value) -> Fraction:
 
 
 class Poly:
-    """Univariate polynomial in z with exact rational coefficients."""
+    """Univariate polynomial in z with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as a content times a primitive part: a nonzero Fraction ``_c``
+    and a tuple of ints ``_p`` whose gcd is 1 and whose last (leading) entry
+    is positive, so the coefficients are ``_c * _p[k]``.  The form is unique,
+    and the zero polynomial is ``_c = 0``, ``_p = ()``.  A product of primitive
+    parts is primitive (Gauss's lemma), so multiplication convolves integers
+    and never normalizes.  ``coeffs`` is a view computed on demand.
+    """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_c", "_p")
+
+    _c: Fraction
+    _p: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        c, p = _split(*_int_lift_pair(cs))
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_p", p)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -66,11 +79,11 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -81,46 +94,55 @@ class Poly:
         """The monomial z**power."""
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (1,))
+        return _poly(_ONE_C, (0,) * power + (1,))
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients in ascending powers of z, without trailing zeros."""
+        n, d = self._c.numerator, self._c.denominator
+        return tuple(Fraction(n * v, d) for v in self._p)
+
+    @property
     def degree(self) -> int:
         """Degree, with the convention deg(0) = -1."""
-        return len(self.coeffs) - 1
+        return len(self._p) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._p
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient (of the zero polynomial: 0)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self[len(self._p) - 1]
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.lc == 1:
+        if self.is_zero:
             return self
-        inv = 1 / self.lc
-        return Poly(c * inv for c in self.coeffs)
+        return _poly(Fraction(1, self._p[-1]), self._p)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._p):
+            c = self._c
+            return Fraction(c.numerator * self._p[k], c.denominator)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._p)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._p == o._p and self._c == o._c
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes like its scalar, with which it compares equal
+        if len(self._p) <= 1:
+            return hash(self._c)
+        return hash((self._c, self._p))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -129,25 +151,36 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Poly((other,))
+            return _poly(Fraction(other), (1,)) if other else _ZERO
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        if not o._p:
+            return self
+        if not self._p:
+            return o
+        # one common denominator of the contents, then one content gcd
+        ca, cb = self._c, o._c
+        da, db = ca.denominator, cb.denominator
+        den = da // math.gcd(da, db) * db
+        ka, kb = ca.numerator * (den // da), cb.numerator * (den // db)
+        a, b = self._p, o._p
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a, b, ka, kb = b, a, kb, ka
+        out = [ka * v for v in a]
+        for i, v in enumerate(b):
+            out[i] += kb * v
+        while out and out[-1] == 0:
+            out.pop()
+        return _poly(*_split(out, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
+        return _poly(-self._c, self._p) if self._p else self
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -165,25 +198,21 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self._p, o._p
         if not a or not b:
-            return Poly(())
+            return _ZERO
+        c = self._c * o._c
         if len(b) == 1:
-            c = b[0]
-            return Poly([ai * c for ai in a])
+            return _poly(c, a)
         if len(a) == 1:
-            c = a[0]
-            return Poly([c * bj for bj in b])
-        # convolve integer lifts; one Fraction reduction per output coefficient
-        ia, da = _int_lift_pair(a)
-        ib, db = _int_lift_pair(b)
+            return _poly(c, b)
+        # the product of primitive parts is primitive with a positive lead
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(ia):
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(ib):
+                for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        den = da * db
-        return Poly([Fraction(c, den) for c in out])
+        return _poly(c, tuple(out))
 
     __rmul__ = __mul__
 
@@ -195,15 +224,18 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         dd = o.degree
         if self.degree < dd:
-            return Poly(()), self
-        # fraction-free long division of the integer lifts; a step scales by
-        # lb only when inexact, which never happens when o divides self
-        rem, da = _int_lift_pair(self.coeffs)
-        ib, db = _int_lift_pair(o.coeffs)
+            return _ZERO, self
+        ca = self._c
+        if dd == 0:
+            return _poly(ca / o._c, self._p), _ZERO
+        # fraction-free long division of the primitive parts; a step scales
+        # by lb only when inexact, which never happens when o divides self
+        rem = list(self._p)
+        ib = o._p
         lb = ib[-1]
         body = ib[:dd]
         quo = [0] * (len(rem) - dd)
-        scale = da
+        scale = 1
         for k in range(len(quo) - 1, -1, -1):
             c = rem[k + dd]
             if c:
@@ -217,10 +249,15 @@ class Poly:
                 for j, bj in enumerate(body):
                     if bj:
                         rem[k + j] -= q * bj
-        quotient = Poly([Fraction(q * db, scale) for q in quo])
-        if not any(rem[:dd]):
-            return quotient, Poly(())
-        return quotient, Poly([Fraction(r, scale) for r in rem[:dd]])
+        rem = rem[:dd]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if scale == 1 and not rem:
+            # an exact quotient of primitive parts is primitive (Gauss)
+            return _poly(ca / o._c, tuple(quo)), _ZERO
+        qc, qp = _split(quo, scale)
+        rc, rp = _split(rem, scale)
+        return _poly(qc * ca / o._c, qp), _poly(rc * ca, rp)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -239,6 +276,36 @@ class Poly:
         return f"Poly({_poly_str(self)})"
 
 
+_ZERO_C = Fraction(0)
+_ONE_C = Fraction(1)
+
+
+def _poly(c: Fraction, p: tuple[int, ...]) -> Poly:
+    """Trusted constructor: ``p`` is primitive with a positive lead (or empty
+    with ``c = 0``)."""
+    out = object.__new__(Poly)
+    object.__setattr__(out, "_c", c)
+    object.__setattr__(out, "_p", p)
+    return out
+
+
+_ZERO = _poly(_ZERO_C, ())
+_ONE = _poly(_ONE_C, (1,))
+
+
+def _split(ints: list[int], scale: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Content and primitive part of ``ints / scale``; ``ints`` has no
+    trailing zeros."""
+    if not ints:
+        return _ZERO_C, ()
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+    return Fraction(g, scale), tuple(ints)
+
+
 _GCD_PRIME = (1 << 31) - 1
 
 
@@ -251,12 +318,7 @@ def _int_lift_pair(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
 
-def _int_lift(p: Poly) -> list[int]:
-    """Scale away coefficient denominators; preserves degree and roots."""
-    return _int_lift_pair(p.coeffs)[0]
-
-
-def _gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int:
+def _gcd_degree_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> int:
     """Degree of gcd(a mod p, b mod p); -1 when it collapses to zero."""
     a = [c % p for c in a]
     b = [c % p for c in b]
@@ -290,7 +352,7 @@ def _primitive(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Remainder of a by b up to an integer unit (repeated lc(b) scaling)."""
     r = list(a)
     db = len(b) - 1
@@ -311,8 +373,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
     A modular pre-check handles the common coprime case cheaply: when the
     gcd modulo a fixed prime is constant and the prime does not divide both
-    integer-lifted leading coefficients, the true gcd is constant too.
-    Otherwise the gcd is computed exactly by the primitive polynomial
+    leading coefficients of the primitive parts, the true gcd is constant
+    too.  Otherwise the gcd is computed exactly by the primitive polynomial
     remainder sequence over the integers.
     """
     if b.is_zero:
@@ -320,21 +382,19 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero:
         return b.monic()
     if a.degree == 0 or b.degree == 0:
-        return Poly.one()
-    ia = _int_lift(a)
-    ib = _int_lift(b)
+        return _ONE
+    ia, ib = a._p, b._p
     p = _GCD_PRIME
     if ia[-1] % p or ib[-1] % p:
         if _gcd_degree_mod_p(ia, ib, p) == 0:
-            return Poly.one()
-    ia = _primitive(ia)
-    ib = _primitive(ib)
+            return _ONE
     if len(ia) < len(ib):
         ia, ib = ib, ia
     while ib:
         ia, ib = ib, _primitive(_pseudo_rem(ia, ib))
-    lead = ia[-1]
-    return Poly([Fraction(c, lead) for c in ia])
+    if ia[-1] < 0:
+        ia = [-v for v in ia]
+    return _poly(Fraction(1, ia[-1]), tuple(ia))
 
 
 def _poly_str(p: Poly) -> str:
@@ -362,6 +422,14 @@ def _poly_str(p: Poly) -> str:
     return out
 
 
+def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den with both rescaled so that den is monic (num nonzero)."""
+    lead, dc = den._p[-1], den._c
+    if dc.numerator == 1 and dc.denominator == lead:
+        return num, den
+    return _poly(num._c / (dc * lead), num._p), _poly(Fraction(1, lead), den._p)
+
+
 STRICTLY_PROPER = "strictly_proper"
 BIPROPER = "biproper"
 IMPROPER = "improper"
@@ -385,17 +453,13 @@ class RatFun:
         if d.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if n.is_zero:
-            d = Poly.one()
+            d = _ONE
         else:
             g = poly_gcd(n, d)
             if g.degree > 0:
                 n = n // g
                 d = d // g
-            lc = d.lc
-            if lc != 1:
-                inv = 1 / lc
-                n = n * inv
-                d = d * inv
+            n, d = _monic_den(n, d)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -406,13 +470,9 @@ class RatFun:
     def _normalized(cls, num: Poly, den: Poly) -> "RatFun":
         """Wrap an already-cancelled pair, only rescaling den to monic."""
         if num.is_zero:
-            den = Poly.one()
+            den = _ONE
         else:
-            lc = den.lc
-            if lc != 1:
-                inv = 1 / lc
-                num = num * inv
-                den = den * inv
+            num, den = _monic_den(num, den)
         out = object.__new__(cls)
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
@@ -465,6 +525,10 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # den is monic, so degree 0 means den == 1: hash like the numerator,
+        # with which a polynomial function compares equal
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------

@@ -188,22 +188,62 @@ def rand_fir_tfmatrix(
     return TFMatrix(rows, cols, ent)
 
 
-def reference_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+# -- naive polynomial oracle over Fraction tuples ------------------------------
+#
+# A polynomial here is a sequence of Fraction coefficients in ascending powers
+# of z; every result is a tuple with its trailing zeros stripped, comparable
+# with ``Poly.coeffs``.
+
+
+def trimmed(cs) -> tuple[Fraction, ...]:
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reference_add(a, b) -> tuple[Fraction, ...]:
+    n = max(len(a), len(b))
+    return trimmed((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n))
+
+
+def reference_scale(a, c) -> tuple[Fraction, ...]:
+    return trimmed(v * c for v in a)
+
+
+def reference_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Schoolbook long division over Fraction: a = q * b + r with deg r < deg b."""
-    if b.is_zero:
+    a, b = trimmed(a), trimmed(b)
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    db = b.degree
+    rem = list(a)
+    db = len(b) - 1
     quo = [Fraction(0)] * max(len(rem) - db, 0)
     for k in range(len(rem) - db - 1, -1, -1):
-        c = rem[k + db] / b.lc
+        c = rem[k + db] / b[-1]
         quo[k] = c
         for j in range(db):
-            rem[k + j] -= c * b.coeffs[j]
-    return Poly(quo), Poly(rem[:db])
+            rem[k + j] -= c * b[j]
+    return trimmed(quo), trimmed(rem[:db])
 
 
-def conv_truncated(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
+def reference_monic(a) -> tuple[Fraction, ...]:
+    a = trimmed(a)
+    return reference_scale(a, 1 / a[-1]) if a else a
+
+
+def reference_gcd(a, b) -> tuple[Fraction, ...]:
+    """Euclid's algorithm over Fraction, made monic; gcd(a, 0) = monic(a)."""
+    a, b = trimmed(a), trimmed(b)
+    while b:
+        a, b = b, reference_divmod(a, b)[1]
+    return reference_monic(a)
+
+
+def conv_truncated(a, b, n: int | None = None) -> list[Fraction]:
+    """Coefficients 0..n of the product a * b (all of them when n is None)."""
+    if n is None:
+        n = len(a) + len(b) - 2
     out = []
     for k in range(n + 1):
         acc = Fraction(0)
@@ -212,6 +252,16 @@ def conv_truncated(a: list[Fraction], b: list[Fraction], n: int) -> list[Fractio
                 acc += a[i] * b[k - i]
         out.append(acc)
     return out
+
+
+def reference_ratfun(num, den) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """num/den cancelled by the oracle gcd, with a monic denominator."""
+    num, den = trimmed(num), trimmed(den)
+    if not num:
+        return (), (Fraction(1),)
+    g = reference_gcd(num, den)
+    num, den = reference_divmod(num, g)[0], reference_divmod(den, g)[0]
+    return reference_scale(num, 1 / den[-1]), reference_monic(den)
 
 
 # -- hand-derived affine identities of each bundle ------------------------------

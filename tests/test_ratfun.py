@@ -1,3 +1,5 @@
+import math
+import operator
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,7 +10,16 @@ from hypothesis import strategies as st
 from rstab import FIRPhi, PlantSS, Poly, RatFun, SignalSpace, TFMatrix, poly_gcd, ratfun
 from rstab.errors import ToolkitError
 
-from helpers import conv_truncated, reference_divmod
+from helpers import (
+    conv_truncated,
+    reference_add,
+    reference_divmod,
+    reference_gcd,
+    reference_monic,
+    reference_ratfun,
+    reference_scale,
+    trimmed,
+)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 polys = st.lists(fractions, min_size=0, max_size=4).map(Poly)
@@ -59,11 +70,13 @@ class TestPolyDivmod:
         (Poly(()), Poly([3, 2])),
     ], ids=["non_monic", "constant", "non_dividing", "higher_degree", "zero_dividend"])
     def test_examples_match_the_reference(self, a, b):
-        assert divmod(a, b) == reference_divmod(a, b)
+        q, r = divmod(a, b)
+        assert (q.coeffs, r.coeffs) == reference_divmod(a.coeffs, b.coeffs)
 
     @given(polys, divisors)
     def test_matches_the_reference(self, a, b):
-        assert divmod(a, b) == reference_divmod(a, b)
+        q, r = divmod(a, b)
+        assert (q.coeffs, r.coeffs) == reference_divmod(a.coeffs, b.coeffs)
 
     @given(polys, divisors)
     def test_exact_division_by_a_factor(self, a, g):
@@ -128,6 +141,141 @@ class TestPolyGcdOracle:
         a, b = Poly([1, u_lead]) * g, Poly([2, 1]) * g
         assert poly_gcd(a, b) == sympy_monic_gcd(sympy, a, b) == g.monic()
         assert calls == ([P] if prechecked else [])
+
+
+#: small, zero and wide coefficients: large numerators and denominators of
+#: either sign, so most primitive parts have a nontrivial content to remove
+wide = st.one_of(fractions, st.just(F(0)),
+                 st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12))
+wide_polys = st.lists(wide, max_size=5).map(Poly)
+wide_divisors = wide_polys.filter(bool)
+wide_ratfuns = st.builds(RatFun, wide_polys, wide_divisors)
+scalars = st.one_of(st.integers(min_value=-10**9, max_value=10**9), wide)
+
+
+def check_stored_form(p: Poly) -> None:
+    """p is stored as a content times a primitive part with a positive lead."""
+    c, prim = p._c, p._p
+    assert type(c) is F and all(type(v) is int for v in prim)
+    if prim:
+        assert c != 0 and math.gcd(*prim) == 1 and prim[-1] > 0
+    else:
+        assert c == 0
+    assert tuple(c * v for v in prim) == p.coeffs
+
+
+def check_poly(p: Poly, expected: tuple) -> None:
+    """p has the oracle's coefficients, and the same value built by other
+    routes compares equal and hashes equal."""
+    assert p.coeffs == expected
+    check_stored_form(p)
+    routes = [Poly(expected), Poly([3 * c for c in expected]) * F(1, 3), RatFun(expected)]
+    if len(expected) <= 1:
+        routes.append(expected[0] if expected else 0)
+    for q in routes:
+        assert p == q and q == p
+        assert hash(p) == hash(q)
+
+
+def check_ratfun(r: RatFun, num: tuple, den: tuple) -> None:
+    assert (r.num.coeffs, r.den.coeffs) == (num, den)
+    check_stored_form(r.num)
+    check_stored_form(r.den)
+    k = F(-7, 3)
+    routes = [RatFun(Poly(num) * k, Poly(den) * k)]
+    if den == (1,):
+        routes.append(Poly(num))
+        if len(num) <= 1:
+            routes.append(num[0] if num else 0)
+    for q in routes:
+        assert r == q and q == r
+        assert hash(r) == hash(q)
+
+
+class TestStoredForm:
+    """Poly and RatFun operations against the Fraction-tuple oracle in helpers."""
+
+    @pytest.mark.parametrize("op, oracle", [
+        (operator.add, reference_add),
+        (operator.sub, lambda a, b: reference_add(a, reference_scale(b, -1))),
+        (operator.mul, lambda a, b: trimmed(conv_truncated(a, b))),
+    ], ids=["add", "sub", "mul"])
+    @given(a=wide_polys, b=wide_polys)
+    def test_binary(self, op, oracle, a, b):
+        check_poly(op(a, b), oracle(a.coeffs, b.coeffs))
+
+    @given(wide_polys)
+    def test_negation_and_monic(self, a):
+        check_poly(-a, reference_scale(a.coeffs, -1))
+        check_poly(a.monic(), reference_monic(a.coeffs))
+
+    @given(wide_polys, scalars)
+    def test_scalar_multiple(self, a, c):
+        expected = reference_scale(a.coeffs, c)
+        check_poly(a * c, expected)
+        check_poly(c * a, expected)
+
+    @given(wide_polys, wide_divisors)
+    def test_division(self, a, b):
+        quo, rem = reference_divmod(a.coeffs, b.coeffs)
+        q, r = divmod(a, b)
+        check_poly(q, quo)
+        check_poly(r, rem)
+        check_poly(a // b, quo)
+        check_poly(a % b, rem)
+
+    @given(wide_polys, wide_divisors)
+    def test_exact_division(self, a, b):
+        q, r = divmod(a * b, b)
+        check_poly(q, a.coeffs)
+        check_poly(r, ())
+
+    @settings(max_examples=60)
+    @given(wide_polys, wide_polys, wide_divisors)
+    def test_gcd(self, a, b, g):
+        a, b = a * g, b * g
+        check_poly(poly_gcd(a, b), reference_gcd(a.coeffs, b.coeffs))
+
+    @settings(max_examples=60)
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+    @given(x=wide_ratfuns, y=wide_ratfuns)
+    def test_ratfun_arithmetic(self, op, x, y):
+        n1, d1, n2, d2 = (p.coeffs for p in (x.num, x.den, y.num, y.den))
+        cross = (trimmed(conv_truncated(n1, d2)), trimmed(conv_truncated(n2, d1)))
+        if op == "truediv":
+            if y.is_zero:
+                return
+            num, den = cross[0], trimmed(conv_truncated(d1, n2))
+        elif op == "mul":
+            num, den = trimmed(conv_truncated(n1, n2)), trimmed(conv_truncated(d1, d2))
+        else:
+            sign = 1 if op == "add" else -1
+            num = reference_add(cross[0], reference_scale(cross[1], sign))
+            den = trimmed(conv_truncated(d1, d2))
+        check_ratfun(getattr(operator, op)(x, y), *reference_ratfun(num, den))
+
+    @pytest.mark.parametrize("value", [Poly([1]), Poly.one(), RatFun(1), RatFun.one(), 1, F(1)],
+                             ids=["poly", "poly_one", "ratfun", "ratfun_one", "int", "fraction"])
+    def test_one_is_one_element_of_a_set(self, value):
+        assert len({Poly([1]), 1, F(1), RatFun(1), value}) == 1
+
+    def test_polynomial_function_and_its_numerator_are_one_element_of_a_set(self):
+        z = Poly.z()
+        assert len({RatFun(z), z}) == 1
+        assert len({RatFun(z * F(-2, 3)), Poly([0, F(-2, 3)])}) == 1
+        assert len({RatFun(0), Poly.zero(), 0}) == 1
+
+    @pytest.mark.parametrize("coeffs, content, primitive", [
+        ([F(1, 2), F(-1, 3), F(-2, 5)], F(-1, 30), (-15, 10, 12)),
+        ([0, 0, -4], F(-4), (0, 0, 1)),
+        ([6, 9], F(3), (2, 3)),
+        ([F(5, 7)], F(5, 7), (1,)),
+        ([0, 0], F(0), ()),
+    ], ids=["negative_lead", "monomial", "integer_content", "constant", "zero"])
+    def test_examples_of_the_stored_form(self, coeffs, content, primitive):
+        p = Poly(coeffs)
+        assert (p._c, p._p) == (content, primitive)
+        check_stored_form(p)
 
 
 class TestArithmetic:

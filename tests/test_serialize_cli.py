@@ -638,6 +638,48 @@ def test_an_input_the_command_does_not_take_is_a_parse_error(
     assert f"does not take input {name!r}" in report["details"]["error"]
 
 
+@pytest.mark.parametrize("command, horizon, least", [
+    ("synthesize", 0, 1), ("synthesize", -1, 1), ("simulate", -1, 0),
+])
+def test_a_horizon_below_its_least_value_is_a_parse_error(
+        tmp_path, scalar_plant_doc, capsys, command, horizon, least):
+    from rstab.cli import main
+
+    inputs, options = _passing_job(tmp_path, scalar_plant_doc, command)
+    options["horizon"] = horizon
+    code, report = run(JobSpec(command, inputs, options))
+    assert code == 2 and report["exit_code"] == 2, report
+    assert f"option 'horizon' must be at least {least}" in report["details"]["error"]
+    argv = [command, "--plant", inputs["plant"], "--horizon", str(horizon), "--out", options["out"]]
+    if command == "simulate":
+        argv += [inputs["fir"], "--variant", options["variant"]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{command}: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, horizon", [("synthesize", 1), ("simulate", 0)])
+def test_the_least_horizon_is_accepted(tmp_path, scalar_plant_doc, command, horizon):
+    inputs, options = _passing_job(tmp_path, scalar_plant_doc, command)
+    options["horizon"] = horizon
+    code, report = run(JobSpec(command, inputs, options))
+    assert code == 0, report
+
+
+def test_the_library_refuses_the_same_horizons(scalar_plant_doc):
+    from rstab.errors import InvariantViolation
+
+    plant, _ = scalar_plant_doc
+    with pytest.raises(InvariantViolation, match="at least 1"):
+        synthesize_sf_h2(plant, [[1]], [[1]], 0)
+    parts = serialize.fir_bundle_from_doc({"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+                                           "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]})
+    v = RealizationVariant("original_sls", parts["phi_x"], parts["phi_u"])
+    with pytest.raises(InvariantViolation, match="nonnegative"):
+        simulate(v, plant, {"x": np.ones((1, 1))}, -1)
+
+
 def test_synthesize_refuses_weights_that_are_not_positive_semidefinite(
         tmp_path, scalar_plant_doc):
     inputs, options = _passing_job(tmp_path, scalar_plant_doc, "synthesize")
