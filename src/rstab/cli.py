@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -49,18 +49,8 @@ EXIT_SINGULAR = 3
 #: the exit code of each error type; every other toolkit error is a failed check
 _ERROR_EXITS = ((SchemaError, EXIT_PARSE), (SingularMatrixError, EXIT_SINGULAR))
 
-PARAMETERIZATIONS = tuple(REGISTRY)
-
-#: the allowed values of each option that takes a name; argparse's choices
-#: and run()'s up-front check both read it
-_CHOICES = {"target": PARAMETERIZATIONS, "variant": VARIANT_KINDS}
-
-#: the types each typed option takes; a bool is never a number here
-_TYPES = {"out": ((str, os.PathLike), "a path"), "horizon": (int, "an integer")}
-
-#: the least value of an integer option, by (command, option): a synthesized
-#: FIR response has at least one tap, and a simulation runs zero or more steps
-_LEAST = {("synthesize", "horizon"): 1, ("simulate", "horizon"): 0}
+#: how an error names an argument, by whether it is an option
+_KINDS = ("input", "option")
 
 
 @dataclass
@@ -72,40 +62,72 @@ class JobSpec:
     options: dict[str, Any] = field(default_factory=dict)
 
 
-def _report(command: str, passed: bool, findings=(), **details) -> dict:
-    return {
+@dataclass(frozen=True)
+class Arg:
+    """One argument of a command: the path of an input document, or an option.
+
+    ``flag`` is None for a positional, which is always required.  ``type`` is
+    str for a path or a name and int for an integer; a bool is neither.
+    """
+
+    name: str
+    help: str
+    flag: str | None = None
+    option: bool = False
+    required: bool = True
+    type: type = str
+    choices: tuple[str, ...] = ()
+    least: int | None = None
+
+    def check(self, value) -> None:
+        """Refuse a value outside this argument's choices, type or least value."""
+        if self.choices and value not in self.choices:
+            raise SchemaError(
+                f"unknown {self.name} {value!r}; expected one of {', '.join(self.choices)}")
+        types, what = ((int,), "an integer") if self.type is int else ((str, os.PathLike), "a path")
+        label = f"{_KINDS[self.option]} {self.name!r}"
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise SchemaError(f"{label} must be {what}, not {value!r}")
+        if self.least is not None and value < self.least:
+            raise SchemaError(f"{label} must be at least {self.least}, not {value!r}")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A handler, its help line and every argument it takes.  The handler
+    returns (passed, findings, details, the document to write to ``out`` or None)."""
+
+    handler: Callable[[JobSpec], tuple]
+    help: str
+    args: tuple[Arg, ...]
+
+
+def _report(command: str, code: int, findings, details: dict) -> tuple[int, dict]:
+    return code, {
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "report",
         "command": command,
-        "passed": passed,
+        "passed": code == EXIT_PASS,
         "findings": [
             {"matrix": f.matrix, "row": f.row, "col": f.col, "kind": f.kind} for f in findings
         ],
         "details": details,
+        "exit_code": code,
     }
 
 
-def _finish(report: dict, passed: bool) -> tuple[int, dict]:
-    code = EXIT_PASS if passed else EXIT_CHECK_FAILED
-    report["exit_code"] = code
-    return code, report
-
-
-def _cmd_verify(job: JobSpec) -> tuple[int, dict]:
+def _cmd_verify(job: JobSpec):
     doc = serialize.load_document(job.inputs["realization"])
     r, s = serialize.realization_from_doc(doc)
     if s is None:
         s = stability_from_realization(r)
     lemma_ok = verify_lemma(r, s)
     report = check_conditions(r, s)
-    passed = lemma_ok and report.passed
-    return _finish(
-        _report("verify", passed, report.findings, lemma_holds=lemma_ok, tol=DEFAULT_TOL),
-        passed,
-    )
+    details = {"lemma_holds": lemma_ok, "tol": DEFAULT_TOL}
+    return lemma_ok and report.passed, report.findings, details, None
 
 
-def _cmd_convert(job: JobSpec) -> tuple[int, dict]:
+def _cmd_convert(job: JobSpec):
     plant = serialize.plant_from_doc(serialize.load_document(job.inputs["plant"]))
     factors = None
     if "factors" in job.inputs:
@@ -125,15 +147,10 @@ def _cmd_convert(job: JobSpec) -> tuple[int, dict]:
         to = REGISTRY[target]
         k = REGISTRY[source].to_controller(bundle, plant, factors)
         out = to.from_controller(plant, factors, controller_with_output(k, plant, to.signal))
-    doc = serialize.bundle_to_doc(target, out)
-    serialize.dump_document(doc, job.options["out"])
-    return _finish(
-        _report("convert", True, source=source, target=target, out=str(job.options["out"])),
-        True,
-    )
+    return True, (), {"source": source, "target": target}, serialize.bundle_to_doc(target, out)
 
 
-def _cmd_synthesize(job: JobSpec) -> tuple[int, dict]:
+def _cmd_synthesize(job: JobSpec):
     plant = serialize.plant_from_doc(serialize.load_document(job.inputs["plant"]))
     horizon = job.options["horizon"]
     if "weights" in job.inputs:
@@ -142,17 +159,8 @@ def _cmd_synthesize(job: JobSpec) -> tuple[int, dict]:
         qw = np.eye(plant.n, dtype=int).tolist()
         rw = np.eye(plant.m, dtype=int).tolist()
     bundle = synthesize_sf_h2(plant, qw, rw, horizon)
-    doc = serialize.fir_bundle_to_doc(
-        horizon, {"phi_x": bundle.phi_x, "phi_u": bundle.phi_u}
-    )
-    serialize.dump_document(doc, job.options["out"])
-    return _finish(
-        _report(
-            "synthesize", True, horizon=horizon, constraint_residual="0",
-            out=str(job.options["out"]),
-        ),
-        True,
-    )
+    doc = serialize.fir_bundle_to_doc(horizon, {"phi_x": bundle.phi_x, "phi_u": bundle.phi_u})
+    return True, (), {"horizon": horizon, "constraint_residual": "0"}, doc
 
 
 def _variant_from_inputs(job: JobSpec) -> tuple[RealizationVariant, PlantSS]:
@@ -170,7 +178,7 @@ def _variant_from_inputs(job: JobSpec) -> tuple[RealizationVariant, PlantSS]:
     return v, plant
 
 
-def _cmd_certify(job: JobSpec) -> tuple[int, dict]:
+def _cmd_certify(job: JobSpec):
     v, plant = _variant_from_inputs(job)
     rep = certify_realization(v, plant)
     details: dict[str, Any] = {"variant": rep.variant, "tol": DEFAULT_TOL}
@@ -178,10 +186,10 @@ def _cmd_certify(job: JobSpec) -> tuple[int, dict]:
         details["schur_stable"] = rep.schur_stable
     if rep.delta_column_strictly_proper is not None:
         details["delta_column_strictly_proper"] = rep.delta_column_strictly_proper
-    return _finish(_report("certify", rep.passed, rep.findings, **details), rep.passed)
+    return rep.passed, rep.findings, details, None
 
 
-def _cmd_simulate(job: JobSpec) -> tuple[int, dict]:
+def _cmd_simulate(job: JobSpec):
     v, plant = _variant_from_inputs(job)
     horizon = job.options["horizon"]
     if "disturbance" in job.inputs:
@@ -191,16 +199,10 @@ def _cmd_simulate(job: JobSpec) -> tuple[int, dict]:
         impulse[0, 0] = 1.0
         d = {"x": impulse}
     trace = simulate(v, plant, d, horizon)
-    serialize.dump_document(serialize.trace_to_doc(trace), job.options["out"])
-    return _finish(
-        _report(
-            "simulate", True, variant=v.kind, horizon=horizon, out=str(job.options["out"]),
-        ),
-        True,
-    )
+    return True, (), {"variant": v.kind, "horizon": horizon}, serialize.trace_to_doc(trace)
 
 
-def _cmd_factorize(job: JobSpec) -> tuple[int, dict]:
+def _cmd_factorize(job: JobSpec):
     plant = serialize.plant_from_doc(serialize.load_document(job.inputs["plant"]))
     if "gains" in job.inputs:
         f_gain, l_gain = serialize.gains_from_doc(serialize.load_document(job.inputs["gains"]))
@@ -209,23 +211,54 @@ def _cmd_factorize(job: JobSpec) -> tuple[int, dict]:
         dual = PlantSS.state_feedback(plant.A.T, plant.C.T)
         l_gain = dare_lqr(dual, np.eye(plant.n), np.eye(plant.p)).T
     factors = coprime_factorize(plant, f_gain, l_gain)
-    serialize.dump_document(serialize.coprime_to_doc(factors), job.options["out"])
-    return _finish(
-        _report("factorize", True, tol=DEFAULT_TOL, out=str(job.options["out"])),
-        True,
-    )
+    return True, (), {"tol": DEFAULT_TOL}, serialize.coprime_to_doc(factors)
 
 
-#: command -> (handler, the inputs it needs, the inputs it may take, the
-#: options it needs and takes); run() refuses every other input and option,
-#: and main() reads the parsed arguments by these names
+_PLANT = Arg("plant", "plant document", "--plant")
+_FIR = Arg("fir", "fir_bundle document")
+_VARIANT = Arg("variant", "realization variant", "--variant", option=True, choices=VARIANT_KINDS)
+_OUT = Arg("out", "output document path", "--out", option=True)
+
+#: the one declaration of each command: argparse, run()'s checks and main()'s
+#: split of the parsed arguments into inputs and options all read it
 _COMMANDS = {
-    "verify": (_cmd_verify, ("realization",), (), ()),
-    "convert": (_cmd_convert, ("bundle", "plant"), ("factors",), ("target", "out")),
-    "synthesize": (_cmd_synthesize, ("plant",), ("weights",), ("horizon", "out")),
-    "certify": (_cmd_certify, ("fir", "plant"), (), ("variant",)),
-    "simulate": (_cmd_simulate, ("fir", "plant"), ("disturbance",), ("variant", "horizon", "out")),
-    "factorize": (_cmd_factorize, ("plant",), ("gains",), ("out",)),
+    "verify": Command(_cmd_verify, "check the defining identity and stability conditions", (
+        Arg("realization", "realization document (optionally with stability)"),
+    )),
+    "convert": Command(_cmd_convert, "convert a parameter bundle to another parameterization", (
+        Arg("bundle", "parameter bundle document"),
+        _PLANT,
+        Arg("factors", "coprime factors document (for Youla conversions)", "--factors",
+            required=False),
+        Arg("target", "target parameterization", "--to", option=True, choices=tuple(REGISTRY)),
+        _OUT,
+    )),
+    "synthesize": Command(_cmd_synthesize, "FIR H2 state-feedback synthesis", (
+        _PLANT,
+        Arg("weights", "weights document (default: identity)", "--weights", required=False),
+        Arg("horizon", "number of FIR taps", "--horizon", option=True, type=int,
+            least=1),
+        _OUT,
+    )),
+    "certify": Command(_cmd_certify, "certify a closed-loop realization variant", (
+        _FIR, _PLANT, _VARIANT,
+    )),
+    "simulate": Command(_cmd_simulate, "simulate a realization variant in the time domain", (
+        _FIR,
+        _PLANT,
+        Arg("disturbance", "disturbance document (default: impulse on x[0])", "--disturbance",
+            required=False),
+        _VARIANT,
+        Arg("horizon", "number of time steps", "--horizon", option=True, type=int,
+            least=0),
+        _OUT,
+    )),
+    "factorize": Command(_cmd_factorize, "doubly coprime factorization of a plant", (
+        _PLANT,
+        Arg("gains", "gains document with F and L (default: LQR gains)", "--gains",
+            required=False),
+        _OUT,
+    )),
 }
 
 
@@ -235,40 +268,35 @@ def run(job: JobSpec) -> tuple[int, dict]:
     An unknown command, a missing or mistyped input or option, an input or
     option the command does not take, an option value outside its choices,
     or an integer option below its least value is a parse error, found
-    before the handler runs.
+    before the handler runs.  So is an output document that cannot be
+    written.
     """
     try:
         if job.command not in _COMMANDS:
             raise SchemaError(f"unknown command {job.command!r}")
-        handler, inputs, optional, options = _COMMANDS[job.command]
-        missing = [f"input {n!r}" for n in inputs if n not in job.inputs]
-        missing += [f"option {n!r}" for n in options if n not in job.options]
+        command = _COMMANDS[job.command]
+        given = {False: job.inputs, True: job.options}
+        missing = [f"{_KINDS[a.option]} {a.name!r}" for a in command.args
+                   if a.required and a.name not in given[a.option]]
         if missing:
             raise SchemaError(f"{job.command} is missing {', '.join(missing)}")
-        unknown = [f"input {n!r}" for n in job.inputs if n not in inputs + optional]
-        unknown += [f"option {n!r}" for n in job.options if n not in options]
+        takes = {(a.option, a.name) for a in command.args}
+        unknown = [f"{_KINDS[option]} {name!r}" for option, names in given.items()
+                   for name in names if (option, name) not in takes]
         if unknown:
             raise SchemaError(f"{job.command} does not take {', '.join(unknown)}")
-        for name, allowed in _CHOICES.items():
-            if name in options and job.options[name] not in allowed:
-                raise SchemaError(
-                    f"unknown {name} {job.options[name]!r}; expected one of {', '.join(allowed)}")
-        typed = [(f"input {n!r}", value, _TYPES["out"]) for n, value in job.inputs.items()]
-        typed += [(f"option {n!r}", job.options[n], t) for n, t in _TYPES.items() if n in job.options]
-        for label, value, (types, what) in typed:
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise SchemaError(f"{label} must be {what}, not {value!r}")
-        for (command, name), least in _LEAST.items():
-            if command == job.command and job.options[name] < least:
-                raise SchemaError(
-                    f"option {name!r} must be at least {least}, not {job.options[name]!r}")
-        return handler(job)
+        for a in command.args:
+            if a.name in given[a.option]:
+                a.check(given[a.option][a.name])
+        passed, findings, details, doc = command.handler(job)
+        if doc is not None:
+            serialize.dump_document(doc, job.options["out"])
+            details["out"] = str(job.options["out"])
+        return _report(job.command, EXIT_PASS if passed else EXIT_CHECK_FAILED, findings, details)
     except ToolkitError as exc:
         code = next((c for kind, c in _ERROR_EXITS if isinstance(exc, kind)), EXIT_CHECK_FAILED)
         cause = getattr(exc, "report", None)
-        report = _report(job.command, False, cause.findings if cause else (), error=str(exc))
-        report["exit_code"] = code
-        return code, report
+        return _report(job.command, code, cause.findings if cause else (), {"error": str(exc)})
 
 
 def _print_report(report: dict) -> None:
@@ -288,63 +316,30 @@ def _parser() -> argparse.ArgumentParser:
         "discrete-time closed-loop realizations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, out=False):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
+        for a in command.args:
+            flagged = {} if a.flag is None else {"dest": a.name, "required": a.required}
+            p.add_argument(a.flag or a.name, help=a.help, type=a.type,
+                           choices=a.choices or None, **flagged)
         p.add_argument("--report", help="write a machine-readable report here")
-        if out:
-            p.add_argument("--out", required=True, help="output document path")
-
-    p = sub.add_parser("verify", help="check the defining identity and stability conditions")
-    p.add_argument("realization", help="realization document (optionally with stability)")
-    common(p)
-
-    p = sub.add_parser("convert", help="convert a parameter bundle to another parameterization")
-    p.add_argument("bundle", help="parameter bundle document")
-    p.add_argument("--plant", required=True, help="plant document")
-    p.add_argument("--to", required=True, choices=_CHOICES["target"], dest="target")
-    p.add_argument("--factors", help="coprime factors document (for Youla conversions)")
-    common(p, out=True)
-
-    p = sub.add_parser("synthesize", help="FIR H2 state-feedback synthesis")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--weights", help="weights document (default: identity)")
-    common(p, out=True)
-
-    p = sub.add_parser("certify", help="certify a closed-loop realization variant")
-    p.add_argument("fir", help="fir_bundle document")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--variant", required=True, choices=_CHOICES["variant"])
-    common(p)
-
-    p = sub.add_parser("simulate", help="simulate a realization variant in the time domain")
-    p.add_argument("fir", help="fir_bundle document")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--variant", required=True, choices=_CHOICES["variant"])
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--disturbance", help="disturbance document (default: impulse on x[0])")
-    common(p, out=True)
-
-    p = sub.add_parser("factorize", help="doubly coprime factorization of a plant")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--gains", help="gains document with F and L (default: LQR gains)")
-    common(p, out=True)
-
     return parser
 
 
 def main(argv=None) -> None:
-    args = _parser().parse_args(argv)
-    given = {n: v for n, v in vars(args).items() if v is not None}
-    _, inputs, optional, options = _COMMANDS[args.command]
-    code, report = run(JobSpec(
-        args.command,
-        {n: given[n] for n in inputs + optional if n in given},
-        {n: given[n] for n in options if n in given},
-    ))
+    args = vars(_parser().parse_args(argv))
+    given = {False: {}, True: {}}
+    for a in _COMMANDS[args["command"]].args:
+        if args[a.name] is not None:
+            given[a.option][a.name] = args[a.name]
+    code, report = run(JobSpec(args["command"], given[False], given[True]))
     _print_report(report)
-    if args.report:
-        serialize.dump_document(report, args.report)
+    if args["report"]:
+        try:
+            serialize.dump_document(report, args["report"])
+        except SchemaError as exc:
+            print(f"rstab: {exc}", file=sys.stderr)
+            code = EXIT_PARSE
     sys.exit(code)
 
 

@@ -545,9 +545,8 @@ def controller_to_youla(f: CoprimeFactors, k: TFMatrix) -> YoulaParam:
 
 
 def iop_from_controller(g: TFMatrix, k: TFMatrix) -> IOPParam:
-    """Extract {Y, U, W, Z} as the blocks of (I - R)^{-1} for the (G, K) loop."""
-    if not g.classify().all_strictly_proper:
-        raise InvariantViolation("IOP extraction requires a strictly proper plant")
+    """Extract {Y, U, W, Z} as the blocks of (I - R)^{-1} for the (G, K) loop;
+    G may have a direct feedthrough, as long as the loop is internally stable."""
     return _bundle_of_loop(REGISTRY["iop"], plant_feedback_loop(g, k), g)
 
 

@@ -490,24 +490,24 @@ class RatFun:
 
     @classmethod
     def constant(cls, c) -> "RatFun":
-        return cls(Poly((c,)), Poly.one())
+        return cls._normalized(Poly((c,)), _ONE)
 
     @classmethod
     def zero(cls) -> "RatFun":
-        return cls(Poly.zero(), Poly.one())
+        return cls._normalized(_ZERO, _ONE)
 
     @classmethod
     def one(cls) -> "RatFun":
-        return cls(Poly.one(), Poly.one())
+        return cls._normalized(_ONE, _ONE)
 
     @classmethod
     def z(cls) -> "RatFun":
-        return cls(Poly.z(), Poly.one())
+        return cls._normalized(Poly.z(), _ONE)
 
     @classmethod
     def z_inv(cls, power: int = 1) -> "RatFun":
         """z**(-power)."""
-        return cls(Poly.one(), Poly.z(power))
+        return cls._normalized(_ONE, Poly.z(power))
 
     # -- structure ---------------------------------------------------------
 
@@ -540,7 +540,7 @@ class RatFun:
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return RatFun.constant(other)
         if isinstance(other, Poly):
-            return RatFun(other, Poly.one())
+            return RatFun._normalized(other, _ONE)
         return None
 
     def __add__(self, other):

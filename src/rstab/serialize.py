@@ -310,4 +310,7 @@ def load_document(path) -> dict:
 
 
 def dump_document(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc

@@ -731,3 +731,52 @@ def test_main_splits_arguments_into_inputs_and_options(tmp_path, monkeypatch, ca
     assert jobs == [JobSpec(command, inputs, options)]
     if "horizon" in options:
         assert type(jobs[0].options["horizon"]) is int
+
+
+def test_iop_of_a_plant_with_feedthrough_is_one_document_by_every_route(tmp_path):
+    import rstab
+
+    # x+ = x/2 + u, y = x + u: the direct feedthrough D = 1 makes G biproper
+    plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[1]])
+    k = TFMatrix.constant(plant.u_space, plant.y_space, [[F(-1, 4)]])
+    plant_path = write(tmp_path, "plant.json", serialize.plant_to_doc(plant))
+    written = {}
+    for source in ("slp_of", "mixed1", "mixed2"):
+        bundle = getattr(rstab, f"{source}_from_controller")(plant, k)
+        src = write(tmp_path, f"{source}.json", serialize.bundle_to_doc(source, bundle))
+        out = tmp_path / f"{source}_to_iop.json"
+        code, report = run(JobSpec("convert", {"bundle": src, "plant": plant_path},
+                                   {"target": "iop", "out": str(out)}))
+        assert code == 0, report
+        written[source] = out.read_bytes()
+    assert written["slp_of"] == written["mixed1"] == written["mixed2"]
+    expected = rstab.iop_from_controller(plant.transfer(), k)
+    assert json.loads(written["slp_of"]) == serialize.bundle_to_doc("iop", expected)
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+def test_an_unwritable_output_is_a_parse_error(tmp_path, scalar_plant_doc, where):
+    inputs, options = _passing_job(tmp_path, scalar_plant_doc, "synthesize")
+    out = tmp_path / "missing" / "fir.json" if where == "missing_directory" else tmp_path / "dir"
+    if where == "a_directory":
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    code, report = run(JobSpec("synthesize", inputs, {**options, "out": str(out)}))
+    assert code == 2 and report["exit_code"] == 2, report
+    assert f"cannot write {out}" in report["details"]["error"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_main_with_an_unwritable_report_exits_two(tmp_path, capsys):
+    from rstab.cli import main
+
+    r = Realization(SP, TFMatrix.zeros(SP, SP))
+    path = write(tmp_path, "r.json", serialize.realization_to_doc(r))
+    report_path = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--report", str(report_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "verify: PASS" in captured.out
+    assert f"cannot write {report_path}" in captured.err
+    assert "Traceback" not in captured.err
