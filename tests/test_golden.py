@@ -3,9 +3,10 @@
 The plant is x+ = A x + B u with A = [[1/2, 1], [0, 3/2]] (unstable),
 B = [0, 1]^T, measured in full (C = I, D = 0).  The jobs cover synthesis at
 T = 4, certification of all three realization variants, simulation,
-factorization with exact gains, and three conversions of the parameter
-bundle of the static controller u = [0, -2] x: a direct map, a map through
-the controller and a Youla conversion.
+factorization with exact gains, and five conversions: three of the parameter
+bundle of the static controller u = [0, -2] x (to iop, mixed1 and youla),
+and two that chain off those outputs (the IOP bundle over the state to
+mixed2, and mixed1 to slp_of).
 
 Exact results are unique, so any correct change to the arithmetic writes the
 same bytes.  After a deliberate change to a document's format, rewrite the
@@ -50,6 +51,10 @@ JOBS = {
                                  {"target": "mixed1"}),
     "convert_slp_sf_to_youla": ("convert", {"bundle": "slp_sf", "plant": "plant",
                                             "factors": "factorize"}, {"target": "youla"}),
+    "convert_iop_of_x_to_mixed2": ("convert", {"bundle": "convert_slp_sf_to_iop",
+                                               "plant": "plant"}, {"target": "mixed2"}),
+    "convert_mixed1_to_slp_of": ("convert", {"bundle": "convert_slp_sf_to_mixed1",
+                                             "plant": "plant"}, {"target": "slp_of"}),
 }
 
 
