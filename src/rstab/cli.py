@@ -22,13 +22,7 @@ import numpy as np
 
 from . import serialize
 from .errors import SchemaError, SingularMatrixError, ToolkitError
-from .parameterizations import (
-    DIRECT_MAPS,
-    REGISTRY,
-    PlantSS,
-    controller_with_output,
-    coprime_factorize,
-)
+from .parameterizations import REGISTRY, PlantSS, convert, coprime_factorize
 from .ratfun import DEFAULT_TOL
 from .realization import check_conditions, stability_from_realization, verify_lemma
 from .sls import (
@@ -138,15 +132,7 @@ def _cmd_convert(job: JobSpec):
         serialize.load_document(job.inputs["bundle"]), plant
     )
     target = job.options["target"]
-    direct = DIRECT_MAPS.get((source, target))
-    if direct is not None:
-        out = direct(bundle, plant, factors)
-    elif source == target:
-        out = bundle
-    else:
-        to = REGISTRY[target]
-        k = REGISTRY[source].to_controller(bundle, plant, factors)
-        out = to.from_controller(plant, factors, controller_with_output(k, plant, to.signal))
+    out = convert(source, target, bundle, plant, factors)
     return True, (), {"source": source, "target": target}, serialize.bundle_to_doc(target, out)
 
 

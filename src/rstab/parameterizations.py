@@ -6,23 +6,31 @@ over a doubly coprime factorization, the input-output bundle {Y, U, W, Z},
 the system level bundles (state feedback {Phi_x, Phi_u} and output feedback
 {Phi_xx, Phi_ux, Phi_xy, Phi_uy}), and two mixed bundles.  ``REGISTRY``
 holds one ``Parameterization`` entry per bundle: its loop, the blocks of
-S = (I - R)^{-1} it holds, which are strictly proper, and its maps to and
-from the controller.  Each bundle is checked on construction: its stability
-memberships by numeric pole tests, and exactly the affine identities that
-(I - R) S = S (I - R) = I imposes on its blocks; the conversions below map
-bundles to controllers and back, and translate directly between them.
+S = (I - R)^{-1} it holds, and which of them are strictly proper.  Each
+bundle is checked on construction: its stability memberships by numeric pole
+tests, and exactly the affine identities that (I - R) S = S (I - R) = I
+imposes on its blocks.  ``convert`` translates any bundle into any other by
+completing S from its blocks; the ``*_from_controller`` and
+``*_to_controller`` functions map bundles to controllers and back.
 
 Signal naming convention: states are "x", controls "u", measurements "y".
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InternalStabilityError, InvariantViolation, SchemaError, SpaceMismatchError
+from .errors import (
+    InternalStabilityError,
+    InvariantViolation,
+    SchemaError,
+    SingularMatrixError,
+    SpaceMismatchError,
+)
 from .ratfun import RatFun, _as_coeff
 from .realization import (
     Realization,
@@ -227,14 +235,14 @@ def _held_blocks(entry: "Parameterization", loop: Realization) -> list[tuple[str
     return [tuple(measured if n == entry.signal else n for n in b) for b in entry.blocks]
 
 
-def _lemma_identities(entry: "Parameterization", loop: Realization, bundle):
+def _lemma_identities(name: str, loop: Realization, held: dict):
     """Yield lazily the (lhs, rhs, message) identities that (I - R) S = S (I - R) = I
-    imposes on ``bundle``'s blocks in the entry's ``loop`` with K = 0: the rows of
-    (I - R) S = I but u's, at the held columns, and the columns of S (I - R) = I
-    but the measured signal's, at the held rows.  A signal whose row (column)
-    the bundle does not hold is eliminated through its diagonal block of I - R."""
+    imposes on the ``held`` blocks of S, by (row, col), of the bundle class
+    ``name`` in its ``loop`` with K = 0: the rows of (I - R) S = I but u's, at
+    the held columns, and the columns of S (I - R) = I but the measured
+    signal's, at the held rows.  A signal whose row (column) the bundle does
+    not hold is eliminated through its diagonal block of I - R."""
     zeros = loop.structural_zeros
-    held = dict(zip(_held_blocks(entry, loop), (getattr(bundle, f) for f in entry.fields)))
     rows = list(dict.fromkeys(r for r, _ in held))
     cols = list(dict.fromkeys(c for _, c in held))
 
@@ -272,26 +280,49 @@ def _lemma_identities(entry: "Parameterization", loop: Realization, bundle):
                 yield lhs, rhs.get(c, delta), where.format(a=a, c=c)
 
     # K enters row u and, of the columns, only the measured signal's
-    name = type(bundle).__name__
     yield from side(False, [a for a in rows if a != "u"], rows, cols,
                     name + ": (I - R) S = I fails in row {a} at block ({a}, {c})")
     yield from side(True, [c for c in cols if ("u", c) in zeros], cols, rows,
                     name + ": S (I - R) = I fails in column {a} at block ({c}, {a})")
 
 
+def _has_feedthrough(plant) -> bool:
+    """Whether the measurement depends on u directly: D != 0, or G not strictly proper."""
+    if isinstance(plant, PlantSS):
+        return not plant.is_strictly_proper
+    return not all(e.is_strictly_proper for row in plant.entries for e in row)
+
+
 def _checked(bundle, plant):
     """Return ``bundle`` once its memberships and lemma identities hold, in its loop
-    with K = 0 around ``plant`` (for IOP, around G or (zI - A)^{-1} B)."""
+    with K = 0 around ``plant`` (for IOP, around G or (zI - A)^{-1} B).
+
+    With a direct feedthrough, a bundle measured at y must also have an
+    S[u,u] with a proper inverse, so that its controller
+    K = S[u,u]^{-1} S[u,y] is proper; without one, the identities already
+    make S[u,u] biproper.
+    """
     entry = next(e for e in REGISTRY.values() if e.bundle is type(bundle))
+    name = type(bundle).__name__
     _members(bundle, entry.strictly_proper)
     if isinstance(plant, TFMatrix):
         loop = plant_feedback_loop(plant, TFMatrix.zeros(plant.cols, plant.rows))
     else:
         measured = plant.x_space if entry.signal == "x" else plant.y_space
         loop = _plant_loop(plant, TFMatrix.zeros(plant.u_space, measured), entry.signal)
-    for lhs, rhs, message in _lemma_identities(entry, loop, bundle):
+    held = dict(zip(_held_blocks(entry, loop), (getattr(bundle, f) for f in entry.fields)))
+    for lhs, rhs, message in _lemma_identities(name, loop, held):
         if lhs != rhs:
             raise InvariantViolation(message)
+    if entry.signal == "y" and _has_feedthrough(plant):
+        s_uu = held[("u", "u")] if ("u", "u") in held else _completion(plant, held)("u", "u")
+        try:
+            proper = s_uu.inverse().classify().all_proper
+        except SingularMatrixError:
+            proper = False
+        if not proper:
+            raise InvariantViolation(
+                f"{name}: S[u,u] has no proper inverse, so no proper controller has these blocks")
     return bundle
 
 
@@ -605,7 +636,7 @@ def mixed2_from_controller(plant: PlantSS, k: TFMatrix) -> MixedParam2:
 
 
 # ---------------------------------------------------------------------------
-# direct maps between parameterizations
+# conversions between parameterizations
 # ---------------------------------------------------------------------------
 
 
@@ -630,13 +661,7 @@ def slp_sf_to_iop(p: SLPStateFeedback, plant: PlantSS) -> IOPParam:
 
     [[Y, W], [U, Z]] = [[Phi_x (zI-A), Phi_x B], [Phi_u (zI-A), I + Phi_u B]].
     """
-    zia = plant.z_minus_a()
-    b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
-    eye_u = TFMatrix.identity(plant.u_space)
-    return IOPParam.checked(
-        Y=p.phi_x @ zia, W=p.phi_x @ b, U=p.phi_u @ zia, Z=eye_u + p.phi_u @ b,
-        g=plant.state_transfer(),
-    )
+    return convert("slp_sf", "iop", p, plant)
 
 
 def slp_of_to_iop(p: SLPOutputFeedback, plant: PlantSS) -> IOPParam:
@@ -647,13 +672,96 @@ def slp_of_to_iop(p: SLPOutputFeedback, plant: PlantSS) -> IOPParam:
 
     Valid for any direct feedthrough D, strictly proper or not.
     """
+    return convert("slp_of", "iop", p, plant)
+
+
+def _completion(plant: PlantSS, held: dict) -> Callable[[str, str], TFMatrix]:
+    """Block (i, j) of S for the output-feedback loop over (x, u, y), completed
+    from the ``held`` blocks by the rows x, y of (I - R) S = I and the columns
+    x, u of S (I - R) = I, which the controller does not enter:
+
+        (zI - A) S[x,j] = I_xj + B S[u,j]      S[i,x] (zI - A) = I_ix + S[i,y] C
+        S[y,j] = I_yj + C S[x,j] + D S[u,j]    S[i,u] = I_iu + S[i,x] B + S[i,y] D
+
+    (I_ab = I if a = b, else 0).  A missing block of a held row comes from its
+    column's identity, any other from its row's, so every chain ends at the
+    held row u and column y.  (zI - A)^{-1} is computed at most once.
+    """
+    rows = {i for i, _ in held}
+    s = dict(held)
+    b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
     c = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
     d = TFMatrix.constant(plant.y_space, plant.u_space, plant.D)
-    b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
-    y = c @ p.phi_xy + d @ p.phi_uy + TFMatrix.identity(plant.y_space)
-    z = p.phi_ux @ b + p.phi_uy @ d + TFMatrix.identity(plant.u_space)
-    w = (c @ p.phi_xx + d @ p.phi_ux) @ b + y @ d
-    return IOPParam.checked(Y=y, U=p.phi_uy, W=w, Z=z, g=plant.transfer())
+    resolvent = functools.cache(plant.resolvent)
+
+    def block(i: str, j: str) -> TFMatrix:
+        if (i, j) not in s:
+            by_column = i in rows
+            if by_column:
+                v = block(i, "y") @ c if j == "x" else block(i, "x") @ b + block(i, "y") @ d
+            else:
+                v = b @ block("u", j) if i == "x" else c @ block("x", j) + d @ block("u", j)
+            if i == j:
+                v = v + TFMatrix.identity(v.rows)
+            if (j if by_column else i) == "x":
+                v = v @ resolvent() if by_column else resolvent() @ v
+            s[(i, j)] = v
+        return s[(i, j)]
+
+    return block
+
+
+def _factors_of(plant: PlantSS, factors: Callable[[], CoprimeFactors] | None) -> CoprimeFactors:
+    """The coprime factors from the loader ``factors``, once they factor ``plant``."""
+    if factors is None:
+        raise SchemaError("this conversion needs the coprime factors (a coprime_factors document)")
+    f = factors()
+    if f.g() != plant.transfer():
+        raise InvariantViolation("the coprime factors are not of this plant: Ml^{-1} Nl != G")
+    return f
+
+
+def convert(source: str, target: str, bundle, plant: PlantSS,
+            factors: Callable[[], CoprimeFactors] | None = None):
+    """The ``target`` bundle of the loop that the ``source`` bundle describes:
+    its blocks of S, completed from the source's, checked.
+
+    The controller measures x for slp_sf and an IOP bundle over the state, y
+    otherwise, and for an IOP target what the source does.  Measuring x takes
+    C = I and D = 0, and gives slp_sf's column y as S[i,x] (zI - A) - I_ix.
+    Youla enters through ``youla_to_iop`` and leaves through
+    K = S[u,u]^{-1} S[u,y] and ``controller_to_youla``, which alone call
+    ``factors``, a loader of the coprime factors.
+    """
+    if source == "youla" and target != "youla":
+        bundle, source = youla_to_iop(_factors_of(plant, factors), bundle), "iop"
+    if source == target:
+        return bundle
+    entry, to = REGISTRY[source], REGISTRY[target]
+    signal = bundle.Y.rows.names[0] if source == "iop" else entry.signal
+    measured = signal if target == "iop" else to.signal
+    if signal != measured and not (
+            plant.is_strictly_proper and np.array_equal(plant.C, np.eye(plant.n))):
+        raise InvariantViolation("conversion between state- and output-measured "
+                                 "parameterizations requires C = I and D = 0")
+    if "x" in (signal, measured):
+        plant = PlantSS.state_feedback(plant.A, plant.B)
+    spaces = {"x": plant.x_space, "u": plant.u_space, "y": plant.y_space}
+    held = {(i, j): getattr(bundle, f).relabel(spaces[i], spaces[j])
+            for (i, j), f in zip(entry.blocks, entry.fields)}
+    if source == "slp_sf":
+        zia = plant.z_minus_a()
+        for i in ("x", "u"):
+            v = held[(i, "x")] @ zia
+            v = v - TFMatrix.identity(v.rows) if i == "x" else v
+            held[(i, "y")] = v.relabel(spaces[i], spaces["y"])
+    block = _completion(plant, held)
+    if target == "youla":
+        k = block("u", "u").inverse() @ block("u", "y")
+        return controller_to_youla(_factors_of(plant, factors), k)
+    spaces["y"] = spaces[measured]  # an IOP bundle over the state names its output x
+    blocks = [block(i, j).relabel(spaces[i], spaces[j]) for i, j in to.blocks]
+    return to.bundle.checked(*blocks, to.plant_map(plant, measured))
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +775,8 @@ class Parameterization:
 
     A bundle is a choice of blocks of S = (I - R)^{-1} for the loop R that a
     controller closes around the plant; ``bundle.checked`` tests the blocks'
-    memberships (strict for ``strictly_proper``) and the lemma's identities.
+    memberships (strict for ``strictly_proper``) and the lemma's identities,
+    and ``convert`` translates between bundles through those blocks alone.
 
     ``bundle`` is the dataclass whose fields name the document's blocks;
     ``blocks`` gives the (row, col) block of S behind each field, with the
@@ -675,18 +784,12 @@ class Parameterization:
     whose Q is a formula in S and the coprime factors.  ``plant_map`` takes
     the plant and the label of the measured signal to what ``bundle.checked``
     takes after the blocks; it is None when the blocks are checked alone.
-    The maps take ``factors`` as a zero-argument loader of the coprime
-    factors (or None), called only by a map that reads them.
     """
 
     name: str
     bundle: type
     signal: str
     blocks: tuple[tuple[str, str], ...]
-    #: (plant, factors, k) -> bundle
-    from_controller: Callable[..., Any]
-    #: (bundle, plant, factors) -> k
-    to_controller: Callable[..., TFMatrix]
     plant_map: Callable[[PlantSS, str], Any] | None = lambda plant, label: plant
     strictly_proper: tuple[str, ...] = ()
 
@@ -695,82 +798,19 @@ class Parameterization:
         return tuple(f.name for f in fields(self.bundle))
 
 
-def _needed(factors: Callable[[], CoprimeFactors] | None) -> CoprimeFactors:
-    if factors is None:
-        raise SchemaError("this conversion needs the coprime factors (a coprime_factors document)")
-    return factors()
-
-
-# The entries call the conversions by their module-level names, so that a
-# wrapper installed on a module attribute sees every call.
 REGISTRY: dict[str, Parameterization] = {p.name: p for p in (
-    Parameterization(
-        "youla", YoulaParam, "y", (),
-        from_controller=lambda plant, f, k: controller_to_youla(_needed(f), k),
-        to_controller=lambda q, plant, f: youla_to_controller(_needed(f), q),
-        plant_map=None,
-    ),
+    Parameterization("youla", YoulaParam, "y", (), plant_map=None),
     Parameterization(
         "iop", IOPParam, "y", (("y", "y"), ("u", "y"), ("y", "u"), ("u", "u")),
-        from_controller=lambda plant, f, k: iop_from_controller(plant.transfer(), k),
-        to_controller=lambda p, plant, f: iop_to_controller(p),
         # G, or (zI - A)^{-1} B for a bundle whose rows measure the state
         plant_map=lambda plant, label: (
             plant.state_transfer() if label == "x" else plant.transfer()),
     ),
-    Parameterization(
-        "slp_sf", SLPStateFeedback, "x", (("x", "x"), ("u", "x")),
-        from_controller=lambda plant, f, k: slp_sf_from_controller(plant, k),
-        to_controller=lambda p, plant, f: slp_sf_to_controller(p),
-        strictly_proper=("phi_x", "phi_u"),
-    ),
-    Parameterization(
-        "slp_of", SLPOutputFeedback, "y", (("x", "x"), ("u", "x"), ("x", "y"), ("u", "y")),
-        from_controller=lambda plant, f, k: slp_of_from_controller(plant, k),
-        to_controller=lambda p, plant, f: slp_of_to_controller(p, plant.D),
-        strictly_proper=("phi_xx", "phi_ux", "phi_xy"),
-    ),
-    Parameterization(
-        "mixed1", MixedParam1, "y", (("y", "x"), ("u", "x"), ("y", "y"), ("u", "y")),
-        from_controller=lambda plant, f, k: mixed1_from_controller(plant, k),
-        to_controller=lambda p, plant, f: mixed1_to_controller(p),
-    ),
-    Parameterization(
-        "mixed2", MixedParam2, "y", (("x", "y"), ("u", "y"), ("x", "u"), ("u", "u")),
-        from_controller=lambda plant, f, k: mixed2_from_controller(plant, k),
-        to_controller=lambda p, plant, f: mixed2_to_controller(p),
-    ),
+    Parameterization("slp_sf", SLPStateFeedback, "x", (("x", "x"), ("u", "x")),
+                     strictly_proper=("phi_x", "phi_u")),
+    Parameterization("slp_of", SLPOutputFeedback, "y",
+                     (("x", "x"), ("u", "x"), ("x", "y"), ("u", "y")),
+                     strictly_proper=("phi_xx", "phi_ux", "phi_xy")),
+    Parameterization("mixed1", MixedParam1, "y", (("y", "x"), ("u", "x"), ("y", "y"), ("u", "y"))),
+    Parameterization("mixed2", MixedParam2, "y", (("x", "y"), ("u", "y"), ("x", "u"), ("u", "u"))),
 )}
-
-#: (source, target) -> (bundle, plant, factors) -> bundle, for the pairs
-#: that translate without passing through the controller
-DIRECT_MAPS: dict[tuple[str, str], Callable[..., Any]] = {
-    ("youla", "iop"): lambda q, plant, f: youla_to_iop(_needed(f), q),
-    ("slp_sf", "iop"): lambda p, plant, f: slp_sf_to_iop(p, plant),
-    ("slp_of", "iop"): lambda p, plant, f: slp_of_to_iop(p, plant),
-}
-
-
-def _state_equals_output(plant: PlantSS) -> bool:
-    if plant.p != plant.n or not plant.is_strictly_proper:
-        return False
-    return all(
-        plant.C[i, j] == (1 if i == j else 0) for i in range(plant.n) for j in range(plant.n)
-    )
-
-
-def controller_with_output(k: TFMatrix, plant: PlantSS, name: str) -> TFMatrix:
-    """Relabel a controller between x- and y-measured loops.
-
-    Legitimate only when the state is taken as the measurement
-    (C = I, D = 0), which is also the premise under which state- and
-    output-feedback parameterizations can be compared at all.
-    """
-    if k.cols.names[0] == name:
-        return k
-    if not _state_equals_output(plant):
-        raise InvariantViolation(
-            "conversion between state- and output-measured parameterizations "
-            "requires C = I and D = 0"
-        )
-    return k.relabel(SignalSpace.single("u", plant.m), SignalSpace.single(name, plant.p))

@@ -12,6 +12,7 @@ from rstab import (
     PlantSS,
     RatFun,
     SignalSpace,
+    SLPOutputFeedback,
     SLPStateFeedback,
     TFMatrix,
     Transformation,
@@ -504,22 +505,26 @@ LEMMA_PLANTS = {
 }
 
 
+FROM_CONTROLLER = {
+    "slp_sf": slp_sf_from_controller,
+    "slp_of": slp_of_from_controller,
+    "mixed1": mixed1_from_controller,
+    "mixed2": mixed2_from_controller,
+}
+
+
 def _library_bundle(name, plant):
     """The named bundle of the loop K = -1/4 closes around the plant, and what
     its ``checked`` takes after the blocks."""
     k = tf(U1, Y1, [[RatFun(F(-1, 4))]])
-    if name != "iop":
-        if REGISTRY[name].signal == "x":
-            k = k.relabel(U1, X1)
-        return REGISTRY[name].from_controller(plant, None, k), plant
-    if plant.is_strictly_proper:  # the IOP bundle of the loop that measures the state
-        g = plant.state_transfer()
-        return iop_from_controller(g, k.relabel(U1, X1)), g
-    # iop_from_controller refuses a plant with feedthrough; read the loop's S
-    g = plant.transfer()
-    s = stability_from_realization(plant_feedback_loop(g, k)).S
-    return IOPParam.checked(s.block("y", "y"), s.block("u", "y"), s.block("y", "u"),
-                            s.block("u", "u"), g), g
+    if name == "iop":
+        g = plant.transfer()
+        if plant.is_strictly_proper:  # the IOP bundle of the loop that measures the state
+            g, k = plant.state_transfer(), k.relabel(U1, X1)
+        return iop_from_controller(g, k), g
+    if REGISTRY[name].signal == "x":
+        k = k.relabel(U1, X1)
+    return FROM_CONTROLLER[name](plant, k), plant
 
 
 @pytest.mark.parametrize("plant_name", sorted(LEMMA_PLANTS))
@@ -539,3 +544,30 @@ def test_derived_identities_agree_with_the_hand_derived_oracle(name, field, plan
     assert not all(lhs == rhs for lhs, rhs in bundle_identities(bad, against))
     with pytest.raises(InvariantViolation, match=rf"^{cls.__name__}: .* fails in (row|column) "):
         cls.checked(*(getattr(bad, f) for f in fields), against)
+
+
+@pytest.mark.parametrize("name", ["iop", "slp_of", "mixed1", "mixed2"])
+def test_a_bundle_whose_controller_is_improper_is_refused(name):
+    # x+ = x/2 + u, y = x + u closed by the improper K = z - 1/2: every block that
+    # these bundles hold is stable proper and meets the identities, but
+    # S[u,u] = -1/(z - 1/2) has no proper inverse
+    plant = LEMMA_PLANTS["feedthrough"]
+    h = RatFun([F(-1, 2), 1])
+    s = stability_from_realization(output_feedback_loop(plant, tf(U1, Y1, [[h]]))).S
+    assert s.block("u", "u") == tf(U1, U1, [[-1 / h]])
+    assert s.block("x", "x") == tf(X1, X1, [[RatFun([F(-3, 2), 1]) / (h * h)]])
+    entry = REGISTRY[name]
+    blocks = [s.block(r, c) for r, c in entry.blocks]
+    with pytest.raises(InvariantViolation, match=r"S\[u,u\] has no proper inverse"):
+        entry.bundle.checked(*blocks, plant.transfer() if name == "iop" else plant)
+
+
+def test_a_bundle_without_a_controller_is_refused():
+    # on the same plant these blocks meet every identity and are stable proper,
+    # but S[u,u] = Phi_ux B + Phi_uy D + I = 0, so no controller has them
+    plant = LEMMA_PLANTS["feedthrough"]
+    p = RatFun([F(1, 2), 1])
+    with pytest.raises(InvariantViolation, match=r"S\[u,u\] has no proper inverse"):
+        SLPOutputFeedback.checked(tf(X1, X1, [[1 / p]]), tf(U1, X1, [[-1 / p]]),
+                                  tf(X1, Y1, [[-1 / p]]), tf(U1, Y1, [[RatFun([F(1, 2), -1]) / p]]),
+                                  plant)

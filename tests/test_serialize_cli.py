@@ -314,49 +314,155 @@ class TestCLI:
 PARAMETERIZATION_NAMES = ("youla", "iop", "slp_sf", "slp_of", "mixed1", "mixed2")
 
 
+#: name -> (plant, stabilizing gains F and L, whether Q is biproper): the state
+#: measured in full; C != I with p < n; a direct feedthrough; two inputs
+CONVERT_PLANTS = {
+    "state": (PlantSS([[2]], [[1]], [[1]], [[0]]), [[-2]], [[-2]], True),
+    "c_not_i": (PlantSS([[F(1, 2), 1], [0, F(3, 2)]], [[0], [1]], [[1, 1]], [[0]]),
+                [[F(-1, 4), -2]], [[F(-7, 8)], [F(-9, 8)]], False),
+    "feedthrough": (PlantSS([[2]], [[1]], [[1]], [[F(1, 2)]]), [[-2]], [[-2]], False),
+    "two_inputs": (PlantSS([[F(3, 2), F(1, 2)], [0, F(1, 4)]], [[1, 0], [F(1, 2), 1]],
+                           [[1, 0], [0, 1]], [[0, 0], [0, 0]]),
+                   [[F(-3, 2), F(-1, 2)], [F(3, 4), 0]], [[F(-3, 2), F(-1, 2)], [0, F(-1, 4)]],
+                   False),
+}
+
+#: every source document: the six bundles and an IOP bundle over the state
+CONVERT_SOURCES = PARAMETERIZATION_NAMES + ("iop_x",)
+
+STATE_OUTPUT_REFUSAL = "requires C = I and D = 0"
+
+
 @pytest.fixture(scope="module")
-def convert_matrix(tmp_path_factory):
-    """A 1-state plant measured in full (C = I, D = 0), its coprime factors,
-    and every bundle of one stabilizing controller, as library objects and files."""
+def convert_plants(tmp_path_factory):
+    """Per plant: a directory, the paths of its documents, the library's bundle of
+    one stabilizing controller by (parameterization, measured signal), and
+    whether the state is the output (C = I, D = 0).
+
+    The controller measuring y comes from a Youla parameter; the one measuring
+    x is the same controller when the state is the output, and F otherwise."""
     import rstab
 
-    tmp = tmp_path_factory.mktemp("convert_matrix")
-    plant = PlantSS([[2]], [[1]], [[1]], [[0]])
-    factors = coprime_factorize(plant, [[-2]], [[-2]])
-    q = rand_fir_tfmatrix(random.Random(3), plant.u_space, plant.y_space, deg=2)
-    k = rstab.youla_to_controller(factors, rstab.YoulaParam.checked(q))
-    k_x = k.relabel(plant.u_space, plant.x_space)
-    bundles = {
-        "youla": rstab.controller_to_youla(factors, k),
-        "iop": rstab.iop_from_controller(plant.transfer(), k),
-        "slp_sf": slp_sf_from_controller(plant, k_x),
-        "slp_of": rstab.slp_of_from_controller(plant, k),
-        "mixed1": rstab.mixed1_from_controller(plant, k),
-        "mixed2": rstab.mixed2_from_controller(plant, k),
-    }
-    # the state-feedback bundle maps directly to the IOP bundle of the loop
-    # that measures x, whose plant is (zI - A)^{-1} B
-    iop_of_x = rstab.iop_from_controller(plant.state_transfer(), k_x)
-    paths = {
-        "plant": write(tmp, "plant.json", serialize.plant_to_doc(plant)),
-        "factors": write(tmp, "factors.json", serialize.coprime_to_doc(factors)),
-    }
-    for name, bundle in bundles.items():
-        paths[name] = write(tmp, f"{name}.json", serialize.bundle_to_doc(name, bundle))
-    return tmp, paths, bundles, iop_of_x
+    out = {}
+    for name, (plant, f_gain, l_gain, biproper) in CONVERT_PLANTS.items():
+        tmp = tmp_path_factory.mktemp(f"convert_{name}")
+        factors = coprime_factorize(plant, f_gain, l_gain)
+        q = rand_fir_tfmatrix(random.Random(3), plant.u_space, plant.y_space, deg=2,
+                              biproper=biproper)
+        k = rstab.youla_to_controller(factors, rstab.YoulaParam.checked(q))
+        state_is_output = plant.is_strictly_proper and np.array_equal(plant.C, np.eye(plant.n))
+        k_x = (k.relabel(plant.u_space, plant.x_space) if state_is_output
+               else TFMatrix.constant(plant.u_space, plant.x_space, f_gain))
+        library = {
+            ("youla", "y"): rstab.controller_to_youla(factors, k),
+            ("iop", "y"): rstab.iop_from_controller(plant.transfer(), k),
+            ("slp_of", "y"): rstab.slp_of_from_controller(plant, k),
+            ("mixed1", "y"): rstab.mixed1_from_controller(plant, k),
+            ("mixed2", "y"): rstab.mixed2_from_controller(plant, k),
+            ("slp_sf", "x"): slp_sf_from_controller(plant, k_x),
+            # the IOP bundle of the loop that measures x, whose plant is (zI - A)^{-1} B
+            ("iop", "x"): rstab.iop_from_controller(plant.state_transfer(), k_x),
+        }
+        assert library[("youla", "y")].Q == q
+        paths = {
+            "plant": write(tmp, "plant.json", serialize.plant_to_doc(plant)),
+            "factors": write(tmp, "factors.json", serialize.coprime_to_doc(factors)),
+        }
+        for source in CONVERT_SOURCES:
+            kind = "iop" if source == "iop_x" else source
+            bundle = library[(kind, _measured(source))]
+            paths[source] = write(tmp, f"{source}.json", serialize.bundle_to_doc(kind, bundle))
+        out[name] = tmp, paths, library, state_is_output
+    return out
+
+
+def _measured(source: str) -> str:
+    return "x" if source in ("slp_sf", "iop_x") else "y"
 
 
 @pytest.mark.parametrize("target", PARAMETERIZATION_NAMES)
-@pytest.mark.parametrize("source", PARAMETERIZATION_NAMES)
-def test_convert_every_pair_matches_the_library(convert_matrix, source, target):
-    tmp, paths, bundles, iop_of_x = convert_matrix
+@pytest.mark.parametrize("source", CONVERT_SOURCES)
+@pytest.mark.parametrize("plant_name", CONVERT_PLANTS)
+def test_convert_every_pair_matches_the_library(convert_plants, plant_name, source, target):
+    from rstab.parameterizations import REGISTRY
+
+    tmp, paths, library, state_is_output = convert_plants[plant_name]
     out = tmp / f"{source}_to_{target}.json"
     inputs = {"bundle": paths[source], "plant": paths["plant"], "factors": paths["factors"]}
     code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
+    signal = _measured(source)
+    measured = signal if target == "iop" else REGISTRY[target].signal
+    if signal != measured and not state_is_output:
+        assert code == 1 and STATE_OUTPUT_REFUSAL in report["details"]["error"], report
+        assert not out.exists()
+        return
     assert code == 0, report
-    assert report["details"]["source"] == source and report["details"]["target"] == target
-    expected = iop_of_x if (source, target) == ("slp_sf", "iop") else bundles[target]
+    kind = "iop" if source == "iop_x" else source
+    assert report["details"]["source"] == kind and report["details"]["target"] == target
+    expected = library[(target, measured)]
     assert json.loads(out.read_text()) == serialize.bundle_to_doc(target, expected)
+
+
+@pytest.mark.parametrize("target", PARAMETERIZATION_NAMES)
+def test_convert_refuses_a_bundle_whose_controller_is_improper(tmp_path, target):
+    import rstab
+
+    # x+ = x/2 + u, y = x + u: these blocks meet every identity and are stable
+    # proper, but S[u,u] = Phi_ux B + Phi_uy D + I = -1/(z - 1/2) has no proper
+    # inverse, so the controller z - 1/2 is improper
+    plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[1]])
+    h = RatFun([F(-1, 2), 1])
+
+    def block(r, c, value):
+        return TFMatrix(SignalSpace.single(r, 1), SignalSpace.single(c, 1), [[value]])
+
+    bundle = rstab.SLPOutputFeedback(block("x", "x", RatFun([F(-3, 2), 1]) / (h * h)),
+                                     block("u", "x", -1 / h), block("x", "y", -1 / h),
+                                     block("u", "y", RatFun(-1)))
+    inputs = {
+        "bundle": write(tmp_path, "of.json", serialize.bundle_to_doc("slp_of", bundle)),
+        "plant": write(tmp_path, "plant.json", serialize.plant_to_doc(plant)),
+        "factors": write(tmp_path, "factors.json", serialize.coprime_to_doc(
+            coprime_factorize(plant, [[F(-1, 2)]], [[F(-1, 2)]]))),
+    }
+    out = tmp_path / "out.json"
+    code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
+    assert code == 1, report
+    assert "S[u,u] has no proper inverse" in report["details"]["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, target", [
+    pair for name in PARAMETERIZATION_NAMES if name != "youla"
+    for pair in (("youla", name), (name, "youla"))
+])
+def test_convert_refuses_coprime_factors_of_another_plant(tmp_path, source, target):
+    import rstab
+
+    # the plant x+ = x/2 + u, y = x with the factors of x+ = 2 x + u
+    plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[0]])
+    k = TFMatrix.constant(plant.u_space, plant.y_space, [[F(-1, 4)]])
+    if source == "youla":
+        bundle = rstab.YoulaParam.checked(rand_fir_tfmatrix(
+            random.Random(1), plant.u_space, plant.y_space, deg=1, biproper=False))
+    elif source == "iop":
+        bundle = rstab.iop_from_controller(plant.transfer(), k)
+    else:
+        if source == "slp_sf":
+            k = k.relabel(plant.u_space, plant.x_space)
+        bundle = getattr(rstab, f"{source}_from_controller")(plant, k)
+    other = PlantSS([[2]], [[1]], [[1]], [[0]])
+    inputs = {
+        "bundle": write(tmp_path, "b.json", serialize.bundle_to_doc(source, bundle)),
+        "plant": write(tmp_path, "plant.json", serialize.plant_to_doc(plant)),
+        "factors": write(tmp_path, "factors.json", serialize.coprime_to_doc(
+            coprime_factorize(other, [[-2]], [[-2]]))),
+    }
+    out = tmp_path / "out.json"
+    code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
+    assert code == 1, report
+    assert "the coprime factors are not of this plant" in report["details"]["error"]
+    assert not out.exists()
 
 
 def test_bundle_fields_follow_the_registry():
@@ -498,8 +604,8 @@ class TestCLIInputs:
 
 
 @pytest.mark.parametrize("target, exit_code", [("slp_of", 0), ("youla", 1)])
-def test_convert_validates_the_factors_only_when_it_reads_them(convert_matrix, target, exit_code):
-    tmp, paths, bundles, _ = convert_matrix
+def test_convert_validates_the_factors_only_when_it_reads_them(convert_plants, target, exit_code):
+    tmp, paths, library, _ = convert_plants["state"]
     doc = serialize.load_document(paths["factors"])
     doc["blocks"]["Vl"] = doc["blocks"]["Ul"]  # the double Bezout identity fails
     inputs = {"bundle": paths["mixed1"], "plant": paths["plant"],
@@ -508,7 +614,7 @@ def test_convert_validates_the_factors_only_when_it_reads_them(convert_matrix, t
     code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
     assert code == exit_code, report
     if exit_code == 0:
-        assert json.loads(out.read_text()) == serialize.bundle_to_doc(target, bundles[target])
+        assert json.loads(out.read_text()) == serialize.bundle_to_doc(target, library[(target, "y")])
     else:
         assert "Bezout" in report["details"]["error"]
 
@@ -551,8 +657,8 @@ WRITES = ("convert", "synthesize", "simulate", "factorize")
 @pytest.mark.parametrize("command, broken, corrupt, options, named", MALFORMED_JOBS.values(),
                          ids=MALFORMED_JOBS.keys())
 def test_malformed_document_or_option_is_a_parse_error(
-        convert_matrix, tmp_path, command, broken, corrupt, options, named):
-    _, paths, _, _ = convert_matrix
+        convert_plants, tmp_path, command, broken, corrupt, options, named):
+    _, paths, _, _ = convert_plants["state"]
     paths = {
         **paths,
         "bundle": paths["mixed1"],
