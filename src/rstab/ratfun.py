@@ -306,9 +306,6 @@ def _split(ints: list[int], scale: int) -> tuple[Fraction, tuple[int, ...]]:
     return Fraction(g, scale), tuple(ints)
 
 
-_GCD_PRIME = (1 << 31) - 1
-
-
 def _int_lift_pair(coeffs) -> tuple[list[int], int]:
     """Common-denominator integer lift: returns (scaled coefficients, scale)."""
     scale = 1
@@ -318,29 +315,48 @@ def _int_lift_pair(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
 
-def _gcd_degree_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> int:
-    """Degree of gcd(a mod p, b mod p); -1 when it collapses to zero."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        r = list(a)
-        while len(r) - 1 >= db:
-            c = r[-1] * inv % p
-            if c:
-                off = len(r) - 1 - db
-                for j in range(db + 1):
-                    r[off + j] = (r[off + j] - c * b[j]) % p
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    return len(a) - 1
+def _height(a: Sequence[int]) -> int:
+    """Largest |coefficient|."""
+    return max(max(a), -min(a))
+
+
+def _at(a: Sequence[int], s: int) -> int:
+    """a(2^s), by Horner's rule with shifts."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << s) + c
+    return acc
+
+
+def _digits(v: int, s: int) -> list[int]:
+    """The symmetric base-2^s digits of v, lowest first, each in
+    (-2^(s-1), 2^(s-1)]."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    out = []
+    while v:
+        d = v & mask
+        if d > half:
+            d -= 1 << s
+        out.append(d)
+        v = (v - d) >> s
+    return out
+
+
+def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """a / b when b divides a over the integers, else None."""
+    db, lb = len(b) - 1, b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + db]
+        if c:
+            q, r = divmod(c, lb)
+            if r:
+                return None
+            quo[k] = q
+            for j in range(db):
+                rem[k + j] -= q * b[j]
+    return quo if not any(rem[:db]) else None
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -371,11 +387,25 @@ def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, with gcd(a, 0) = monic(a).
 
-    A modular pre-check handles the common coprime case cheaply: when the
-    gcd modulo a fixed prime is constant and the prime does not divide both
-    leading coefficients of the primitive parts, the true gcd is constant
-    too.  Otherwise the gcd is computed exactly by the primitive polynomial
-    remainder sequence over the integers.
+    Decided from G = gcd(a(k), b(k)) of the primitive parts at one point
+    k = 2^s (the heuristic gcd of Char, Geddes and Gonnet, 1989), with an
+    exact certificate for each answer it gives:
+
+    - Coprime.  Let h be the smaller height (largest |coefficient|) of the
+      two primitive parts.  Every common root has modulus at most 1 + h
+      (Cauchy), so a nonconstant common factor g has
+      |g(k)| >= k - 1 - h >= 1, and g(k) divides G.  So G < k - 1 - h
+      proves the gcd constant.  s = bitlen(h + 1) + 32 leaves 32 bits of
+      room below the bound for the G of a coprime pair, which is almost
+      always small.
+    - Nontrivial.  g is the primitive part of the polynomial whose
+      symmetric base-k digits are G, and c its content, so the cofactors'
+      values at k have gcd G / g(k) = c.  g is the gcd when it divides both
+      exactly and its cofactors are constant or, by the bound above at the
+      same k, coprime: then gcd(a, b) = g gcd(a/g, b/g) = g.
+
+    Any other pair takes the primitive polynomial remainder sequence over
+    the integers.
     """
     if b.is_zero:
         return a.monic()
@@ -384,10 +414,22 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.degree == 0 or b.degree == 0:
         return _ONE
     ia, ib = a._p, b._p
-    p = _GCD_PRIME
-    if ia[-1] % p or ib[-1] % p:
-        if _gcd_degree_mod_p(ia, ib, p) == 0:
-            return _ONE
+    h = min(_height(ia), _height(ib))
+    s = (h + 1).bit_length() + 32
+    k = 1 << s
+    G = math.gcd(_at(ia, s), _at(ib, s))
+    if G < k - h - 1:
+        return _ONE
+    g = _digits(G, s)
+    if 1 < len(g) <= min(len(ia), len(ib)):
+        # G > 0, so the top digit is positive
+        c = math.gcd(*g)
+        g = tuple(v // c for v in g)
+        qa, qb = _exact_quo(ia, g), _exact_quo(ib, g)
+        if qa is not None and qb is not None and (
+            len(qa) == 1 or len(qb) == 1 or c < k - min(_height(qa), _height(qb)) - 1
+        ):
+            return _poly(Fraction(1, g[-1]), g)
     if len(ia) < len(ib):
         ia, ib = ib, ia
     while ib:
@@ -430,6 +472,16 @@ def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return _poly(num._c / (dc * lead), num._p), _poly(Fraction(1, lead), den._p)
 
 
+def _cancelled(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den (both nonzero) divided by their gcd, which is computed
+    only when both are nonconstant."""
+    if num.degree > 0 and den.degree > 0:
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            return num // g, den // g
+    return num, den
+
+
 STRICTLY_PROPER = "strictly_proper"
 BIPROPER = "biproper"
 IMPROPER = "improper"
@@ -455,11 +507,7 @@ class RatFun:
         if n.is_zero:
             d = _ONE
         else:
-            g = poly_gcd(n, d)
-            if g.degree > 0:
-                n = n // g
-                d = d // g
-            n, d = _monic_den(n, d)
+            n, d = _monic_den(*_cancelled(n, d))
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -580,12 +628,8 @@ class RatFun:
             return RatFun.zero()
         # cross-cancel first; both operands are normalized, so the result of
         # multiplying the reduced parts is already in lowest terms
-        g1 = poly_gcd(self.num, o.den)
-        g2 = poly_gcd(o.num, self.den)
-        n1 = self.num // g1 if g1.degree > 0 else self.num
-        d2 = o.den // g1 if g1.degree > 0 else o.den
-        n2 = o.num // g2 if g2.degree > 0 else o.num
-        d1 = self.den // g2 if g2.degree > 0 else self.den
+        n1, d2 = _cancelled(self.num, o.den)
+        n2, d1 = _cancelled(o.num, self.den)
         return RatFun._normalized(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__

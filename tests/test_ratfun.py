@@ -30,7 +30,7 @@ proper_ratfuns = ratfuns.filter(lambda r: r.is_proper)
 divisors = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
                     min_size=1, max_size=4).map(Poly).filter(bool)
 
-#: the modulus of the coprimality pre-check in poly_gcd, 2^31 - 1
+#: a large prime, 2^31 - 1, used as a leading coefficient of planted factors
 P = (1 << 31) - 1
 
 
@@ -111,10 +111,33 @@ def planted(u: Poly, lead) -> Poly:
     return Poly(list(u.coeffs) + [lead])
 
 
+#: a pair whose gcd has degree 1 but whose integer gcd at the evaluation point
+#: carries digits beyond 2^(s-1), so poly_gcd falls back to the remainder
+#: sequence (the primitive parts of a gcd input met by the convert_matrix
+#: benchmark workload, seed 1)
+FALLBACK_A = [
+    -9952916674686742789738052823927641913208017518592,
+    109885718070449735151072923085565280124734189600768,
+    -257696951007319931445676672014469331862784244187136,
+    74576798888521278831909067728167016788808506352297,
+    173514529822287241880857422658870646644421456560128,
+]
+FALLBACK_B = [
+    0,
+    0,
+    0,
+    46451168722058970042703575870841,
+    -736663816960858052547001171574784,
+    2920666982925840541048404185186304,
+]
+
+
 class TestPolyGcdOracle:
-    """poly_gcd against SymPy on planted-factor pairs.  A leading coefficient
-    that is a multiple of P makes the integer lifts' leading coefficients
-    multiples of P; when both are, the modular pre-check is skipped."""
+    """poly_gcd against SymPy on planted-factor pairs, and the path each kind
+    of pair takes: the coprime certificate at one point, reconstruction of
+    the gcd from that point's integer gcd, or the primitive remainder
+    sequence.  Leads that are multiples of P give the gcd and its cofactors
+    large leading coefficients, which reconstruction has to recover exactly."""
 
     @settings(max_examples=60)
     @given(polys, polys, polys, st.sampled_from([1, P, -2 * P]), st.sampled_from([1, P]))
@@ -123,24 +146,55 @@ class TestPolyGcdOracle:
         a, b = planted(u, u_lead) * g, planted(v, 1) * g
         assert poly_gcd(a, b) == sympy_monic_gcd(sympy, a, b)
 
-    @pytest.mark.parametrize("g_lead, u_lead, prechecked", [
-        (1, 1, True),  # neither lead is a multiple of P
-        (1, P, True),  # one is
-        (P, 1, False),  # both are: z + 1 and z + 2 stay coprime mod P, but P z + 1 is common
-    ])
-    def test_precheck_guard(self, sympy, monkeypatch, g_lead, u_lead, prechecked):
-        calls = []
+    @pytest.mark.parametrize("a, b, path", [
+        (Poly([1, 0, 1]) * Poly([1, P]), Poly([2, 1]) * Poly([-3, 0, 1]), "certificate"),
+        (Poly([1, 1]) * Poly([1, P]), Poly([2, 1]) * Poly([1, P]), "reconstruction"),
+        (Poly(FALLBACK_A), Poly(FALLBACK_B), "prs"),
+    ], ids=["coprime", "planted", "spilled_digits"])
+    def test_each_path(self, sympy, monkeypatch, a, b, path):
+        ran = []
+        for name in ("_digits", "_pseudo_rem"):
+            def spy(*args, _f=getattr(ratfun, name), _name=name):
+                ran.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(ratfun, name, spy)
+        g = poly_gcd(a, b)
+        assert g == sympy_monic_gcd(sympy, a, b)
+        assert (g.degree > 0) == (path != "certificate")
+        if path == "certificate":
+            assert ran == []
+        elif path == "reconstruction":
+            assert ran == ["_digits"]
+        else:
+            assert "_pseudo_rem" in ran
 
-        def spy(a, b, p):
-            calls.append(p)
-            return precheck(a, b, p)
 
-        precheck = ratfun._gcd_degree_mod_p
-        monkeypatch.setattr(ratfun, "_gcd_degree_mod_p", spy)
-        g = Poly([1, g_lead])
-        a, b = Poly([1, u_lead]) * g, Poly([2, 1]) * g
-        assert poly_gcd(a, b) == sympy_monic_gcd(sympy, a, b) == g.monic()
-        assert calls == ([P] if prechecked else [])
+#: nonzero factors of degree up to 3 with numerators up to 10^12
+wide_factors = st.lists(st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**3),
+                        min_size=1, max_size=4).map(Poly).filter(bool)
+
+
+class TestPolyGcdSoundness:
+    """The certificate never calls a pair with a nonconstant gcd coprime.
+    Oracle: Euclid's algorithm over Fraction."""
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 2**31 - 1, 2**64, 3**80, 2**200 - 1, 2**200])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_root_at_the_cauchy_bound(self, c, sign):
+        # with the root at +c, a(k) = k - c and b(k) = (k - c)(k + 1), so
+        # G = k - c: the root sits at the height of both, one short of the
+        # Cauchy bound, and G misses k by c
+        a = Poly([-sign * c, 1])
+        b = a * Poly([1, 1])
+        assert poly_gcd(a, b).coeffs == reference_gcd(a.coeffs, b.coeffs) == a.coeffs
+        assert poly_gcd(b, a * Poly([2, 1])) == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_factors, wide_factors, wide_factors)
+    def test_wide_planted_factors(self, u, v, g):
+        a, b = u * g, v * g
+        assert a.degree <= 6 and b.degree <= 6
+        assert poly_gcd(a, b).coeffs == reference_gcd(a.coeffs, b.coeffs)
 
 
 #: small, zero and wide coefficients: large numerators and denominators of
