@@ -8,6 +8,11 @@ view computed on demand.  A rational function is a cancelled quotient
 ``num/den`` whose denominator is monic and nonzero.  Both forms are unique,
 so ``==`` is a structural comparison.
 
+One fraction-free division of integer polynomials, ``_pdivmod``, serves
+``divmod``, the gcd's check of a reconstructed factor and its remainder
+sequence.  One gcd, ``_gcd``, returns the gcd of two primitive parts with
+both cofactors, and ``RatFun`` cancels a pair with those cofactors.
+
 Properness is a degree comparison (strictly proper, biproper, improper),
 poles are the roots of the cancelled denominator, and ``series`` expands a
 proper function into its Markov parameters h_0, h_1, ... with
@@ -217,41 +222,14 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        """(q, r) with self = q*other + r and deg r < deg other."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        dd = o.degree
-        if self.degree < dd:
-            return _ZERO, self
+        quo, rem, scale = _pdivmod(self._p, o._p)
         ca = self._c
-        if dd == 0:
-            return _poly(ca / o._c, self._p), _ZERO
-        # fraction-free long division of the primitive parts; a step scales
-        # by lb only when inexact, which never happens when o divides self
-        rem = list(self._p)
-        ib = o._p
-        lb = ib[-1]
-        body = ib[:dd]
-        quo = [0] * (len(rem) - dd)
-        scale = 1
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + dd]
-            if c:
-                q, r = divmod(c, lb)
-                if r:
-                    rem = [lb * v for v in rem[: k + dd]]
-                    quo = [lb * v for v in quo]
-                    scale *= lb
-                    q = c
-                quo[k] = q
-                for j, bj in enumerate(body):
-                    if bj:
-                        rem[k + j] -= q * bj
-        rem = rem[:dd]
-        while rem and rem[-1] == 0:
-            rem.pop()
         if scale == 1 and not rem:
             # an exact quotient of primitive parts is primitive (Gauss)
             return _poly(ca / o._c, tuple(quo)), _ZERO
@@ -342,21 +320,34 @@ def _digits(v: int, s: int) -> list[int]:
     return out
 
 
-def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
-    """a / b when b divides a over the integers, else None."""
+def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Fraction-free long division of integer polynomials (b nonzero): returns
+    (quo, rem, scale) with scale * a = quo * b + rem, deg rem < deg b and no
+    trailing zeros in rem.  A step scales rem and quo by lc(b) only when
+    lc(b) does not divide the coefficient it eliminates, so scale == 1 and
+    rem == [] exactly when b divides a over the integers."""
     db, lb = len(b) - 1, b[-1]
+    body = b[:db]
     rem = list(a)
-    quo = [0] * (len(a) - db)
+    quo = [0] * max(len(a) - db, 0)
+    scale = 1
     for k in range(len(quo) - 1, -1, -1):
         c = rem[k + db]
         if c:
             q, r = divmod(c, lb)
             if r:
-                return None
+                rem = [lb * v for v in rem[: k + db]]
+                quo = [lb * v for v in quo]
+                scale *= lb
+                q = c
             quo[k] = q
-            for j in range(db):
-                rem[k + j] -= q * b[j]
-    return quo if not any(rem[:db]) else None
+            for j, bj in enumerate(body):
+                if bj:
+                    rem[k + j] -= q * bj
+    rem = rem[:db]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem, scale
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -368,20 +359,32 @@ def _primitive(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
-def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Remainder of a by b up to an integer unit (repeated lc(b) scaling)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and any(r):
-        c = r[-1]
-        r = [lb * v for v in r]
-        off = len(r) - 1 - db
-        for j in range(db + 1):
-            r[off + j] -= c * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _gcd(ia: Sequence[int], ib: Sequence[int]) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+    """(g, ia/g, ib/g) for primitive parts of degree >= 1, with g their
+    primitive gcd (positive lead); see ``poly_gcd``."""
+    h = min(_height(ia), _height(ib))
+    s = (h + 1).bit_length() + 32
+    k = 1 << s
+    G = math.gcd(_at(ia, s), _at(ib, s))
+    if G < k - h - 1:
+        return (1,), ia, ib
+    g = _digits(G, s)
+    if 1 < len(g) <= min(len(ia), len(ib)):
+        # G > 0, so the top digit is positive
+        c = math.gcd(*g)
+        g = [v // c for v in g]
+        qa, ra, sa = _pdivmod(ia, g)
+        qb, rb, sb = _pdivmod(ib, g)
+        if sa == sb == 1 and not ra and not rb and (
+            len(qa) == 1 or len(qb) == 1 or c < k - min(_height(qa), _height(qb)) - 1
+        ):
+            return g, qa, qb
+    u, v = (ia, ib) if len(ia) >= len(ib) else (ib, ia)
+    while v:
+        u, v = v, _primitive(_pdivmod(u, v)[1])
+    if u[-1] < 0:
+        u = [-x for x in u]
+    return u, _pdivmod(ia, u)[0], _pdivmod(ib, u)[0]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -405,7 +408,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
       same k, coprime: then gcd(a, b) = g gcd(a/g, b/g) = g.
 
     Any other pair takes the primitive polynomial remainder sequence over
-    the integers.
+    the integers.  ``_gcd`` takes all three paths and returns the cofactors
+    a/g and b/g with g, so ``RatFun`` cancels a pair without dividing
+    again; ``_pdivmod``, the division behind ``divmod``, checks a
+    reconstructed g and computes each remainder of the sequence.
     """
     if b.is_zero:
         return a.monic()
@@ -413,30 +419,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if a.degree == 0 or b.degree == 0:
         return _ONE
-    ia, ib = a._p, b._p
-    h = min(_height(ia), _height(ib))
-    s = (h + 1).bit_length() + 32
-    k = 1 << s
-    G = math.gcd(_at(ia, s), _at(ib, s))
-    if G < k - h - 1:
-        return _ONE
-    g = _digits(G, s)
-    if 1 < len(g) <= min(len(ia), len(ib)):
-        # G > 0, so the top digit is positive
-        c = math.gcd(*g)
-        g = tuple(v // c for v in g)
-        qa, qb = _exact_quo(ia, g), _exact_quo(ib, g)
-        if qa is not None and qb is not None and (
-            len(qa) == 1 or len(qb) == 1 or c < k - min(_height(qa), _height(qb)) - 1
-        ):
-            return _poly(Fraction(1, g[-1]), g)
-    if len(ia) < len(ib):
-        ia, ib = ib, ia
-    while ib:
-        ia, ib = ib, _primitive(_pseudo_rem(ia, ib))
-    if ia[-1] < 0:
-        ia = [-v for v in ia]
-    return _poly(Fraction(1, ia[-1]), tuple(ia))
+    g = _gcd(a._p, b._p)[0]
+    return _poly(Fraction(1, g[-1]), tuple(g))
 
 
 def _poly_str(p: Poly) -> str:
@@ -473,12 +457,12 @@ def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 def _cancelled(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num and den (both nonzero) divided by their gcd, which is computed
-    only when both are nonconstant."""
+    """num and den (both nonzero) with the primitive gcd of their primitive
+    parts divided out, which is computed only when both are nonconstant."""
     if num.degree > 0 and den.degree > 0:
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            return num // g, den // g
+        g, qn, qd = _gcd(num._p, den._p)
+        if len(g) > 1:
+            return _poly(num._c, tuple(qn)), _poly(den._c, tuple(qd))
     return num, den
 
 

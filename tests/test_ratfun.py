@@ -1,6 +1,7 @@
 import math
 import operator
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ FALLBACK_B = [
 ]
 
 
+#: one pair for each path of the gcd: the coprime certificate, reconstruction
+#: from the integer gcd at one point, and the remainder sequence
+PATH_PAIRS = [
+    (Poly([1, 0, 1]) * Poly([1, P]), Poly([2, 1]) * Poly([-3, 0, 1]), "certificate"),
+    (Poly([1, 1]) * Poly([1, P]), Poly([2, 1]) * Poly([1, P]), "reconstruction"),
+    (Poly(FALLBACK_A), Poly(FALLBACK_B), "prs"),
+]
+PATH_IDS = ["coprime", "planted", "spilled_digits"]
+
+
 class TestPolyGcdOracle:
     """poly_gcd against SymPy on planted-factor pairs, and the path each kind
     of pair takes: the coprime certificate at one point, reconstruction of
@@ -146,14 +157,10 @@ class TestPolyGcdOracle:
         a, b = planted(u, u_lead) * g, planted(v, 1) * g
         assert poly_gcd(a, b) == sympy_monic_gcd(sympy, a, b)
 
-    @pytest.mark.parametrize("a, b, path", [
-        (Poly([1, 0, 1]) * Poly([1, P]), Poly([2, 1]) * Poly([-3, 0, 1]), "certificate"),
-        (Poly([1, 1]) * Poly([1, P]), Poly([2, 1]) * Poly([1, P]), "reconstruction"),
-        (Poly(FALLBACK_A), Poly(FALLBACK_B), "prs"),
-    ], ids=["coprime", "planted", "spilled_digits"])
+    @pytest.mark.parametrize("a, b, path", PATH_PAIRS, ids=PATH_IDS)
     def test_each_path(self, sympy, monkeypatch, a, b, path):
         ran = []
-        for name in ("_digits", "_pseudo_rem"):
+        for name in ("_digits", "_primitive"):
             def spy(*args, _f=getattr(ratfun, name), _name=name):
                 ran.append(_name)
                 return _f(*args)
@@ -166,7 +173,50 @@ class TestPolyGcdOracle:
         elif path == "reconstruction":
             assert ran == ["_digits"]
         else:
-            assert "_pseudo_rem" in ran
+            assert "_primitive" in ran
+
+
+#: leading coefficients of planted factors: negative, non-unit and large
+leads = st.sampled_from([1, -1, 3, -6, P, -2 * P])
+
+
+class TestCofactors:
+    """The gcd returns its cofactors, and RatFun cancels with them instead of
+    dividing again.  Oracle: Euclid's algorithm over Fraction."""
+
+    @pytest.mark.parametrize("a, b, path", PATH_PAIRS, ids=PATH_IDS)
+    def test_gcd_times_cofactor_is_the_input(self, a, b, path):
+        ia, ib = a._p, b._p
+        g, qa, qb = ratfun._gcd(ia, ib)
+        assert (len(g) > 1) == (path != "certificate")
+        assert trimmed(conv_truncated(g, qa)) == ia
+        assert trimmed(conv_truncated(g, qb)) == ib
+
+    @pytest.mark.parametrize("a, b, path", PATH_PAIRS, ids=PATH_IDS)
+    def test_cancelled_pairs_match_the_reference(self, a, b, path):
+        num, den = reference_ratfun(a.coeffs, b.coeffs)
+        check_ratfun(RatFun(a, b), num, den)
+        # __mul__ cross-cancels a against b's monic form
+        check_ratfun(RatFun(a) * RatFun(1, b), num, den)
+        check_ratfun(RatFun(1, b) * RatFun(a), num, den)
+        num, den = reference_ratfun(b.coeffs, a.coeffs)
+        check_ratfun(RatFun(b, a), num, den)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, polys, polys, leads, leads, leads)
+    def test_remainder_sequence_on_planted_factors(self, u, v, g, g_lead, u_lead, v_lead):
+        a = planted(u, u_lead) * planted(g, g_lead)
+        b = planted(v, v_lead) * planted(g, g_lead)
+        # with no digits there is no candidate to reconstruct, so every pair
+        # that the certificate does not settle runs the remainder sequence
+        with mock.patch.object(ratfun, "_digits", lambda v, s: []):
+            gcd = poly_gcd(a, b)
+            cancelled = RatFun(a, b)
+            g, qa, qb = ratfun._gcd(a._p, b._p)
+        assert gcd.coeffs == reference_gcd(a.coeffs, b.coeffs)
+        assert (cancelled.num.coeffs, cancelled.den.coeffs) == reference_ratfun(a.coeffs, b.coeffs)
+        assert trimmed(conv_truncated(g, qa)) == a._p
+        assert trimmed(conv_truncated(g, qb)) == b._p
 
 
 #: nonzero factors of degree up to 3 with numerators up to 10^12

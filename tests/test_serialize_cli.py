@@ -536,7 +536,7 @@ class TestCLIInputs:
         def broken(r, s):
             raise KeyError("internal")
 
-        monkeypatch.setattr(rstab.cli, "verify_lemma", broken)
+        monkeypatch.setattr(rstab.cli, "check_conditions", broken)
         r = Realization(SP, TFMatrix.zeros(SP, SP))
         path = write(tmp_path, "r.json", serialize.realization_to_doc(r))
         with pytest.raises(KeyError, match="internal"):
