@@ -219,9 +219,10 @@ def stabilized_loop(r: Realization, context: str) -> StabilityMatrix:
 def _members(bundle, strictly_proper: tuple[str, ...] = ()):
     """Return ``bundle`` once every block is stable proper, and strictly
     proper as well for the fields named in ``strictly_proper``."""
+    verdicts: dict = {}
     for f in fields(bundle):
         strict = f.name in strictly_proper
-        c = getattr(bundle, f.name).classify()
+        c = getattr(bundle, f.name).classify(verdicts)
         if not (c.in_zinv_rh_inf if strict else c.in_rh_inf):
             kind = "strictly proper and stable" if strict else "stable proper"
             raise InvariantViolation(f"{type(bundle).__name__} block {f.name} must be {kind}")
@@ -317,7 +318,7 @@ def _checked(bundle, plant):
     if entry.signal == "y" and _has_feedthrough(plant):
         s_uu = held[("u", "u")] if ("u", "u") in held else _completion(plant, held)("u", "u")
         try:
-            proper = s_uu.inverse().classify().all_proper
+            proper = s_uu.inverse().is_proper
         except SingularMatrixError:
             proper = False
         if not proper:
@@ -350,9 +351,19 @@ class CoprimeFactors:
     Vr: TFMatrix
     Mr: TFMatrix
 
+    @functools.cached_property
+    def Ml_inv(self) -> TFMatrix:
+        """Ml^{-1}, computed once per object."""
+        return self.Ml.inverse()
+
+    @functools.cached_property
+    def Mr_inv(self) -> TFMatrix:
+        """Mr^{-1}, computed once per object."""
+        return self.Mr.inverse()
+
     def g(self) -> TFMatrix:
         """The plant transfer matrix Ml^{-1} Nl."""
-        return self.Ml.inverse() @ self.Nl
+        return self.Ml_inv @ self.Nl
 
     def bezout_product(self) -> TFMatrix:
         """Left factor times right factor; identity iff the Bezout identity holds."""
@@ -387,8 +398,8 @@ class CoprimeFactors:
         # Ml, Mr must be invertible with proper inverses so that G = Ml^{-1} Nl
         # is well defined; their inverses carry the plant's poles, so they are
         # stable only when the plant itself is.
-        for name, m in (("Ml", self.Ml), ("Mr", self.Mr)):
-            if not m.inverse().classify().all_proper:
+        for name in ("Ml", "Mr"):
+            if not getattr(self, name + "_inv").is_proper:
                 raise InvariantViolation(f"{name} is not invertible with a proper inverse")
 
 
@@ -571,7 +582,7 @@ def controller_to_youla(f: CoprimeFactors, k: TFMatrix) -> YoulaParam:
     s = stabilized_loop(loop, "controller_to_youla")
     out_name = g.rows.names[0]
     s_ux = s.S.block(g.cols.names[0], out_name)
-    q = f.Mr.inverse() @ (f.Vr - s_ux @ f.Ml.inverse())
+    q = f.Mr_inv @ (f.Vr - s_ux @ f.Ml_inv)
     return YoulaParam.checked(q)
 
 

@@ -362,6 +362,17 @@ def _primitive(a: list[int]) -> list[int]:
 def _gcd(ia: Sequence[int], ib: Sequence[int]) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
     """(g, ia/g, ib/g) for primitive parts of degree >= 1, with g their
     primitive gcd (positive lead); see ``poly_gcd``."""
+    if not (ia[0] and ib[0]):
+        # gcd(z^ta a', z^tb b') = z^min(ta, tb) gcd(a', b'), where a', b' have
+        # nonzero constant terms; a power of z would otherwise read as a
+        # spurious factor at k whenever the other constant term is divisible
+        # by a large power of two, as dyadic inputs make it
+        ta = next(i for i, c in enumerate(ia) if c)
+        tb = next(i for i, c in enumerate(ib) if c)
+        sa, sb = ia[ta:], ib[tb:]
+        g, qa, qb = _gcd(sa, sb) if len(sa) > 1 and len(sb) > 1 else ((1,), sa, sb)
+        t = min(ta, tb)
+        return [0] * t + list(g), [0] * (ta - t) + list(qa), [0] * (tb - t) + list(qb)
     h = min(_height(ia), _height(ib))
     s = (h + 1).bit_length() + 32
     k = 1 << s
@@ -407,7 +418,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
       exactly and its cofactors are constant or, by the bound above at the
       same k, coprime: then gcd(a, b) = g gcd(a/g, b/g) = g.
 
-    Any other pair takes the primitive polynomial remainder sequence over
+    When either constant term is zero, the common power of z is split off
+    first and the rest decided on parts with nonzero constant terms.  Any
+    other pair takes the primitive polynomial remainder sequence over
     the integers.  ``_gcd`` takes all three paths and returns the cofactors
     a/g and b/g with g, so ``RatFun`` cancels a pair without dividing
     again; ``_pdivmod``, the division behind ``divmod``, checks a
@@ -680,7 +693,12 @@ class RatFun:
         return list(np.roots(desc))
 
     def is_stable(self) -> bool:
-        """Membership in RH-infinity: proper with all poles inside |z| < 1 - DEFAULT_TOL."""
+        """Membership in RH-infinity: proper with all poles inside |z| < 1 - DEFAULT_TOL.
+
+        For a proper function the verdict depends only on the denominator,
+        which is monic and cancelled, so functions that share it share the
+        verdict (``TFMatrix.classify`` tests each distinct one once).
+        """
         if not self.is_proper:
             return False
         return all(abs(p) < 1.0 - DEFAULT_TOL for p in self.poles())

@@ -141,7 +141,8 @@ def check_conditions(r: Realization, s: StabilityMatrix) -> ConditionReport:
     Off-diagonal blocks of R must be proper and every block of S must be
     stable proper.  Diagonal blocks of R are exempt: rows that encode plant
     dynamics carry improper diagonal entries by construction.  Failures are
-    reported, not raised.
+    reported, not raised.  Each distinct denominator of S is tested for
+    stability once.
     """
     if r.space != s.space:
         raise SpaceMismatchError("realization and stability matrix use different spaces")
@@ -149,11 +150,12 @@ def check_conditions(r: Realization, s: StabilityMatrix) -> ConditionReport:
     names = r.space.names
     for a in names:
         for b in names:
-            if a != b and not r.R.block(a, b).classify().all_proper:
+            if a != b and not r.R.block(a, b).is_proper:
                 findings.append(BlockFinding("R", a, b, "improper"))
+    verdicts: dict = {}
     for a in names:
         for b in names:
-            cls = s.S.block(a, b).classify()
+            cls = s.S.block(a, b).classify(verdicts)
             if not cls.all_proper:
                 findings.append(BlockFinding("S", a, b, "improper"))
             elif not cls.in_rh_inf:

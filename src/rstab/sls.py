@@ -330,7 +330,7 @@ def design_separation_constraint(
     proper.
     """
     for name, mtx in (("P_c", p_c), ("M_c", m_c)):
-        if not mtx.classify().all_strictly_proper:
+        if not all(e.is_strictly_proper for row in mtx.entries for e in row):
             raise InvariantViolation(
                 f"{name} must be strictly proper so that the realization stays causal"
             )

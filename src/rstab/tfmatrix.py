@@ -4,7 +4,9 @@ A ``SignalSpace`` is an ordered list of named blocks with dimensions; a
 ``TFMatrix`` is a dense matrix of ``RatFun`` entries whose rows and columns
 are labeled by two such spaces.  Arithmetic is exact, inversion is Gaussian
 elimination over the rational-function field, and classification aggregates
-the entrywise properness/stability tests.
+the entrywise properness/stability tests.  Properness is a degree
+comparison; stability is decided once per distinct denominator per check,
+since a proper entry's verdict depends on its denominator alone.
 """
 
 from __future__ import annotations
@@ -330,12 +332,29 @@ class TFMatrix:
 
     # -- analysis -----------------------------------------------------------
 
-    def classify(self) -> TFClassification:
-        """Entrywise aggregation of properness and RH-infinity membership."""
+    @property
+    def is_proper(self) -> bool:
+        """Whether every entry is proper: degrees only, no pole test."""
+        return all(e.is_proper for row in self.entries for e in row)
+
+    def classify(self, verdicts: dict[Poly, bool] | None = None) -> TFClassification:
+        """Entrywise aggregation of properness and RH-infinity membership.
+
+        A proper entry's stability depends only on its (monic, cancelled)
+        denominator, so each distinct denominator is tested once.
+        ``verdicts`` maps denominators to the verdicts of the same check's
+        earlier calls; pass one dict to every classification of one check
+        and drop it when the check returns.
+        """
         flat = [e for row in self.entries for e in row]
         all_proper = all(e.is_proper for e in flat)
         all_sp = all(e.is_strictly_proper for e in flat)
-        stable = all_proper and all(e.is_stable() for e in flat)
+        if verdicts is None:
+            verdicts = {}
+        stable = all_proper and all(
+            verdicts[e.den] if e.den in verdicts else verdicts.setdefault(e.den, e.is_stable())
+            for e in flat
+        )
         return TFClassification(
             all_proper=all_proper,
             all_strictly_proper=all_sp,

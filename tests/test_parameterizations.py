@@ -140,6 +140,24 @@ class TestYoula:
             assert q2.Q == q.Q
             assert youla_to_controller(f, q2) == k
 
+    def test_factors_invert_ml_and_mr_once(self, monkeypatch):
+        inverted = []
+        real = TFMatrix.inverse
+
+        def spy(self):
+            inverted.append(self)
+            return real(self)
+
+        monkeypatch.setattr(TFMatrix, "inverse", spy)
+        plant = PlantSS([[2]], [[1]], [[1]], [[0]])
+        f = coprime_factorize(plant, [[-2]], [[-2]])
+        k = youla_to_controller(f, YoulaParam.checked(TFMatrix.zeros(U1, Y1)))
+        f.validate()
+        assert f.g() == plant.transfer()
+        assert controller_to_youla(f, k).Q.is_zero
+        assert sum(m is f.Ml for m in inverted) == 1
+        assert sum(m is f.Mr for m in inverted) == 1
+
     def test_zero_controller_on_stable_plant(self, stable_factors):
         _, f = stable_factors
         q = controller_to_youla(f, TFMatrix.zeros(U1, Y1))

@@ -112,10 +112,17 @@ def planted(u: Poly, lead) -> Poly:
     return Poly(list(u.coeffs) + [lead])
 
 
-#: a pair whose gcd has degree 1 but whose integer gcd at the evaluation point
-#: carries digits beyond 2^(s-1), so poly_gcd falls back to the remainder
-#: sequence (the primitive parts of a gcd input met by the convert_matrix
-#: benchmark workload, seed 1)
+#: (z + 5)(z + 1) and (z + 5)(z + 1 + F) with F = (2^35 + 1) / 3: at the
+#: evaluation point k = 2^35 their values are 3F(k + 5) and 4F(k + 5), so the
+#: integer gcd F(k + 5) carries digits beyond 2^(s-1), the candidate it spells
+#: divides neither, and poly_gcd falls back to the remainder sequence
+SPILL_A = [5, 6, 1]
+SPILL_B = [57266230620, 11453246129, 1]
+
+#: the primitive parts of a gcd input met by the convert_matrix benchmark
+#: workload, seed 1: FALLBACK_B is divisible by z^3 and the constant term of
+#: FALLBACK_A by 2^107, so unless z^3 is split off first, the integer gcd at
+#: the evaluation point reads a spurious factor and the pair falls back
 FALLBACK_A = [
     -9952916674686742789738052823927641913208017518592,
     109885718070449735151072923085565280124734189600768,
@@ -138,9 +145,21 @@ FALLBACK_B = [
 PATH_PAIRS = [
     (Poly([1, 0, 1]) * Poly([1, P]), Poly([2, 1]) * Poly([-3, 0, 1]), "certificate"),
     (Poly([1, 1]) * Poly([1, P]), Poly([2, 1]) * Poly([1, P]), "reconstruction"),
-    (Poly(FALLBACK_A), Poly(FALLBACK_B), "prs"),
+    (Poly(SPILL_A), Poly(SPILL_B), "prs"),
 ]
 PATH_IDS = ["coprime", "planted", "spilled_digits"]
+
+
+def spied_paths(monkeypatch) -> list[str]:
+    """A list that records each call of ``_digits`` (reconstruction) and of
+    ``_primitive`` (the remainder sequence) from now on."""
+    ran = []
+    for name in ("_digits", "_primitive"):
+        def spy(*args, _f=getattr(ratfun, name), _name=name):
+            ran.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(ratfun, name, spy)
+    return ran
 
 
 class TestPolyGcdOracle:
@@ -159,12 +178,7 @@ class TestPolyGcdOracle:
 
     @pytest.mark.parametrize("a, b, path", PATH_PAIRS, ids=PATH_IDS)
     def test_each_path(self, sympy, monkeypatch, a, b, path):
-        ran = []
-        for name in ("_digits", "_primitive"):
-            def spy(*args, _f=getattr(ratfun, name), _name=name):
-                ran.append(_name)
-                return _f(*args)
-            monkeypatch.setattr(ratfun, name, spy)
+        ran = spied_paths(monkeypatch)
         g = poly_gcd(a, b)
         assert g == sympy_monic_gcd(sympy, a, b)
         assert (g.degree > 0) == (path != "certificate")
@@ -217,6 +231,50 @@ class TestCofactors:
         assert (cancelled.num.coeffs, cancelled.den.coeffs) == reference_ratfun(a.coeffs, b.coeffs)
         assert trimmed(conv_truncated(g, qa)) == a._p
         assert trimmed(conv_truncated(g, qb)) == b._p
+
+
+#: dyadic coefficients n / 2^e, as float inputs give them, so that the
+#: integer lift multiplies some constant terms by large powers of two
+dyadics = st.builds(lambda n, e: F(n, 1 << e), st.integers(-50, 50), st.integers(0, 120))
+dyadic_polys = st.lists(dyadics, min_size=1, max_size=4).map(Poly).filter(bool)
+
+
+def check_gcd_and_cofactors(a: Poly, b: Poly) -> None:
+    """poly_gcd, _gcd's cofactors and RatFun(a, b) against Euclid over Fraction."""
+    assert poly_gcd(a, b).coeffs == reference_gcd(a.coeffs, b.coeffs)
+    if a.degree > 0 and b.degree > 0:
+        g, qa, qb = ratfun._gcd(a._p, b._p)
+        assert trimmed(conv_truncated(g, qa)) == a._p
+        assert trimmed(conv_truncated(g, qb)) == b._p
+    r = RatFun(a, b)
+    assert (r.num.coeffs, r.den.coeffs) == reference_ratfun(a.coeffs, b.coeffs)
+
+
+class TestPowersOfZ:
+    """The gcd splits off the common power of z before it evaluates at
+    k = 2^s, so that z^j never meets a constant term divisible by a large
+    power of two there.  Oracle: Euclid's algorithm over Fraction."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_polys, dyadic_polys, dyadic_polys,
+           st.integers(0, 5), st.integers(0, 5), st.integers(0, 3))
+    def test_planted_powers_and_dyadic_contents(self, u, v, g, i, j, m):
+        common = g * Poly.z(m)
+        check_gcd_and_cofactors(u * Poly.z(i) * common, v * Poly.z(j) * common)
+
+    @pytest.mark.parametrize("a, b, runs", [
+        # FIR taps meet z^T; float gains give constant terms like this one's
+        (Poly.z(20), Poly([1, F(1, 1 << 612)]), []),
+        (Poly.z(3) * Poly([1, 2]), Poly([1, 0, F(1, 1 << 90)]) * Poly([1, 2]), ["_digits"]),
+        (Poly(FALLBACK_A), Poly(FALLBACK_B), ["_digits"]),
+    ], ids=["monomial", "planted", "convert_matrix_pair"])
+    def test_no_remainder_sequence(self, monkeypatch, a, b, runs):
+        check_gcd_and_cofactors(a, b)
+        # the monomial part leaves nothing to decide; otherwise the parts
+        # with nonzero constant terms are reconstructed at one point
+        ran = spied_paths(monkeypatch)
+        ratfun._gcd(a._p, b._p)
+        assert ran == runs
 
 
 #: nonzero factors of degree up to 3 with numerators up to 10^12

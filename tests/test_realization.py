@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rstab import (
+    BlockFinding,
+    IOPParam,
+    Poly,
     RatFun,
     Realization,
     SignalSpace,
@@ -20,6 +24,7 @@ from rstab import (
     verify_lemma,
 )
 from rstab.errors import InvariantViolation, SingularMatrixError, SpaceMismatchError
+from rstab.parameterizations import _members
 
 from helpers import rand_realization, rand_realization_with_zero_diag
 
@@ -266,3 +271,88 @@ class TestBijection:
             pr = Realization(perm_space, perm_r)
             ps = stability_from_realization(pr)
             assert check_conditions(pr, ps).passed == base.passed
+
+
+#: denominators that entries share: stable, a stable double pole, unstable,
+#: and z - 1 on the unit circle
+SHARED_DENS = [Poly([F(-1, 2), 1]), Poly([F(1, 9), F(2, 3), 1]), Poly([-2, 1]), Poly([-1, 1])]
+#: over each shared denominator a strictly proper, a proper and an improper
+#: entry; the numerator 1 is shared by stable and unstable entries
+SHARED_POOL = [RatFun(0), RatFun(1)] + [
+    RatFun(num, den) for den in SHARED_DENS for num in ([1], [0, 1], [0, 0, 0, 1])]
+STABLE_POOL = [e for e in SHARED_POOL if e.is_stable()]
+
+
+@st.composite
+def shared_den_matrices(draw, *pools):
+    """Square matrices over one space of 1-3 blocks, one per pool, with
+    entries drawn from that pool."""
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    space = SignalSpace(tuple((f"s{i}", d) for i, d in enumerate(dims)))
+    n = space.total
+    return [TFMatrix(space, space, draw(st.lists(st.lists(st.sampled_from(pool), min_size=n,
+                                                          max_size=n), min_size=n, max_size=n)))
+            for pool in pools]
+
+
+def block_entries(m: TFMatrix, a: str, b: str) -> list[RatFun]:
+    return [e for row in m.block(a, b).entries for e in row]
+
+
+class TestSharedVerdicts:
+    """A check decides each distinct denominator's stability once and shares
+    the verdict among the entries over it.  Oracle: RatFun.is_proper and
+    RatFun.is_stable entry by entry."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shared_den_matrices(SHARED_POOL, SHARED_POOL))
+    def test_check_conditions_matches_entrywise_tests(self, mats):
+        r, s = Realization(mats[0].rows, mats[0]), StabilityMatrix(mats[1].rows, mats[1])
+        names = r.space.names
+        expected = [BlockFinding("R", a, b, "improper") for a in names for b in names
+                    if a != b and not all(e.is_proper for e in block_entries(r.R, a, b))]
+        for a in names:
+            for b in names:
+                entries = block_entries(s.S, a, b)
+                if not all(e.is_proper for e in entries):
+                    expected.append(BlockFinding("S", a, b, "improper"))
+                elif not all(e.is_stable() for e in entries):
+                    expected.append(BlockFinding("S", a, b, "unstable"))
+        assert check_conditions(r, s).findings == tuple(expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(shared_den_matrices(*[SHARED_POOL] * 4), st.sets(st.sampled_from("YUWZ")))
+    def test_members_matches_entrywise_tests(self, mats, strict):
+        bundle = IOPParam(*mats)
+        expected = None
+        for name, m in zip("YUWZ", mats):
+            entries = [e for row in m.entries for e in row]
+            ok = all(e.is_stable() and (e.is_strictly_proper or name not in strict)
+                     for e in entries)
+            if not ok:
+                expected = name
+                break
+        if expected is None:
+            assert _members(bundle, tuple(strict)) is bundle
+        else:
+            with pytest.raises(InvariantViolation, match=f"block {expected} must be"):
+                _members(bundle, tuple(strict))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shared_den_matrices(SHARED_POOL, STABLE_POOL))
+    def test_one_pole_test_per_distinct_denominator_of_s(self, mats):
+        # S passes, so every block is classified in full; R's entries may
+        # carry denominators that S lacks, such as the unstable z - 2
+        r, s = Realization(mats[0].rows, mats[0]), StabilityMatrix(mats[1].rows, mats[1])
+        tested = []
+        real = RatFun.is_stable
+
+        def spy(self):
+            tested.append(self.den)
+            return real(self)
+
+        with mock.patch.object(RatFun, "is_stable", spy):
+            report = check_conditions(r, s)
+        assert not any(f.matrix == "S" for f in report.findings)
+        assert len(tested) == len(set(tested))
+        assert set(tested) == {e.den for row in s.S.entries for e in row}
