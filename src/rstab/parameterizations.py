@@ -8,10 +8,13 @@ the system level bundles (state feedback {Phi_x, Phi_u} and output feedback
 holds one ``Parameterization`` entry per bundle: its loop, the blocks of
 S = (I - R)^{-1} it holds, and which of them are strictly proper.  Each
 bundle is checked on construction: its stability memberships by numeric pole
-tests, and exactly the affine identities that (I - R) S = S (I - R) = I
-imposes on its blocks.  ``convert`` translates any bundle into any other by
-completing S from its blocks; the ``*_from_controller`` and
-``*_to_controller`` functions map bundles to controllers and back.
+tests, and exactly the identities of (I - R) S = S (I - R) = I that the
+controller does not enter, with I - R read off the plant.  One routine,
+``_completion``, derives every block of S that a bundle does not hold: the
+check reads the blocks its identities need from it, and ``convert``
+translates any bundle into any other by reading the target's blocks from
+it.  The ``*_from_controller`` and ``*_to_controller`` functions map
+bundles to controllers and back.
 
 Signal naming convention: states are "x", controls "u", measurements "y".
 """
@@ -123,7 +126,11 @@ class PlantSS:
         return _z_minus(self.A, self.x_space)
 
     def resolvent(self) -> TFMatrix:
-        """(zI - A)^{-1}."""
+        """(zI - A)^{-1}, computed once per object."""
+        return self._resolvent
+
+    @functools.cached_property
+    def _resolvent(self) -> TFMatrix:
         return self.z_minus_a().inverse()
 
     def state_transfer(self) -> TFMatrix:
@@ -229,62 +236,29 @@ def _members(bundle, strictly_proper: tuple[str, ...] = ()):
     return bundle
 
 
-def _held_blocks(entry: "Parameterization", loop: Realization) -> list[tuple[str, str]]:
-    """The entry's blocks named as in ``loop``, whose controller (row u's one
-    block that is not a structural zero) may measure the state for an IOP bundle."""
-    measured = next(b for b in loop.space.names if ("u", b) not in loop.structural_zeros)
-    return [tuple(measured if n == entry.signal else n for n in b) for b in entry.blocks]
+def _held_names(entry: "Parameterization", plant) -> tuple[str, list[tuple[str, str]]]:
+    """The signal that the entry's controller measures around ``plant`` (an IOP
+    bundle's G names it: x for (zI - A)^{-1} B), and the entry's blocks named so."""
+    measured = plant.rows.names[0] if isinstance(plant, TFMatrix) else entry.signal
+    return measured, [tuple(measured if n == entry.signal else n for n in b) for b in entry.blocks]
 
 
-def _lemma_identities(name: str, loop: Realization, held: dict):
-    """Yield lazily the (lhs, rhs, message) identities that (I - R) S = S (I - R) = I
-    imposes on the ``held`` blocks of S, by (row, col), of the bundle class
-    ``name`` in its ``loop`` with K = 0: the rows of (I - R) S = I but u's, at
-    the held columns, and the columns of S (I - R) = I but the measured
-    signal's, at the held rows.  A signal whose row (column) the bundle does
-    not hold is eliminated through its diagonal block of I - R."""
-    zeros = loop.structural_zeros
-    rows = list(dict.fromkeys(r for r, _ in held))
-    cols = list(dict.fromkeys(c for _, c in held))
-
-    def line(a: str, by_column: bool) -> dict:
-        """b -> block (a, b) of I - R, or (b, a) by column; None for I, zero blocks left out."""
-        out = {}
-        for b in loop.space.names:
-            i, j = (b, a) if by_column else (a, b)
-            if (i, j) not in zeros:
-                blk = loop.R.block(i, j)
-                out[b] = TFMatrix.identity(blk.rows) - blk if i == j else -blk
-            elif i == j:
-                out[b] = None
-        return out
-
-    def side(by_column: bool, own, inner, at, where: str):
-        # sum_b M_ab S_bc = delta_ac I, read the other way round by column
-        # (sum_b S_cb M_ba), so that one elimination serves both sides
-        def prod(m, s):
-            return s if m is None else m if s is None else (s @ m if by_column else m @ s)
-
-        for a in own:
-            coeffs, rhs = line(a, by_column), {}
-            for e in [e for e in coeffs if e not in inner]:
-                m_e = line(e, by_column)
-                t = prod(coeffs.pop(e), None if m_e[e] is None else m_e[e].inverse())
-                rhs[e] = -t
-                for b, m_eb in m_e.items():
-                    if b != e:
-                        coeffs[b] = coeffs[b] - prod(t, m_eb)
-            for c in at:
-                terms = [prod(m, held[(c, b) if by_column else (b, c)]) for b, m in coeffs.items()]
-                lhs = sum(terms[1:], terms[0])
-                delta = TFMatrix.identity(lhs.rows) if c == a else TFMatrix.zeros(lhs.rows, lhs.cols)
-                yield lhs, rhs.get(c, delta), where.format(a=a, c=c)
-
-    # K enters row u and, of the columns, only the measured signal's
-    yield from side(False, [a for a in rows if a != "u"], rows, cols,
-                    name + ": (I - R) S = I fails in row {a} at block ({a}, {c})")
-    yield from side(True, [c for c in cols if ("u", c) in zeros], cols, rows,
-                    name + ": S (I - R) = I fails in column {a} at block ({c}, {a})")
+def _one_minus_r(plant, signal: str) -> dict:
+    """The nonzero blocks of I - R but K, by (row, col), None standing for I:
+    [[I, -G], [., I]] over (G's output, u), or [[zI - A, -B], [., I]] over
+    (x, u) with row y = [-C, -D, I] when the controller measures y."""
+    if isinstance(plant, TFMatrix):
+        if len(plant.rows.blocks) != 1 or len(plant.cols.blocks) != 1:
+            raise SpaceMismatchError("plant transfer matrix must be single-block on both sides")
+        out = plant.rows.names[0]
+        return {(out, out): None, (out, "u"): -plant, ("u", "u"): None}
+    x, u, y = plant.x_space, plant.u_space, plant.y_space
+    m = {("x", "x"): plant.z_minus_a(), ("x", "u"): TFMatrix.constant(x, u, -plant.B),
+         ("u", "u"): None}
+    if signal == "y":
+        m.update({("y", "x"): TFMatrix.constant(y, x, -plant.C),
+                  ("y", "u"): TFMatrix.constant(y, u, -plant.D), ("y", "y"): None})
+    return {k: v for k, v in m.items() if v is None or not v.is_zero}
 
 
 def _has_feedthrough(plant) -> bool:
@@ -296,29 +270,46 @@ def _has_feedthrough(plant) -> bool:
 
 def _checked(bundle, plant):
     """Return ``bundle`` once its memberships and lemma identities hold, in its loop
-    with K = 0 around ``plant`` (for IOP, around G or (zI - A)^{-1} B).
+    around ``plant`` (for IOP, around G or (zI - A)^{-1} B).
 
-    With a direct feedthrough, a bundle measured at y must also have an
-    S[u,u] with a proper inverse, so that its controller
+    The identities are those that the controller does not enter: the rows of
+    (I - R) S = I other than u's, at the held columns, and the columns of
+    S (I - R) = I other than the measured signal's, at the held rows.  A block
+    of S that they read and the bundle does not hold comes from
+    ``_completion``.  With a direct feedthrough, a bundle measured at y must
+    also have an S[u,u] with a proper inverse, so that its controller
     K = S[u,u]^{-1} S[u,y] is proper; without one, the identities already
     make S[u,u] biproper.
     """
     entry = next(e for e in REGISTRY.values() if e.bundle is type(bundle))
     name = type(bundle).__name__
     _members(bundle, entry.strictly_proper)
-    if isinstance(plant, TFMatrix):
-        loop = plant_feedback_loop(plant, TFMatrix.zeros(plant.cols, plant.rows))
-    else:
-        measured = plant.x_space if entry.signal == "x" else plant.y_space
-        loop = _plant_loop(plant, TFMatrix.zeros(plant.u_space, measured), entry.signal)
-    held = dict(zip(_held_blocks(entry, loop), (getattr(bundle, f) for f in entry.fields)))
-    for lhs, rhs, message in _lemma_identities(name, loop, held):
-        if lhs != rhs:
-            raise InvariantViolation(message)
+    m = _one_minus_r(plant, entry.signal)
+    measured, names = _held_names(entry, plant)
+    held = dict(zip(names, (getattr(bundle, f) for f in entry.fields)))
+    block = (lambda i, j: held[i, j]) if isinstance(plant, TFMatrix) else _completion(plant, held)
+
+    def fails(a: str, c: str, by_column: bool) -> bool:
+        # sum_b (I - R)[a,b] S[b,c] != I_ac, or sum_b S[c,b] (I - R)[b,a] by column
+        terms = []
+        for (i, j), m_ij in m.items():
+            if (j if by_column else i) == a:
+                s_b = block(c, i) if by_column else block(j, c)
+                terms.append(s_b if m_ij is None else s_b @ m_ij if by_column else m_ij @ s_b)
+        lhs = sum(terms[1:], terms[0])
+        return lhs != (TFMatrix.identity(lhs.rows) if c == a else TFMatrix.zeros(lhs.rows, lhs.cols))
+
+    rows = list(dict.fromkeys(r for r, _ in names))
+    cols = list(dict.fromkeys(c for _, c in names))
+    for a, c in [(a, c) for a in rows if a != "u" for c in cols]:
+        if fails(a, c, False):
+            raise InvariantViolation(f"{name}: (I - R) S = I fails in row {a} at block ({a}, {c})")
+    for a, c in [(a, c) for a in cols if a != measured for c in rows]:
+        if fails(a, c, True):
+            raise InvariantViolation(f"{name}: S (I - R) = I fails in column {a} at block ({c}, {a})")
     if entry.signal == "y" and _has_feedthrough(plant):
-        s_uu = held[("u", "u")] if ("u", "u") in held else _completion(plant, held)("u", "u")
         try:
-            proper = s_uu.inverse().is_proper
+            proper = block("u", "u").inverse().is_proper
         except SingularMatrixError:
             proper = False
         if not proper:
@@ -557,7 +548,7 @@ def coprime_factorize(plant: PlantSS, F, L) -> CoprimeFactors:
 def _bundle_of_loop(entry: "Parameterization", loop: Realization, plant):
     """The entry's blocks of the stabilized loop's S, checked against ``plant``."""
     s = stabilized_loop(loop, f"{entry.name}_from_controller")
-    return entry.bundle.checked(*(s.S.block(r, c) for r, c in _held_blocks(entry, loop)), plant)
+    return entry.bundle.checked(*(s.S.block(r, c) for r, c in _held_names(entry, plant)[1]), plant)
 
 
 def _from_plant_loop(name: str, plant: PlantSS, k: TFMatrix):
@@ -696,14 +687,14 @@ def _completion(plant: PlantSS, held: dict) -> Callable[[str, str], TFMatrix]:
 
     (I_ab = I if a = b, else 0).  A missing block of a held row comes from its
     column's identity, any other from its row's, so every chain ends at the
-    held row u and column y.  (zI - A)^{-1} is computed at most once.
+    held row u and column y.  Blocks are derived when first read, with the
+    plant's own ``resolvent()``; ``convert`` and ``_checked`` both read here.
     """
     rows = {i for i, _ in held}
     s = dict(held)
     b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
     c = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
     d = TFMatrix.constant(plant.y_space, plant.u_space, plant.D)
-    resolvent = functools.cache(plant.resolvent)
 
     def block(i: str, j: str) -> TFMatrix:
         if (i, j) not in s:
@@ -715,7 +706,7 @@ def _completion(plant: PlantSS, held: dict) -> Callable[[str, str], TFMatrix]:
             if i == j:
                 v = v + TFMatrix.identity(v.rows)
             if (j if by_column else i) == "x":
-                v = v @ resolvent() if by_column else resolvent() @ v
+                v = v @ plant.resolvent() if by_column else plant.resolvent() @ v
             s[(i, j)] = v
         return s[(i, j)]
 
@@ -751,11 +742,11 @@ def convert(source: str, target: str, bundle, plant: PlantSS,
     entry, to = REGISTRY[source], REGISTRY[target]
     signal = bundle.Y.rows.names[0] if source == "iop" else entry.signal
     measured = signal if target == "iop" else to.signal
-    if signal != measured and not (
-            plant.is_strictly_proper and np.array_equal(plant.C, np.eye(plant.n))):
+    measures_state = plant.is_strictly_proper and np.array_equal(plant.C, np.eye(plant.n))
+    if signal != measured and not measures_state:
         raise InvariantViolation("conversion between state- and output-measured "
                                  "parameterizations requires C = I and D = 0")
-    if "x" in (signal, measured):
+    if "x" in (signal, measured) and not measures_state:
         plant = PlantSS.state_feedback(plant.A, plant.B)
     spaces = {"x": plant.x_space, "u": plant.u_space, "y": plant.y_space}
     held = {(i, j): getattr(bundle, f).relabel(spaces[i], spaces[j])

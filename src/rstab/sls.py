@@ -305,7 +305,10 @@ def certify_realization(v: RealizationVariant, plant: PlantSS) -> CertificationR
     if v.kind == DEPLOYMENT:
         schur = plant.resolvent().classify().in_rh_inf
     if v.kind == DESIGN_SEPARATION:
-        delta_ok = s.S.block("delta", "x").classify().in_zinv_rh_inf
+        # S[delta, x] is stable proper unless check_conditions reports it
+        s_dx = s.S.block("delta", "x")
+        delta_ok = (not any((f.matrix, f.row, f.col) == ("S", "delta", "x") for f in report.findings)
+                    and all(e.is_strictly_proper for row in s_dx.entries for e in row))
     return CertificationReport(
         variant=v.kind,
         passed=report.passed,

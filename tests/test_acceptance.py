@@ -20,6 +20,7 @@ from rstab import (
     TFMatrix,
     Transformation,
     YoulaParam,
+    build_realization,
     certify_realization,
     controller_to_youla,
     coprime_factorize,
@@ -327,6 +328,34 @@ def test_criterion_5_realization_suite():
     assert any(f.kind == "unstable" for f in rep.findings)
 
     print("\n[acceptance] criterion 5 (realization variants, 10 fixtures x 3 variants): PASS")
+
+
+def test_criterion_5_deployment_is_a_plant_only_transformation_of_the_original():
+    # I - R_dep = T^{-1} (I - R_orig) over (x, u, delta) with the plant-only
+    # T^{-1} = [[I, 0, 0], [0, I, 0], [0, z^{-1} B, z^{-1} (zI - A)]]; it holds
+    # on the affine subspace (zI - A) Phi_x - B Phi_u = I, which a corrupted tap leaves
+    plant = PlantSS.state_feedback([[F(1, 4), F(1, 2)], [0, F(-1, 2)]], [[0], [1]])
+    fx, fu = fir_from_slp(synthesize_sf_h2(plant, np.eye(2), [[1]], 4))
+    x_sp, u_sp = plant.x_space, plant.u_space
+    d_sp = SignalSpace.single("delta", plant.n)
+    space = SignalSpace(x_sp.blocks + u_sp.blocks + d_sp.blocks)
+    zinv = RatFun.z_inv()
+    t_inv = TFMatrix.from_blocks(space, space, {
+        ("x", "x"): TFMatrix.identity(x_sp),
+        ("u", "u"): TFMatrix.identity(u_sp),
+        ("delta", "u"): zinv * TFMatrix.constant(d_sp, u_sp, plant.B),
+        ("delta", "delta"): zinv * plant.z_minus_a().relabel(d_sp, d_sp),
+    })
+    t = Transformation.from_matrix(t_inv).inverted()
+    taps = list(fu.taps)
+    taps[1] = taps[1] + F(1, 8)
+    for phi_u, holds in ((fu, True), (FIRPhi(tuple(taps)), False)):
+        orig = build_realization(RealizationVariant.original(fx, phi_u), plant)
+        dep = build_realization(RealizationVariant.deployment(fx, phi_u), plant)
+        assert verify_equivalent(orig, dep, t) is holds
+
+    print("\n[acceptance] criterion 5 (deployment = plant-only transformation of the "
+          "original, corrupted tap refused): PASS")
 
 
 def test_criterion_6_simulation_cross_check():

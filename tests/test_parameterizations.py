@@ -40,8 +40,8 @@ from rstab import (
     youla_to_controller,
     youla_to_iop,
 )
-from rstab.errors import InternalStabilityError, InvariantViolation
-from rstab.parameterizations import REGISTRY
+from rstab.errors import InternalStabilityError, InvariantViolation, SpaceMismatchError
+from rstab.parameterizations import REGISTRY, convert
 
 from helpers import adjugate_inverse, bundle_identities, rand_fir_tfmatrix
 
@@ -234,6 +234,15 @@ class TestIOP:
         eye_y, eye_u = TFMatrix.identity(Y1), TFMatrix.identity(U1)
         with pytest.raises(InvariantViolation):
             IOPParam.checked(eye_y, TFMatrix.zeros(U1, Y1), TFMatrix.zeros(Y1, U1), eye_u, g=g)
+
+    @pytest.mark.parametrize("side", ["rows", "cols"])
+    def test_plant_with_two_blocks_on_a_side_is_refused(self, side):
+        # the IOP loop has one output signal and one control signal
+        two = SignalSpace((("a", 1), ("b", 1)))
+        y, u = (two, U1) if side == "rows" else (Y1, two)
+        with pytest.raises(SpaceMismatchError, match="single-block on both sides"):
+            IOPParam.checked(TFMatrix.identity(y), TFMatrix.zeros(u, y),
+                             TFMatrix.zeros(y, u), TFMatrix.identity(u), g=TFMatrix.zeros(y, u))
 
     def test_zero_plant(self):
         g = TFMatrix.zeros(Y1, U1)
@@ -562,6 +571,25 @@ def test_derived_identities_agree_with_the_hand_derived_oracle(name, field, plan
     assert not all(lhs == rhs for lhs, rhs in bundle_identities(bad, against))
     with pytest.raises(InvariantViolation, match=rf"^{cls.__name__}: .* fails in (row|column) "):
         cls.checked(*(getattr(bad, f) for f in fields), against)
+
+
+def test_a_plant_inverts_zi_minus_a_once(monkeypatch):
+    inverted = []
+    real = TFMatrix.inverse
+
+    def spy(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TFMatrix, "inverse", spy)
+    plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[1]])
+    bundle = mixed1_from_controller(plant, tf(U1, Y1, [[RatFun(F(-1, 4))]]))
+    for target in ("slp_of", "mixed2", "iop"):
+        convert("mixed1", target, bundle, plant)
+    plant.transfer()
+    plant.state_transfer()
+    assert sum(m == plant.z_minus_a() for m in inverted) == 1
+    assert plant.resolvent() is plant.resolvent()
 
 
 @pytest.mark.parametrize("name", ["iop", "slp_of", "mixed1", "mixed2"])

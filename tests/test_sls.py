@@ -129,6 +129,26 @@ class TestCertify:
         rep = certify_realization(RealizationVariant.design_separation(FX, FU, FX, FU), SCALAR)
         assert rep.delta_column_strictly_proper is True
 
+    # P_c = z^{-2}, M_c = -z^{-2}/2 gives (zI - A) P_c - B M_c = z^{-1}, so S[delta, x] = 1
+    @pytest.mark.parametrize("p_c, m_c, strict", [
+        (FX, FU, True),
+        (FIRPhi((np.zeros((1, 1)), np.eye(1))), FIRPhi((np.zeros((1, 1)), -0.5 * np.eye(1))), False),
+    ], ids=["strict", "biproper"])
+    def test_design_separation_decides_each_denominator_once(self, monkeypatch, p_c, m_c, strict):
+        tested = []
+        real = RatFun.is_stable
+
+        def spy(self, *args, **kwargs):
+            tested.append(self.den)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RatFun, "is_stable", spy)
+        rep = certify_realization(RealizationVariant.design_separation(p_c, m_c, FX, FU), SCALAR)
+        monkeypatch.undo()
+        assert len(tested) == len(set(tested))
+        assert rep.delta_column_strictly_proper is strict
+        assert rep.stability.S.block("delta", "x").classify().in_zinv_rh_inf is strict
+
     def test_agreeing_payloads_share_response_columns(self):
         reps = [certify_realization(v, SCALAR) for v in variants()]
         for name in ("x", "u"):
