@@ -1,23 +1,29 @@
 """Exact rational functions in z over arbitrary-precision rationals.
 
 A polynomial is stored as a rational content times a primitive integer
-polynomial: a ``fractions.Fraction`` and a tuple of ints in ascending powers
-of z whose gcd is 1 and whose leading entry is positive (the zero polynomial
-has content 0 and the empty tuple).  Its ``Fraction`` coefficients are a
-view computed on demand.  A rational function is a cancelled quotient
-``num/den`` whose denominator is monic and nonzero.  Both forms are unique,
-so ``==`` is a structural comparison.
+polynomial: the content as two coprime ints (numerator, and a positive
+denominator) and a tuple of ints in ascending powers of z whose gcd is 1 and
+whose leading entry is positive (the zero polynomial has content 0/1 and the
+empty tuple).  A rational function is a cancelled quotient ``num/den`` whose
+denominator is monic and nonzero.  Both forms are unique, so ``==`` is a
+structural comparison.
 
-One fraction-free division of integer polynomials, ``_pdivmod``, serves
-``divmod``, the gcd's check of a reconstructed factor and its remainder
-sequence.  One gcd, ``_gcd``, returns the gcd of two primitive parts with
-both cofactors, and ``RatFun`` cancels a pair with those cofactors.
+The arithmetic works on ints only; a ``fractions.Fraction`` is built only at
+the boundary: scalars coming in, and coefficients, leading coefficients and
+Markov parameters going out.  One fraction-free division of integer
+polynomials, ``_pdivmod``, serves ``divmod``, the gcd's check of a
+reconstructed factor and its remainder sequence.  One gcd, ``_gcd``, returns
+the gcd of two primitive parts with both cofactors, and ``RatFun`` cancels a
+pair with those cofactors.  ``RatFun`` adds unlike denominators by Henrici's
+rule (only gcd(b, d) and then gcd(t, g) can cancel; Knuth, TAOCP vol. 2,
+4.5.1), so a sum of coprime denominators takes no gcd of the result.
 
 Properness is a degree comparison (strictly proper, biproper, improper),
 poles are the roots of the cancelled denominator, and ``series`` expands a
 proper function into its Markov parameters h_0, h_1, ... with
-r = sum_k h_k z^{-k}.  All arithmetic is exact; only pole locations are
-computed in floating point.
+r = sum_k h_k z^{-k}, by a fraction-free integer recurrence on the primitive
+parts.  All arithmetic is exact; only pole locations are computed in
+floating point.
 """
 
 from __future__ import annotations
@@ -56,25 +62,29 @@ def _as_coeff(value) -> Fraction:
 class Poly:
     """Univariate polynomial in z with exact rational coefficients.
 
-    Stored as a content times a primitive part: a nonzero Fraction ``_c``
-    and a tuple of ints ``_p`` whose gcd is 1 and whose last (leading) entry
-    is positive, so the coefficients are ``_c * _p[k]``.  The form is unique,
-    and the zero polynomial is ``_c = 0``, ``_p = ()``.  A product of primitive
+    Stored as a content times a primitive part: the content ``_n / _d`` as
+    two coprime ints with ``_d > 0`` and ``_n`` nonzero, and a tuple of ints
+    ``_p`` whose gcd is 1 and whose last (leading) entry is positive, so the
+    coefficients are ``_n * _p[k] / _d``.  The form is unique, and the zero
+    polynomial is ``_n = 0``, ``_d = 1``, ``_p = ()``.  A product of primitive
     parts is primitive (Gauss's lemma), so multiplication convolves integers
-    and never normalizes.  ``coeffs`` is a view computed on demand.
+    and never normalizes.  ``coeffs`` is a ``Fraction`` view computed on
+    demand.
     """
 
-    __slots__ = ("_c", "_p")
+    __slots__ = ("_n", "_d", "_p")
 
-    _c: Fraction
+    _n: int
+    _d: int
     _p: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        c, p = _split(*_int_lift_pair(cs))
-        object.__setattr__(self, "_c", c)
+        n, d, p = _split(*_int_lift_pair(cs))
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_p", p)
 
     def __setattr__(self, name, value):
@@ -99,14 +109,14 @@ class Poly:
         """The monomial z**power."""
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return _poly(_ONE_C, (0,) * power + (1,))
+        return _poly(1, 1, (0,) * power + (1,))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in ascending powers of z, without trailing zeros."""
-        n, d = self._c.numerator, self._c.denominator
+        n, d = self._n, self._d
         return tuple(Fraction(n * v, d) for v in self._p)
 
     @property
@@ -126,12 +136,11 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return _poly(Fraction(1, self._p[-1]), self._p)
+        return _poly(1, self._p[-1], self._p)
 
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self._p):
-            c = self._c
-            return Fraction(c.numerator * self._p[k], c.denominator)
+            return Fraction(self._n * self._p[k], self._d)
         return Fraction(0)
 
     def __bool__(self) -> bool:
@@ -141,13 +150,13 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._p == o._p and self._c == o._c
+        return self._p == o._p and self._n == o._n and self._d == o._d
 
     def __hash__(self):
         # a constant hashes like its scalar, with which it compares equal
         if len(self._p) <= 1:
-            return hash(self._c)
-        return hash((self._c, self._p))
+            return hash(Fraction(self._n, self._d))
+        return hash((self._n, self._d, self._p))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -156,7 +165,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return _poly(Fraction(other), (1,)) if other else _ZERO
+            return _poly(other.numerator, other.denominator, (1,)) if other else _ZERO
         return None
 
     def __add__(self, other):
@@ -168,10 +177,9 @@ class Poly:
         if not self._p:
             return o
         # one common denominator of the contents, then one content gcd
-        ca, cb = self._c, o._c
-        da, db = ca.denominator, cb.denominator
+        da, db = self._d, o._d
         den = da // math.gcd(da, db) * db
-        ka, kb = ca.numerator * (den // da), cb.numerator * (den // db)
+        ka, kb = self._n * (den // da), o._n * (den // db)
         a, b = self._p, o._p
         if len(a) < len(b):
             a, b, ka, kb = b, a, kb, ka
@@ -185,7 +193,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(-self._c, self._p) if self._p else self
+        return _poly(-self._n, self._d, self._p) if self._p else self
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -206,18 +214,18 @@ class Poly:
         a, b = self._p, o._p
         if not a or not b:
             return _ZERO
-        c = self._c * o._c
+        n, d = _content_mul(self._n, self._d, o._n, o._d)
         if len(b) == 1:
-            return _poly(c, a)
+            return _poly(n, d, a)
         if len(a) == 1:
-            return _poly(c, b)
+            return _poly(n, d, b)
         # the product of primitive parts is primitive with a positive lead
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return _poly(c, tuple(out))
+        return _poly(n, d, tuple(out))
 
     __rmul__ = __mul__
 
@@ -229,13 +237,15 @@ class Poly:
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         quo, rem, scale = _pdivmod(self._p, o._p)
-        ca = self._c
+        # the ratio of the contents, unreduced and of either sign
+        n, d = self._n * o._d, self._d * o._n
         if scale == 1 and not rem:
             # an exact quotient of primitive parts is primitive (Gauss)
-            return _poly(ca / o._c, tuple(quo)), _ZERO
-        qc, qp = _split(quo, scale)
-        rc, rp = _split(rem, scale)
-        return _poly(qc * ca / o._c, qp), _poly(rc * ca, rp)
+            return _poly(*_reduced(n, d), tuple(quo)), _ZERO
+        qn, qd, qp = _split(quo, scale)
+        rn, rd, rp = _split(rem, scale)
+        return (_poly(*_reduced(qn * n, qd * d), qp),
+                _poly(*_content_mul(rn, rd, self._n, self._d), rp))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -254,34 +264,51 @@ class Poly:
         return f"Poly({_poly_str(self)})"
 
 
-_ZERO_C = Fraction(0)
-_ONE_C = Fraction(1)
-
-
-def _poly(c: Fraction, p: tuple[int, ...]) -> Poly:
-    """Trusted constructor: ``p`` is primitive with a positive lead (or empty
-    with ``c = 0``)."""
+def _poly(n: int, d: int, p: tuple[int, ...]) -> Poly:
+    """Trusted constructor: ``n/d`` is in lowest terms with ``d > 0``, and
+    ``p`` is primitive with a positive lead (or empty with ``n/d = 0/1``)."""
     out = object.__new__(Poly)
-    object.__setattr__(out, "_c", c)
+    object.__setattr__(out, "_n", n)
+    object.__setattr__(out, "_d", d)
     object.__setattr__(out, "_p", p)
     return out
 
 
-_ZERO = _poly(_ZERO_C, ())
-_ONE = _poly(_ONE_C, (1,))
+_ZERO = _poly(0, 1, ())
+_ONE = _poly(1, 1, (1,))
 
 
-def _split(ints: list[int], scale: int) -> tuple[Fraction, tuple[int, ...]]:
-    """Content and primitive part of ``ints / scale``; ``ints`` has no
-    trailing zeros."""
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with a positive denominator (d nonzero)."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _content_mul(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1/d1) * (n2/d2) for two contents in lowest terms, reduced by the
+    cross gcds (Henrici), so no gcd of the products is taken."""
+    if d1 == d2 == 1:
+        return n1 * n2, 1
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def _split(ints: list[int], scale: int) -> tuple[int, int, tuple[int, ...]]:
+    """Content (numerator, denominator) and primitive part of
+    ``ints / scale``, for ``scale > 0``; ``ints`` has no trailing zeros."""
     if not ints:
-        return _ZERO_C, ()
+        return 0, 1, ()
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-    return Fraction(g, scale), tuple(ints)
+    c = math.gcd(g, scale)
+    if c != 1:
+        g, scale = g // c, scale // c
+    return g, scale, tuple(ints)
 
 
 def _int_lift_pair(coeffs) -> tuple[list[int], int]:
@@ -433,7 +460,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.degree == 0 or b.degree == 0:
         return _ONE
     g = _gcd(a._p, b._p)[0]
-    return _poly(Fraction(1, g[-1]), tuple(g))
+    return _poly(1, g[-1], tuple(g))
 
 
 def _poly_str(p: Poly) -> str:
@@ -463,10 +490,12 @@ def _poly_str(p: Poly) -> str:
 
 def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """num/den with both rescaled so that den is monic (num nonzero)."""
-    lead, dc = den._p[-1], den._c
-    if dc.numerator == 1 and dc.denominator == lead:
+    lead = den._p[-1]
+    if den._n == 1 and den._d == lead:
         return num, den
-    return _poly(num._c / (dc * lead), num._p), _poly(Fraction(1, lead), den._p)
+    # num's content over den's leading coefficient, den._n * lead / den._d
+    n, d = _reduced(num._n * den._d, num._d * den._n * lead)
+    return _poly(n, d, num._p), _poly(1, lead, den._p)
 
 
 def _cancelled(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -475,7 +504,7 @@ def _cancelled(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.degree > 0 and den.degree > 0:
         g, qn, qd = _gcd(num._p, den._p)
         if len(g) > 1:
-            return _poly(num._c, tuple(qn)), _poly(den._c, tuple(qd))
+            return _poly(num._n, num._d, tuple(qn)), _poly(den._n, den._d, tuple(qd))
     return num, den
 
 
@@ -582,10 +611,8 @@ class RatFun:
     def _coerce(other) -> "RatFun | None":
         if isinstance(other, RatFun):
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return RatFun.constant(other)
-        if isinstance(other, Poly):
-            return RatFun._normalized(other, _ONE)
+        if isinstance(other, (int, Fraction, Poly)) and not isinstance(other, bool):
+            return RatFun._normalized(Poly._coerce(other), _ONE)
         return None
 
     def __add__(self, other):
@@ -596,9 +623,22 @@ class RatFun:
             return o
         if o.is_zero:
             return self
-        if self.den == o.den:
-            return RatFun(self.num + o.num, self.den)
-        return RatFun(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if b == d:
+            return RatFun(a + c, b)
+        # Henrici: with g = gcd(b, d), b = g b' and d = g d', the sum is
+        # t / (g b' d') with t = a d' + c b', and a factor of b' or d' cannot
+        # divide t (a, b and c, d are coprime), so only gcd(t, g) cancels
+        g, qb, qd = _gcd(b._p, d._p) if b.degree > 0 and d.degree > 0 else ((1,), (), ())
+        if len(g) == 1:
+            return RatFun._normalized(a * d + c * b, b * d)
+        b1, d1 = _poly(b._n, b._d, tuple(qb)), _poly(d._n, d._d, tuple(qd))
+        t = a * d1 + c * b1
+        if t.degree > 0:
+            g2, qt, qg = _gcd(t._p, g)
+            if len(g2) > 1:
+                t, g = _poly(t._n, t._d, tuple(qt)), qg
+        return RatFun._normalized(t, b1 * d1 * _poly(1, 1, tuple(g)))
 
     __radd__ = __add__
 
@@ -708,22 +748,34 @@ class RatFun:
 
         Exact long division in powers of z^{-1}:
         r = sum_{k=0}^{n} h_k z^{-k} + O(z^{-(n+1)}).
+
+        In w = 1/z the coefficients of num z^{-q} and den z^{-q} are
+        num[q-k] and den[q-k], with q = deg den.  On the primitive parts N of
+        num (content c) and D of den (lead L, so den = D / L), write
+        h_k = c g_k / L^k; then the g_k are integers,
+        g_k = N[q-k] L^k - sum_{i=1..k} D[q-i] L^(i-1) g_{k-i},
+        summed over the nonzero taps of D, and each h_k is one Fraction.
         """
         if not self.is_proper:
             raise ToolkitError("series expansion requires a proper rational function")
         if n < 0:
             raise ValueError("series length must be nonnegative")
-        q = self.den.degree
-        # In w = 1/z the expansion coefficients of num*z^{-q} and den*z^{-q}
-        # are num[q-k] and den[q-k]; den's constant term in w is 1 (monic).
+        num, den = self.num._p, self.den._p
+        q, lead = len(den) - 1, den[-1]
+        taps = [(i, den[q - i] * lead ** (i - 1)) for i in range(1, q + 1) if den[q - i]]
+        cn, cd = self.num._n, self.num._d
+        g: list[int] = []
         h: list[Fraction] = []
+        power = 1  # lead ** k
         for k in range(n + 1):
-            acc = self.num[q - k]
-            for i in range(1, k + 1):
-                di = self.den[q - i]
-                if di:
-                    acc -= di * h[k - i]
-            h.append(acc)
+            acc = num[q - k] * power if 0 <= q - k < len(num) else 0
+            for i, di in taps:
+                if i > k:
+                    break
+                acc -= di * g[k - i]
+            g.append(acc)
+            h.append(Fraction(cn * acc, cd * power))
+            power *= lead
         return h
 
     def __repr__(self):

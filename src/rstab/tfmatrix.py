@@ -322,8 +322,9 @@ class TFMatrix:
                 f = a[i][k]
                 if f.is_zero:
                     continue
-                a[i] = [e - f * p for e, p in zip(a[i], a[k])]
-                b[i] = [e - f * p for e, p in zip(b[i], b[k])]
+                # the pivot row is sparse in FIR loops: a zero entry leaves e as is
+                a[i] = [e - f * p if p else e for e, p in zip(a[i], a[k])]
+                b[i] = [e - f * p if p else e for e, p in zip(b[i], b[k])]
         # column swaps on the input appear as row permutations of the inverse
         inv_rows: list[list[RatFun] | None] = [None] * n
         for k in range(n):

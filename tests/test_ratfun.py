@@ -316,14 +316,16 @@ scalars = st.one_of(st.integers(min_value=-10**9, max_value=10**9), wide)
 
 
 def check_stored_form(p: Poly) -> None:
-    """p is stored as a content times a primitive part with a positive lead."""
-    c, prim = p._c, p._p
-    assert type(c) is F and all(type(v) is int for v in prim)
+    """p is stored as a content, two coprime ints with a positive
+    denominator, times a primitive part with a positive lead."""
+    n, d, prim = p._n, p._d, p._p
+    assert type(n) is type(d) is int and all(type(v) is int for v in prim)
+    assert d > 0 and math.gcd(n, d) == 1
     if prim:
-        assert c != 0 and math.gcd(*prim) == 1 and prim[-1] > 0
+        assert n != 0 and math.gcd(*prim) == 1 and prim[-1] > 0
     else:
-        assert c == 0
-    assert tuple(c * v for v in prim) == p.coeffs
+        assert (n, d, prim) == (0, 1, ())
+    assert tuple(F(n * v, d) for v in prim) == p.coeffs
 
 
 def check_poly(p: Poly, expected: tuple) -> None:
@@ -427,17 +429,92 @@ class TestStoredForm:
         assert len({RatFun(z * F(-2, 3)), Poly([0, F(-2, 3)])}) == 1
         assert len({RatFun(0), Poly.zero(), 0}) == 1
 
-    @pytest.mark.parametrize("coeffs, content, primitive", [
-        ([F(1, 2), F(-1, 3), F(-2, 5)], F(-1, 30), (-15, 10, 12)),
-        ([0, 0, -4], F(-4), (0, 0, 1)),
-        ([6, 9], F(3), (2, 3)),
-        ([F(5, 7)], F(5, 7), (1,)),
-        ([0, 0], F(0), ()),
+    @pytest.mark.parametrize("coeffs, stored", [
+        ([F(1, 2), F(-1, 3), F(-2, 5)], (-1, 30, (-15, 10, 12))),
+        ([0, 0, -4], (-4, 1, (0, 0, 1))),
+        ([6, 9], (3, 1, (2, 3))),
+        ([F(5, 7)], (5, 7, (1,))),
+        ([0, 0], (0, 1, ())),
     ], ids=["negative_lead", "monomial", "integer_content", "constant", "zero"])
-    def test_examples_of_the_stored_form(self, coeffs, content, primitive):
+    def test_examples_of_the_stored_form(self, coeffs, stored):
         p = Poly(coeffs)
-        assert (p._c, p._p) == (content, primitive)
+        assert (p._n, p._d, p._p) == stored
         check_stored_form(p)
+
+
+def reference_sum(x: RatFun, y: RatFun) -> tuple[tuple, tuple]:
+    """x + y by the oracle: (n1 d2 + n2 d1) / (d1 d2), cancelled."""
+    n1, d1, n2, d2 = (p.coeffs for p in (x.num, x.den, y.num, y.den))
+    num = reference_add(trimmed(conv_truncated(n1, d2)), trimmed(conv_truncated(n2, d1)))
+    return reference_ratfun(num, trimmed(conv_truncated(d1, d2)))
+
+
+def spied_gcd_degrees(monkeypatch) -> list[int]:
+    """A list that records the degree of the gcd of each ``_gcd`` call from now on."""
+    seen = []
+
+    def spy(ia, ib, _gcd=ratfun._gcd):
+        out = _gcd(ia, ib)
+        seen.append(len(out[0]) - 1)
+        return out
+
+    monkeypatch.setattr(ratfun, "_gcd", spy)
+    return seen
+
+
+U, V = Poly([1, 1]), Poly([2, 1])  # z + 1, z + 2
+HALF, THIRD = Poly([F(-1, 2), 1]), Poly([F(-1, 3), 1])  # z - 1/2, z - 1/3
+
+
+class TestHenriciAddition:
+    """A/(g u) + B/(g v) = t / (g u v) with t = A v + B u, where only
+    gcd(t, g) can cancel.  A zero sum never takes this path: two cancelled
+    functions with different monic denominators are never each other's
+    negatives, so it is checked through the equal-denominator path."""
+
+    @pytest.mark.parametrize("g, a, b, expected, degrees", [
+        # t = 2z + 3 is coprime to g
+        (HALF, 1, 1, RatFun([3, 2], HALF * U * V), [1, 0]),
+        # t = 3(z + 2) - 5(z + 1) = -2(z - 1/2) shares one of g's two factors
+        (HALF * THIRD, 3, -5, RatFun(-2, THIRD * U * V), [2, 1]),
+        # t = 9/4 (z + 2) + (z - 17/4)(z + 1) = (z - 1/2)^2 is all of g
+        (HALF * HALF, F(9, 4), Poly([F(-17, 4), 1]), RatFun(1, U * V), [2, 2]),
+    ], ids=["t_coprime_to_g", "t_shares_part_of_g", "t_shares_all_of_g"])
+    def test_planted_common_factor(self, monkeypatch, g, a, b, expected, degrees):
+        x, y = RatFun(a, g * U), RatFun(b, g * V)
+        seen = spied_gcd_degrees(monkeypatch)
+        total = x + y
+        assert seen == degrees
+        assert total == expected
+        check_ratfun(total, *reference_sum(x, y))
+
+    @pytest.mark.parametrize("x, y, degrees", [
+        (RatFun(1, U), RatFun(1, V), [0]),
+        (RatFun(Poly([1, 2])), RatFun(1, HALF * U), []),
+        (RatFun(F(2, 3)), RatFun(Poly([0, 1]), V), []),
+    ], ids=["coprime_denominators", "polynomial_plus_fraction", "constant_plus_fraction"])
+    def test_no_common_factor(self, monkeypatch, x, y, degrees):
+        # the sum is already in lowest terms, and no gcd of it is taken
+        seen = spied_gcd_degrees(monkeypatch)
+        total = x + y
+        assert seen == degrees
+        check_ratfun(total, *reference_sum(x, y))
+        check_ratfun(y + x, *reference_sum(x, y))
+
+    @pytest.mark.parametrize("x", [RatFun(3, HALF * U), RatFun(Poly([1, 2]), HALF * HALF)])
+    def test_sum_that_cancels_to_zero(self, x):
+        for total in (x + (-x), x - x, (-x) + x):
+            check_ratfun(total, (), (F(1),))
+            assert total.den == Poly.one()
+
+    @settings(max_examples=60)
+    @given(g=polys.filter(lambda p: p.degree >= 1), u=nonzero_polys, v=nonzero_polys,
+           a=polys, b=polys)
+    def test_planted_denominators(self, g, u, v, a, b):
+        x, y = RatFun(a, g * u), RatFun(b, g * v)
+        check_ratfun(x + y, *reference_sum(x, y))
+        check_ratfun(y + x, *reference_sum(x, y))
+        assert (x + y) - y == x
 
 
 class TestArithmetic:
@@ -510,6 +587,31 @@ class TestPoles:
         assert (RatFun.constant(c) * r).is_stable() == r.is_stable()
 
 
+def check_markov_parameters(r: RatFun, n: int) -> None:
+    """h_0 .. h_n times the denominator in w = 1/z give back the numerator's
+    coefficients in w: sum_i den[q - i] h_{k - i} = num[q - k] for k <= n."""
+    h = r.series(n)
+    assert len(h) == n + 1 and all(type(v) is F for v in h)
+    q = r.den.degree
+    den_w = [r.den[q - i] for i in range(q + 1)]
+    num_w = [r.num[q - k] if k <= q else F(0) for k in range(n + 1)]
+    assert conv_truncated(h, den_w, n) == num_w
+
+
+#: poles p/q with q > 1, so the denominator's primitive part has a lead above 1
+rational_poles = st.builds(F, st.integers(min_value=-6, max_value=6),
+                           st.integers(min_value=2, max_value=7)).filter(lambda f: f.denominator > 1)
+
+
+@st.composite
+def rational_pole_ratfuns(draw) -> RatFun:
+    poles = draw(st.lists(rational_poles, min_size=1, max_size=4))
+    den = Poly.one()
+    for p in poles:
+        den = den * Poly([-p, 1])
+    return RatFun(Poly(draw(st.lists(wide, max_size=len(poles) + 1))), den)
+
+
 class TestSeries:
     def test_geometric(self):
         assert rf(1, [F(-1, 2), 1]).series(4) == [0, 1, F(1, 2), F(1, 4), F(1, 8)]
@@ -523,6 +625,30 @@ class TestSeries:
     def test_improper_rejected(self):
         with pytest.raises(ToolkitError):
             rf([0, 0, 1], [1, 1]).series(3)
+
+    @pytest.mark.parametrize("r", [
+        RatFun(Poly([1, 2]), Poly([F(-1, 2), 1]) * Poly([F(2, 3), 1])),
+        RatFun(Poly([F(5, 7), 0, F(-3, 2)]), Poly([F(1, 6), 1]) * Poly([F(-5, 4), 1])),
+        RatFun(Poly([1, 2, 3]), Poly.z(3)),
+        RatFun(Poly([F(-1, 3), 0, 0, 0, 4]), Poly.z(4)),
+        RatFun(Poly([F(9, 2), 1, 7]), Poly([1, 0, -6]) * Poly([1, 5])),
+        RatFun.constant(F(-7, 3)),
+        RatFun.zero(),
+    ], ids=["rational_poles", "biproper", "fir", "fir_with_gaps", "integer_poles",
+            "constant", "zero"])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_markov_parameters_times_denominator(self, r, n):
+        check_markov_parameters(r, n)
+
+    def test_examples_with_a_nonunit_lead(self):
+        # den = (z - 1/2)(z + 2/3) has the primitive part (2z - 1)(3z + 2)
+        r = RatFun(Poly([1, 2]), Poly([F(-1, 2), 1]) * Poly([F(2, 3), 1]))
+        assert r.den._p[-1] == 6
+        assert r.series(3) == [0, 2, F(2, 3), F(5, 9)]
+
+    @given(rational_pole_ratfuns(), st.integers(min_value=0, max_value=9))
+    def test_markov_parameters_of_rational_poles(self, r, n):
+        check_markov_parameters(r, n)
 
     @settings(max_examples=40)
     @given(proper_ratfuns, proper_ratfuns)
