@@ -6,15 +6,20 @@ over a doubly coprime factorization, the input-output bundle {Y, U, W, Z},
 the system level bundles (state feedback {Phi_x, Phi_u} and output feedback
 {Phi_xx, Phi_ux, Phi_xy, Phi_uy}), and two mixed bundles.  ``REGISTRY``
 holds one ``Parameterization`` entry per bundle: its loop, the blocks of
-S = (I - R)^{-1} it holds, and which of them are strictly proper.  Each
-bundle is checked on construction: its stability memberships by numeric pole
-tests, and exactly the identities of (I - R) S = S (I - R) = I that the
-controller does not enter, with I - R read off the plant.  One routine,
-``_completion``, derives every block of S that a bundle does not hold: the
-check reads the blocks its identities need from it, and ``convert``
-translates any bundle into any other by reading the target's blocks from
-it.  The ``*_from_controller`` and ``*_to_controller`` functions map
-bundles to controllers and back.
+S = (I - R)^{-1} it holds, and which of them are strictly proper.
+
+The plant's part of every loop is declared once, by ``_plant_part``: the
+loop's space and every block of R but the controller K's.  ``_closed_loop``
+adds K; the public loop builders, the ``*_from_controller`` maps and the sls
+realizations are all built by it.  ``_Lemma`` reads (I - R) S = S (I - R) = I
+off the same blocks, for two jobs.  It evaluates the identities that K does
+not enter, which, with the stability memberships (numeric pole tests), check
+every bundle on construction; and it derives every block of S that a bundle
+does not hold, which the check reads and ``convert`` uses to translate any
+bundle into any other.  The ``*_to_controller`` functions map bundles back
+to controllers.  The tests hold oracles that share none of this code:
+``bundle_identities`` and ``adjugate_inverse`` in ``tests/helpers.py``, and
+loops written out by hand.
 
 Signal naming convention: states are "x", controls "u", measurements "y".
 """
@@ -144,19 +149,51 @@ class PlantSS:
         return c @ self.state_transfer() + d
 
 
-def _dynamics_block(plant: PlantSS) -> TFMatrix:
-    """A + (1 - z) I: the realization block of x = z^{-1}(A x + B u).
-
-    Improper on the diagonal by construction; the causality condition
-    exempts diagonal blocks for exactly this reason.
-    """
-    x = plant.x_space
-    return TFMatrix.constant(x, x, plant.A) + TFMatrix.diagonal(x, RatFun([1, -1]))
-
-
 # ---------------------------------------------------------------------------
 # closed-loop realizations
 # ---------------------------------------------------------------------------
+
+
+def _plant_part(plant, signal: str = "y") -> tuple[SignalSpace, dict, tuple[str, str]]:
+    """The loop that a controller measuring ``signal`` closes around ``plant``:
+    its space, every block of R but the controller's, and the block
+    (u, measured) where the controller K sits.
+
+    Around a transfer matrix G the loop is over (G's output, G's input), K
+    measures the output, and R[output, u] = G.  Around a PlantSS the loop is
+    over (x, u) with the x row [A + (1 - z)I, B] of x = z^{-1}(A x + B u), and
+    over (x, u, y) with the y row [C, D] as well when K measures y.
+    A + (1 - z)I is improper on the diagonal; the causality condition exempts
+    diagonal blocks for exactly this reason.
+    """
+    if isinstance(plant, TFMatrix):
+        if len(plant.rows.blocks) != 1 or len(plant.cols.blocks) != 1:
+            raise SpaceMismatchError("plant transfer matrix must be single-block on both sides")
+        out, u = plant.rows.names[0], plant.cols.names[0]
+        return SignalSpace(plant.rows.blocks + plant.cols.blocks), {(out, u): plant}, (u, out)
+    x, u, y = plant.x_space, plant.u_space, plant.y_space
+    r = {("x", "x"): TFMatrix.constant(x, x, plant.A) + TFMatrix.diagonal(x, RatFun([1, -1])),
+         ("x", "u"): TFMatrix.constant(x, u, plant.B)}
+    if signal != "y":
+        return SignalSpace(x.blocks + u.blocks), r, ("u", signal)
+    r[("y", "x")] = TFMatrix.constant(y, x, plant.C)
+    r[("y", "u")] = TFMatrix.constant(y, u, plant.D)
+    return SignalSpace(x.blocks + u.blocks + y.blocks), r, ("u", "y")
+
+
+def _closed_loop(plant, k: TFMatrix, signal: str = "y", rows: dict | None = None) -> Realization:
+    """The loop R that K closes around ``plant`` measuring ``signal``: the
+    plant's blocks (``_plant_part``) and K at (u, measured), where K's rows
+    must be u's space and its columns the measured signal's.  A measured
+    signal that the plant does not have, such as the delta of the sls
+    variants, joins the loop with K's columns; ``rows`` gives its row of R.
+    """
+    space, r, (u, measured) = _plant_part(plant, signal)
+    if measured not in space:
+        space = SignalSpace(space.blocks + k.cols.blocks)
+    if k.rows.blocks != ((u, space.dim(u)),) or k.cols.blocks != ((measured, space.dim(measured)),):
+        raise SpaceMismatchError("controller spaces must be the reverse of the plant's")
+    return Realization.from_blocks(space, {**r, (u, measured): k, **(rows or {})})
 
 
 def plant_feedback_loop(g: TFMatrix, k: TFMatrix) -> Realization:
@@ -165,39 +202,12 @@ def plant_feedback_loop(g: TFMatrix, k: TFMatrix) -> Realization:
     Signal names come from g's own spaces, so the same builder serves
     measurement loops (y, u) and state loops (x, u).
     """
-    if len(g.rows.blocks) != 1 or len(g.cols.blocks) != 1:
-        raise SpaceMismatchError("plant transfer matrix must be single-block on both sides")
-    if k.rows != g.cols or k.cols != g.rows:
-        raise SpaceMismatchError("controller spaces must be the reverse of the plant's")
-    out_name, p = g.rows.blocks[0]
-    u_name, m = g.cols.blocks[0]
-    space = SignalSpace(((out_name, p), (u_name, m)))
-    return Realization.from_blocks(space, {(out_name, u_name): g, (u_name, out_name): k})
-
-
-def _plant_loop(plant: PlantSS, k: TFMatrix, signal: str) -> Realization:
-    """The plant's state equation closed by a controller K that measures ``signal``.
-
-    Measuring the state, the loop is over (x, u) with
-    R = [[A + (1-z)I, B], [K, 0]]; measuring y = Cx + Du, it is over
-    (x, u, y) with R = [[A + (1-z)I, B, 0], [0, 0, K], [C, D, 0]].
-    """
-    blocks = {
-        ("x", "x"): _dynamics_block(plant),
-        ("x", "u"): TFMatrix.constant(plant.x_space, plant.u_space, plant.B),
-        ("u", signal): k,
-    }
-    dims = (("x", plant.n), ("u", plant.m))
-    if signal == "y":
-        blocks[("y", "x")] = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
-        blocks[("y", "u")] = TFMatrix.constant(plant.y_space, plant.u_space, plant.D)
-        dims += (("y", plant.p),)
-    return Realization.from_blocks(SignalSpace(dims), blocks)
+    return _closed_loop(g, k)
 
 
 def state_feedback_loop(plant: PlantSS, k: TFMatrix) -> Realization:
     """State-feedback loop R = [[A + (1-z)I, B], [K, 0]] over (x, u)."""
-    return _plant_loop(plant, k, "x")
+    return _closed_loop(plant, k, "x")
 
 
 def output_feedback_loop(plant: PlantSS, k: TFMatrix) -> Realization:
@@ -205,7 +215,62 @@ def output_feedback_loop(plant: PlantSS, k: TFMatrix) -> Realization:
 
     R = [[A + (1-z)I, B, 0], [0, 0, K], [C, D, 0]].
     """
-    return _plant_loop(plant, k, "y")
+    return _closed_loop(plant, k, "y")
+
+
+class _Lemma:
+    """(I - R) S = S (I - R) = I on the plant's blocks ``r`` of R
+    (``_plant_part``), for the blocks of S in ``held`` and those derived
+    from them.  Row a of (I - R) S = I at column c, and column a of
+    S (I - R) = I at row c, read
+
+        (I - R)[a,a] S[a,c] = I_ac + sum_{b != a} R[a,b] S[b,c]
+        S[c,a] (I - R)[a,a] = I_ca + sum_{b != a} S[c,b] R[b,a]
+
+    (I_ac = I if a = c, else 0), where (I - R)[a,a] is zI - A at x and I
+    elsewhere.  ``holds`` evaluates one of them.  ``block`` reads a block of
+    S and derives a missing one, when first read, as such a sum, times the
+    plant's ``resolvent()`` at x: a block of a held row from its column's
+    identity, any other from its row's.  The bundles hold row u and the
+    measured signal's column, which K enters, so every chain ends there.
+    Zero blocks of R add no terms.
+    """
+
+    def __init__(self, plant, space: SignalSpace, r: dict, held: dict):
+        self.plant = plant
+        self.spaces = {name: SignalSpace.single(name, dim) for name, dim in space}
+        self.r = {ab: m for ab, m in r.items() if not m.is_zero}
+        self.diagonal = {a: TFMatrix.identity(m.rows) - m for (a, b), m in self.r.items() if a == b}
+        self.rows = {i for i, _ in held}
+        self.s = dict(held)
+
+    def _sum(self, a: str, c: str, by_column: bool) -> TFMatrix:
+        """I_ac + sum_{b != a} R[a,b] S[b,c], or I_ca + sum_{b != a} S[c,b] R[b,a] by column."""
+        rows, cols = self.spaces[c if by_column else a], self.spaces[a if by_column else c]
+        v = TFMatrix.identity(rows) if a == c else TFMatrix.zeros(rows, cols)
+        for (i, j), m in self.r.items():
+            if i != j and (j if by_column else i) == a:
+                v = v + (self.block(c, i) @ m if by_column else m @ self.block(j, c))
+        return v
+
+    def holds(self, a: str, c: str, by_column: bool) -> bool:
+        """Whether row a of (I - R) S = I holds at column c, or by column,
+        column a of S (I - R) = I at row c."""
+        s = self.block(c, a) if by_column else self.block(a, c)
+        if a in self.diagonal:
+            s = s @ self.diagonal[a] if by_column else self.diagonal[a] @ s
+        return s == self._sum(a, c, by_column)
+
+    def block(self, i: str, j: str) -> TFMatrix:
+        """Block (i, j) of S: held, or derived when first read."""
+        if (i, j) not in self.s:
+            by_column = i in self.rows
+            a, c = (j, i) if by_column else (i, j)
+            v = self._sum(a, c, by_column)
+            if a in self.diagonal:
+                v = v @ self.plant.resolvent() if by_column else self.plant.resolvent() @ v
+            self.s[(i, j)] = v
+        return self.s[(i, j)]
 
 
 def stabilized_loop(r: Realization, context: str) -> StabilityMatrix:
@@ -236,36 +301,12 @@ def _members(bundle, strictly_proper: tuple[str, ...] = ()):
     return bundle
 
 
-def _held_names(entry: "Parameterization", plant) -> tuple[str, list[tuple[str, str]]]:
-    """The signal that the entry's controller measures around ``plant`` (an IOP
-    bundle's G names it: x for (zI - A)^{-1} B), and the entry's blocks named so."""
-    measured = plant.rows.names[0] if isinstance(plant, TFMatrix) else entry.signal
-    return measured, [tuple(measured if n == entry.signal else n for n in b) for b in entry.blocks]
-
-
-def _one_minus_r(plant, signal: str) -> dict:
-    """The nonzero blocks of I - R but K, by (row, col), None standing for I:
-    [[I, -G], [., I]] over (G's output, u), or [[zI - A, -B], [., I]] over
-    (x, u) with row y = [-C, -D, I] when the controller measures y."""
-    if isinstance(plant, TFMatrix):
-        if len(plant.rows.blocks) != 1 or len(plant.cols.blocks) != 1:
-            raise SpaceMismatchError("plant transfer matrix must be single-block on both sides")
-        out = plant.rows.names[0]
-        return {(out, out): None, (out, "u"): -plant, ("u", "u"): None}
-    x, u, y = plant.x_space, plant.u_space, plant.y_space
-    m = {("x", "x"): plant.z_minus_a(), ("x", "u"): TFMatrix.constant(x, u, -plant.B),
-         ("u", "u"): None}
-    if signal == "y":
-        m.update({("y", "x"): TFMatrix.constant(y, x, -plant.C),
-                  ("y", "u"): TFMatrix.constant(y, u, -plant.D), ("y", "y"): None})
-    return {k: v for k, v in m.items() if v is None or not v.is_zero}
-
-
-def _has_feedthrough(plant) -> bool:
-    """Whether the measurement depends on u directly: D != 0, or G not strictly proper."""
-    if isinstance(plant, PlantSS):
-        return not plant.is_strictly_proper
-    return not all(e.is_strictly_proper for row in plant.entries for e in row)
+def _held_names(entry: "Parameterization", at: tuple[str, str]) -> list[tuple[str, str]]:
+    """The entry's blocks, named as in its loop where K sits at ``at`` =
+    (u, measured): a loop around G names them by G's spaces (x for
+    (zI - A)^{-1} B)."""
+    name = dict(zip(("u", entry.signal), at))
+    return [(name.get(i, i), name.get(j, j)) for i, j in entry.blocks]
 
 
 def _checked(bundle, plant):
@@ -275,41 +316,30 @@ def _checked(bundle, plant):
     The identities are those that the controller does not enter: the rows of
     (I - R) S = I other than u's, at the held columns, and the columns of
     S (I - R) = I other than the measured signal's, at the held rows.  A block
-    of S that they read and the bundle does not hold comes from
-    ``_completion``.  With a direct feedthrough, a bundle measured at y must
-    also have an S[u,u] with a proper inverse, so that its controller
-    K = S[u,u]^{-1} S[u,y] is proper; without one, the identities already
-    make S[u,u] biproper.
+    of S that they read and the bundle does not hold is derived by the same
+    ``_Lemma``.  When the measured signal reaches u directly (D != 0, or G
+    not strictly proper), the bundle must also have an S[u,u] with a proper
+    inverse, so that its controller K = S[u,u]^{-1} S[u,y] is proper;
+    otherwise the identities already make S[u,u] biproper.
     """
     entry = next(e for e in REGISTRY.values() if e.bundle is type(bundle))
     name = type(bundle).__name__
     _members(bundle, entry.strictly_proper)
-    m = _one_minus_r(plant, entry.signal)
-    measured, names = _held_names(entry, plant)
-    held = dict(zip(names, (getattr(bundle, f) for f in entry.fields)))
-    block = (lambda i, j: held[i, j]) if isinstance(plant, TFMatrix) else _completion(plant, held)
-
-    def fails(a: str, c: str, by_column: bool) -> bool:
-        # sum_b (I - R)[a,b] S[b,c] != I_ac, or sum_b S[c,b] (I - R)[b,a] by column
-        terms = []
-        for (i, j), m_ij in m.items():
-            if (j if by_column else i) == a:
-                s_b = block(c, i) if by_column else block(j, c)
-                terms.append(s_b if m_ij is None else s_b @ m_ij if by_column else m_ij @ s_b)
-        lhs = sum(terms[1:], terms[0])
-        return lhs != (TFMatrix.identity(lhs.rows) if c == a else TFMatrix.zeros(lhs.rows, lhs.cols))
-
-    rows = list(dict.fromkeys(r for r, _ in names))
-    cols = list(dict.fromkeys(c for _, c in names))
-    for a, c in [(a, c) for a in rows if a != "u" for c in cols]:
-        if fails(a, c, False):
+    space, r, (u, measured) = _plant_part(plant, entry.signal)
+    names = _held_names(entry, (u, measured))
+    lemma = _Lemma(plant, space, r, dict(zip(names, (getattr(bundle, f) for f in entry.fields))))
+    rows = list(dict.fromkeys(i for i, _ in names))
+    cols = list(dict.fromkeys(j for _, j in names))
+    for a, c in [(a, c) for a in rows if a != u for c in cols]:
+        if not lemma.holds(a, c, False):
             raise InvariantViolation(f"{name}: (I - R) S = I fails in row {a} at block ({a}, {c})")
     for a, c in [(a, c) for a in cols if a != measured for c in rows]:
-        if fails(a, c, True):
+        if not lemma.holds(a, c, True):
             raise InvariantViolation(f"{name}: S (I - R) = I fails in column {a} at block ({c}, {a})")
-    if entry.signal == "y" and _has_feedthrough(plant):
+    direct = None if measured in lemma.diagonal else lemma.r.get((measured, u))
+    if direct is not None and not direct.is_strictly_proper:
         try:
-            proper = block("u", "u").inverse().is_proper
+            proper = lemma.block(u, u).inverse().is_proper
         except SingularMatrixError:
             proper = False
         if not proper:
@@ -545,16 +575,13 @@ def coprime_factorize(plant: PlantSS, F, L) -> CoprimeFactors:
 # ---------------------------------------------------------------------------
 
 
-def _bundle_of_loop(entry: "Parameterization", loop: Realization, plant):
-    """The entry's blocks of the stabilized loop's S, checked against ``plant``."""
-    s = stabilized_loop(loop, f"{entry.name}_from_controller")
-    return entry.bundle.checked(*(s.S.block(r, c) for r, c in _held_names(entry, plant)[1]), plant)
-
-
-def _from_plant_loop(name: str, plant: PlantSS, k: TFMatrix):
-    """The named bundle of the loop that k closes around the plant's state equation."""
+def _from_controller(name: str, plant, k: TFMatrix):
+    """The named bundle of the stabilized loop that k closes around ``plant``:
+    its blocks of S, checked against ``plant``."""
     entry = REGISTRY[name]
-    return _bundle_of_loop(entry, _plant_loop(plant, k, entry.signal), plant)
+    s = stabilized_loop(_closed_loop(plant, k, entry.signal), f"{name}_from_controller")
+    names = _held_names(entry, (k.rows.names[0], k.cols.names[0]))
+    return entry.bundle.checked(*(s.S.block(i, j) for i, j in names), plant)
 
 
 def youla_to_controller(f: CoprimeFactors, q: YoulaParam) -> TFMatrix:
@@ -580,7 +607,7 @@ def controller_to_youla(f: CoprimeFactors, k: TFMatrix) -> YoulaParam:
 def iop_from_controller(g: TFMatrix, k: TFMatrix) -> IOPParam:
     """Extract {Y, U, W, Z} as the blocks of (I - R)^{-1} for the (G, K) loop;
     G may have a direct feedthrough, as long as the loop is internally stable."""
-    return _bundle_of_loop(REGISTRY["iop"], plant_feedback_loop(g, k), g)
+    return _from_controller("iop", g, k)
 
 
 def iop_to_controller(p: IOPParam) -> TFMatrix:
@@ -595,7 +622,7 @@ def slp_sf_to_controller(p: SLPStateFeedback) -> TFMatrix:
 
 def slp_sf_from_controller(plant: PlantSS, k: TFMatrix) -> SLPStateFeedback:
     """Extract {Phi_x, Phi_u} as the state-disturbance columns of the loop's S."""
-    return _from_plant_loop("slp_sf", plant, k)
+    return _from_controller("slp_sf", plant, k)
 
 
 def slp_of_to_controller(p: SLPOutputFeedback, D) -> TFMatrix:
@@ -614,7 +641,7 @@ def slp_of_to_controller(p: SLPOutputFeedback, D) -> TFMatrix:
 
 def slp_of_from_controller(plant: PlantSS, k: TFMatrix) -> SLPOutputFeedback:
     """Extract {Phi_xx, Phi_ux, Phi_xy, Phi_uy} from the output-feedback loop's S."""
-    return _from_plant_loop("slp_of", plant, k)
+    return _from_controller("slp_of", plant, k)
 
 
 def mixed1_to_controller(p: MixedParam1) -> TFMatrix:
@@ -624,7 +651,7 @@ def mixed1_to_controller(p: MixedParam1) -> TFMatrix:
 
 def mixed1_from_controller(plant: PlantSS, k: TFMatrix) -> MixedParam1:
     """Extract {Phi_yx, Phi_ux, Phi_yy, Phi_uy} from the output-feedback loop's S."""
-    return _from_plant_loop("mixed1", plant, k)
+    return _from_controller("mixed1", plant, k)
 
 
 def mixed2_to_controller(p: MixedParam2) -> TFMatrix:
@@ -634,7 +661,7 @@ def mixed2_to_controller(p: MixedParam2) -> TFMatrix:
 
 def mixed2_from_controller(plant: PlantSS, k: TFMatrix) -> MixedParam2:
     """Extract {Phi_xy, Phi_uy, Phi_xu, Phi_uu} from the output-feedback loop's S."""
-    return _from_plant_loop("mixed2", plant, k)
+    return _from_controller("mixed2", plant, k)
 
 
 # ---------------------------------------------------------------------------
@@ -675,42 +702,6 @@ def slp_of_to_iop(p: SLPOutputFeedback, plant: PlantSS) -> IOPParam:
     Valid for any direct feedthrough D, strictly proper or not.
     """
     return convert("slp_of", "iop", p, plant)
-
-
-def _completion(plant: PlantSS, held: dict) -> Callable[[str, str], TFMatrix]:
-    """Block (i, j) of S for the output-feedback loop over (x, u, y), completed
-    from the ``held`` blocks by the rows x, y of (I - R) S = I and the columns
-    x, u of S (I - R) = I, which the controller does not enter:
-
-        (zI - A) S[x,j] = I_xj + B S[u,j]      S[i,x] (zI - A) = I_ix + S[i,y] C
-        S[y,j] = I_yj + C S[x,j] + D S[u,j]    S[i,u] = I_iu + S[i,x] B + S[i,y] D
-
-    (I_ab = I if a = b, else 0).  A missing block of a held row comes from its
-    column's identity, any other from its row's, so every chain ends at the
-    held row u and column y.  Blocks are derived when first read, with the
-    plant's own ``resolvent()``; ``convert`` and ``_checked`` both read here.
-    """
-    rows = {i for i, _ in held}
-    s = dict(held)
-    b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
-    c = TFMatrix.constant(plant.y_space, plant.x_space, plant.C)
-    d = TFMatrix.constant(plant.y_space, plant.u_space, plant.D)
-
-    def block(i: str, j: str) -> TFMatrix:
-        if (i, j) not in s:
-            by_column = i in rows
-            if by_column:
-                v = block(i, "y") @ c if j == "x" else block(i, "x") @ b + block(i, "y") @ d
-            else:
-                v = b @ block("u", j) if i == "x" else c @ block("x", j) + d @ block("u", j)
-            if i == j:
-                v = v + TFMatrix.identity(v.rows)
-            if (j if by_column else i) == "x":
-                v = v @ plant.resolvent() if by_column else plant.resolvent() @ v
-            s[(i, j)] = v
-        return s[(i, j)]
-
-    return block
 
 
 def _factors_of(plant: PlantSS, factors: Callable[[], CoprimeFactors] | None) -> CoprimeFactors:
@@ -757,7 +748,7 @@ def convert(source: str, target: str, bundle, plant: PlantSS,
             v = held[(i, "x")] @ zia
             v = v - TFMatrix.identity(v.rows) if i == "x" else v
             held[(i, "y")] = v.relabel(spaces[i], spaces["y"])
-    block = _completion(plant, held)
+    block = _Lemma(plant, *_plant_part(plant)[:2], held).block
     if target == "youla":
         k = block("u", "u").inverse() @ block("u", "y")
         return controller_to_youla(_factors_of(plant, factors), k)

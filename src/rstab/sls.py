@@ -37,7 +37,7 @@ from .errors import (
     SingularMatrixError,
     SpaceMismatchError,
 )
-from .parameterizations import PlantSS, SLPStateFeedback, _dynamics_block, _z_minus, exact_matrix
+from .parameterizations import PlantSS, SLPStateFeedback, _closed_loop, _z_minus, exact_matrix
 from .ratfun import Poly, RatFun
 from .realization import (
     BlockFinding,
@@ -192,30 +192,24 @@ def _loop_space(v: RealizationVariant, plant: PlantSS) -> SignalSpace:
 
 
 def build_realization(v: RealizationVariant, plant: PlantSS) -> Realization:
-    """Assemble the realization matrix of the chosen variant over (x, u, delta)."""
-    space = _loop_space(v, plant)
-    n, m = plant.n, plant.m
-    x_sp = SignalSpace.single("x", n)
-    u_sp = SignalSpace.single("u", m)
-    d_sp = SignalSpace.single("delta", n)
-    z = RatFun.z()
+    """Assemble the realization matrix of the chosen variant over (x, u, delta):
+    the plant's x row, the controller u = z M delta with M = Phi_u or M_c,
+    and the variant's delta row."""
+    _loop_space(v, plant)
+    x_sp, u_sp = plant.x_space, plant.u_space
+    d_sp = SignalSpace.single("delta", plant.n)
+    z, zinv = RatFun.z(), RatFun.z_inv()
     p_taps, m_taps = v.controller_taps()
-    u_row = z * fir_to_tfmatrix(m_taps, u_sp, d_sp)
-    blocks: dict[tuple[str, str], TFMatrix] = {
-        ("x", "x"): _dynamics_block(plant),
-        ("x", "u"): TFMatrix.constant(x_sp, u_sp, plant.B),
-        ("u", "delta"): u_row,
-    }
+    eye = TFMatrix.identity(x_sp).relabel(d_sp, x_sp)
     if v.kind == DEPLOYMENT:
         # delta row: [z^{-1}(zI - A), -z^{-1} B, O]
-        zinv = RatFun.z_inv()
-        blocks[("delta", "x")] = TFMatrix.identity(x_sp).relabel(d_sp, x_sp) - zinv * TFMatrix.constant(d_sp, x_sp, plant.A)
-        blocks[("delta", "u")] = -(zinv * TFMatrix.constant(d_sp, u_sp, plant.B))
+        delta_row = {("delta", "x"): eye - zinv * TFMatrix.constant(d_sp, x_sp, plant.A),
+                     ("delta", "u"): -(zinv * TFMatrix.constant(d_sp, u_sp, plant.B))}
     else:
         # delta row: [I, O, I - z Phi] with Phi = Phi_x or P_c
-        blocks[("delta", "x")] = TFMatrix.identity(x_sp).relabel(d_sp, x_sp)
-        blocks[("delta", "delta")] = TFMatrix.identity(d_sp) - z * fir_to_tfmatrix(p_taps, d_sp, d_sp)
-    return Realization.from_blocks(space, blocks)
+        phi = fir_to_tfmatrix(p_taps, d_sp, d_sp)
+        delta_row = {("delta", "x"): eye, ("delta", "delta"): TFMatrix.identity(d_sp) - z * phi}
+    return _closed_loop(plant, z * fir_to_tfmatrix(m_taps, u_sp, d_sp), "delta", delta_row)
 
 
 def closed_form_stability(v: RealizationVariant, plant: PlantSS) -> TFMatrix:
@@ -308,7 +302,7 @@ def certify_realization(v: RealizationVariant, plant: PlantSS) -> CertificationR
         # S[delta, x] is stable proper unless check_conditions reports it
         s_dx = s.S.block("delta", "x")
         delta_ok = (not any((f.matrix, f.row, f.col) == ("S", "delta", "x") for f in report.findings)
-                    and all(e.is_strictly_proper for row in s_dx.entries for e in row))
+                    and s_dx.is_strictly_proper)
     return CertificationReport(
         variant=v.kind,
         passed=report.passed,
@@ -333,7 +327,7 @@ def design_separation_constraint(
     proper.
     """
     for name, mtx in (("P_c", p_c), ("M_c", m_c)):
-        if not all(e.is_strictly_proper for row in mtx.entries for e in row):
+        if not mtx.is_strictly_proper:
             raise InvariantViolation(
                 f"{name} must be strictly proper so that the realization stays causal"
             )

@@ -338,6 +338,11 @@ class TFMatrix:
         """Whether every entry is proper: degrees only, no pole test."""
         return all(e.is_proper for row in self.entries for e in row)
 
+    @property
+    def is_strictly_proper(self) -> bool:
+        """Whether every entry is strictly proper: degrees only, no pole test."""
+        return all(e.is_strictly_proper for row in self.entries for e in row)
+
     def classify(self, verdicts: dict[Poly, bool] | None = None) -> TFClassification:
         """Entrywise aggregation of properness and RH-infinity membership.
 

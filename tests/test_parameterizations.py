@@ -41,7 +41,7 @@ from rstab import (
     youla_to_iop,
 )
 from rstab.errors import InternalStabilityError, InvariantViolation, SpaceMismatchError
-from rstab.parameterizations import REGISTRY, convert
+from rstab.parameterizations import REGISTRY, _Lemma, _plant_part, convert
 
 from helpers import adjugate_inverse, bundle_identities, rand_fir_tfmatrix
 
@@ -617,3 +617,124 @@ def test_a_bundle_without_a_controller_is_refused():
         SLPOutputFeedback.checked(tf(X1, X1, [[1 / p]]), tf(U1, X1, [[-1 / p]]),
                                   tf(X1, Y1, [[-1 / p]]), tf(U1, Y1, [[RatFun([F(1, 2), -1]) / p]]),
                                   plant)
+
+
+# -- the public loops against R written out by hand ------------------------------
+
+
+def _matrix(space, block_rows):
+    """The matrix over ``space`` with the given rows of blocks, None for a zero block."""
+    dims = [dim for _, dim in space]
+    return TFMatrix(space, space, [
+        [RatFun.zero() if b is None else b.entries[i][j] for b, q in zip(blocks, dims) for j in range(q)]
+        for blocks, p in zip(block_rows, dims) for i in range(p)])
+
+
+def _dynamics(plant):
+    """A + (1 - z) I, entry by entry."""
+    n = plant.n
+    return tf(plant.x_space, plant.x_space,
+              [[RatFun([plant.A[i, j] + int(i == j), -int(i == j)]) for j in range(n)] for i in range(n)])
+
+
+def _constant(rows, cols, values):
+    return tf(rows, cols, [[RatFun(v) for v in row] for row in values])
+
+
+def _output_loop_by_hand(plant, k):
+    """R = [[A + (1-z)I, B, 0], [0, 0, K], [C, D, 0]] over (x, u, y)."""
+    x, u, y = plant.x_space, plant.u_space, plant.y_space
+    space = SignalSpace(x.blocks + u.blocks + y.blocks)
+    r = _matrix(space, [[_dynamics(plant), _constant(x, u, plant.B), None],
+                        [None, None, k],
+                        [_constant(y, x, plant.C), _constant(y, u, plant.D), None]])
+    return r, {("x", "y"), ("u", "x"), ("u", "u"), ("y", "y")}
+
+
+def _state_loop_by_hand(plant, k):
+    """R = [[A + (1-z)I, B], [K, 0]] over (x, u)."""
+    x, u = plant.x_space, plant.u_space
+    r = _matrix(SignalSpace(x.blocks + u.blocks),
+                [[_dynamics(plant), _constant(x, u, plant.B)], [k, None]])
+    return r, {("u", "u")}
+
+
+def _small_controller(rows, cols):
+    """A fixed constant controller with distinct entries: -1/4, 1/8, ... ."""
+    return tf(rows, cols, [[RatFun(F((-1) ** (i + j + 1), 4 * 2 ** (i + j))) for j in range(cols.total)]
+                           for i in range(rows.total)])
+
+
+PINNED_PLANTS = {
+    "mimo": lambda mimo: mimo,  # D != 0
+    "mimo_without_feedthrough": lambda mimo: PlantSS(mimo.A, mimo.B, mimo.C, np.zeros((2, 2), dtype=int)),
+    "scalar_without_feedthrough": lambda mimo: PlantSS([[F(1, 2)]], [[1]], [[1]], [[0]]),
+}
+
+
+@pytest.mark.parametrize("plant_name", sorted(PINNED_PLANTS))
+def test_public_loops_match_r_written_out_by_hand(plant_name, mimo_plant):
+    plant = PINNED_PLANTS[plant_name](mimo_plant)
+    k_y = _small_controller(plant.u_space, plant.y_space)
+    k_x = _small_controller(plant.u_space, plant.x_space)
+    g = plant.transfer()
+    cases = [
+        (output_feedback_loop(plant, k_y), _output_loop_by_hand(plant, k_y)),
+        (state_feedback_loop(plant, k_x), _state_loop_by_hand(plant, k_x)),
+        (plant_feedback_loop(g, k_y),
+         (_matrix(SignalSpace(g.rows.blocks + g.cols.blocks), [[None, g], [k_y, None]]),
+          {("y", "y"), ("u", "u")})),
+    ]
+    for loop, (r, zeros) in cases:
+        assert loop.R == r
+        assert loop.structural_zeros == zeros
+
+
+def test_a_controller_over_other_spaces_is_refused(mimo_plant):
+    # one rule for every loop: K's rows are u's space and its columns the measured signal's,
+    # so a K over (u, y) does not close the state loop over (x, u), though n = p here
+    plant = PlantSS(mimo_plant.A, mimo_plant.B, [[1, 0], [0, 1]], np.zeros((2, 2), dtype=int))
+    k_y = _small_controller(plant.u_space, plant.y_space)
+    k_x = k_y.relabel(plant.u_space, plant.x_space)
+    wrong = [
+        (state_feedback_loop, k_y),
+        (slp_sf_from_controller, k_y),
+        (output_feedback_loop, k_x),
+        (slp_of_from_controller, k_x),
+        (mixed1_from_controller, k_x),
+        (mixed2_from_controller, k_x),
+        (output_feedback_loop, k_y.relabel(plant.y_space, plant.u_space)),
+        (lambda p, k: plant_feedback_loop(p.transfer(), k), k_x),
+        (lambda p, k: iop_from_controller(p.state_transfer(), k), k_y),
+    ]
+    for build, k in wrong:
+        with pytest.raises(SpaceMismatchError, match="controller spaces must be the reverse of the plant's"):
+            build(plant, k)
+    assert state_feedback_loop(plant, k_x).R.block("u", "x") == k_x
+    assert output_feedback_loop(plant, k_y).R.block("u", "y") == k_y
+
+
+# -- every block of S completed from each entry's held blocks ------------------------
+
+
+@pytest.mark.parametrize("plant_name", ["mimo", *sorted(LEMMA_PLANTS)])
+@pytest.mark.parametrize("name", [name for name in REGISTRY if name != "youla"])
+def test_completion_derives_every_block_of_s(name, plant_name, mimo_plant):
+    plant = mimo_plant if plant_name == "mimo" else LEMMA_PLANTS[plant_name]
+    entry = REGISTRY[name]
+    by_hand = _state_loop_by_hand if entry.signal == "x" else _output_loop_by_hand
+    k = _small_controller(plant.u_space, plant.x_space if entry.signal == "x" else plant.y_space)
+    loop, _ = by_hand(plant, k)
+    s = adjugate_inverse(TFMatrix.identity(loop.rows) - loop)
+    source = s
+    if name == "iop":
+        # an IOP bundle is read off the loop around G, and completes the loop over (x, u, y)
+        r_g = _matrix(SignalSpace(plant.y_space.blocks + plant.u_space.blocks),
+                      [[None, plant.transfer()], [k, None]])
+        source = adjugate_inverse(TFMatrix.identity(r_g.rows) - r_g)
+    held = {(i, j): source.block(i, j) for i, j in entry.blocks}
+    space, r, _ = _plant_part(plant, entry.signal)
+    lemma = _Lemma(plant, space, r, held)
+    for i in space.names:
+        for j in space.names:
+            assert lemma.block(i, j) == s.block(i, j), (i, j)

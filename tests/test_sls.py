@@ -10,6 +10,7 @@ from rstab import (
     PlantSS,
     RatFun,
     RealizationVariant,
+    SignalSpace,
     TFMatrix,
     build_realization,
     certify_realization,
@@ -88,6 +89,47 @@ class TestBuildRealization:
         for v in variants():
             rep = certify_realization(v, SCALAR)
             assert verify_lemma(rep.realization, rep.stability)
+
+
+# taps of z^{-1}, z^{-2} for WEIGHTED (2 states, 1 input), with distinct entries
+PX2 = FIRPhi(([[1, 0], [0, 1]], [[F(1, 2), 1], [F(-1, 4), F(1, 3)]]))
+PU2 = FIRPhi(([[F(-1, 2), 1]], [[F(1, 8), F(-1, 3)]]))
+PC2 = FIRPhi(([[2, F(1, 2)], [0, 1]], [[0, F(1, 5)], [F(1, 7), 0]]))
+MC2 = FIRPhi(([[1, F(-1, 6)]], [[F(2, 3), 0]]))
+
+
+@pytest.mark.parametrize("variant", [
+    RealizationVariant.original(PX2, PU2),
+    RealizationVariant.deployment(PX2, PU2),
+    RealizationVariant.design_separation(PC2, MC2, PX2, PU2),
+], ids=lambda v: v.kind)
+def test_realization_matches_r_written_out_by_hand(variant):
+    # R = [[A + (1-z)I, B, 0], [0, 0, z M], delta row] over (x, u, delta), entry by entry:
+    # z M = M[1] + M[2]/z, and the delta row is [I - A/z, -B/z, 0] for deployment,
+    # [I, 0, I - z P] = [I, 0, (I - P[1]) - P[2]/z] otherwise
+    a, b = WEIGHTED.A, WEIGHTED.B
+    (p1, p2), (m1, m2) = (np.array(t.taps, dtype=object) for t in variant.controller_taps())
+    one, zinv = RatFun.one(), RatFun(1, [0, 1])
+    dyn = [[RatFun([a[i, j] + int(i == j), -int(i == j)]) for j in range(2)] for i in range(2)]
+    if variant.kind == "deployment":
+        delta = [[one * int(i == j) - a[i, j] * zinv for j in range(2)] + [-b[i, 0] * zinv, 0, 0]
+                 for i in range(2)]
+        zeros = {("x", "delta"), ("u", "x"), ("u", "u"), ("delta", "delta")}
+    else:
+        delta = [[int(i == j) for j in range(2)] + [0]
+                 + [one * (int(i == j) - p1[i, j]) - p2[i, j] * zinv for j in range(2)]
+                 for i in range(2)]
+        zeros = {("x", "delta"), ("u", "x"), ("u", "u"), ("delta", "u")}
+    space = SignalSpace((("x", 2), ("u", 1), ("delta", 2)))
+    r = TFMatrix(space, space, [
+        dyn[0] + [b[0, 0], 0, 0],
+        dyn[1] + [b[1, 0], 0, 0],
+        [0, 0, 0, one * m1[0, 0] + m2[0, 0] * zinv, one * m1[0, 1] + m2[0, 1] * zinv],
+        *delta,
+    ])
+    loop = build_realization(variant, WEIGHTED)
+    assert loop.R == r
+    assert loop.structural_zeros == zeros
 
 
 class TestCertify:
