@@ -386,64 +386,89 @@ def _solve_exact(
     return x
 
 
-def _is_psd(w: np.ndarray) -> bool:
-    """Whether an exact square matrix is symmetric positive semidefinite.
+def _psd_rank(w: np.ndarray) -> int | None:
+    """The rank of an exact symmetric positive semidefinite matrix, or None
+    when the matrix is not one.
 
     Symmetric elimination: every Schur complement of a PSD matrix is PSD, so
-    no pivot may be negative, and a zero pivot must head a zero row.
+    no pivot may be negative, a zero pivot must head a zero row, and the rank
+    is the number of positive pivots.
     """
     if not (w == w.T).all():
-        return False
+        return None
     s = w.copy()
+    rank = 0
     for k in range(len(s)):
         pivot, row = s[k, k], s[k, k + 1:]
         if pivot < 0 or (pivot == 0 and any(row)):
-            return False
+            return None
         if pivot > 0:
             s[k + 1:, k + 1:] -= np.outer(row, row) / pivot
-    return True
+            rank += 1
+    return rank
 
 
-def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
-    """FIR H2 state-feedback synthesis at horizon T.
+def _staged_taps(a, b, qw, rw, T: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(Phi_x taps, Phi_u taps) by an exact Riccati recursion; Rw must be
+    positive definite.
 
-    Minimizes sum_k ||Qw^{1/2} Phi_x[k]||_F^2 + ||Rw^{1/2} Phi_u[k]||_F^2
-    over the FIR instances of (zI - A) Phi_x - B Phi_u = I:
+    The terminal constraint enters the Lagrangian as 2 nu' x_{T+1}, so the
+    cost-to-go from stage t is x' P_t x + 2 x' Gamma_t nu + nu' W_t nu with
+    P_{T+1} = 0, Gamma_{T+1} = I and W_{T+1} = 0 (Bryson and Ho, "Applied
+    Optimal Control", Sec. 5.3).  Going backward, each stage solves one
+    m-square system S_t = Rw + B' P B for the control u_t = -K_t x_t - L_t nu:
 
-        Phi_x[1] = I,
-        Phi_x[k+1] = A Phi_x[k] + B Phi_u[k]   (k < T),
-        A Phi_x[T] + B Phi_u[T] = 0.
+        K_t = S_t^{-1} B' P A,     L_t = S_t^{-1} B' Gamma,
+        P <- Qw + A' P (A - B K_t),
+        W <- W - Gamma' B L_t,     Gamma <- (A - B K_t)' Gamma.
 
-    The first two lines fix Phi_x once Phi_u is known, so the decision
-    variables are the Phi_u taps alone (the condensed form of the FIR
-    problem).  With u_i = Phi_u[i+1] and W_d = sum_{s<d} (A^s)' Qw A^s the
-    cost is sum_{i,j} u_i' H[i][j] u_j + 2 g_i' u_i + const, where for i <= j
+    The terminal state is Gamma_1' x_1 + W_1 nu, so one n-square system
+    W_1 nu = -Gamma_1' gives the multipliers of all n columns (x_1 = I); an
+    inconsistent one raises InfeasibleError.  A forward pass from Phi_x[1] = I
+    then runs the stage controls through the plant.
+    """
+    n = len(a)
+    p = exact_matrix(np.zeros((n, n), dtype=int))
+    gamma = exact_matrix(np.eye(n, dtype=int))
+    w = exact_matrix(np.zeros((n, n), dtype=int))
+    gains = []
+    for _ in range(T):
+        btp, btg = b.T @ p, b.T @ gamma
+        s = rw + btp @ b
+        sol = np.array(_solve_exact(s.tolist(), np.hstack((btp @ a, btg)).tolist()), dtype=object)
+        k, l = sol[:, :n], sol[:, n:]
+        closed = a - b @ k
+        p = qw + a.T @ p @ closed
+        w = w - btg.T @ l
+        gamma = closed.T @ gamma
+        gains.append((k, l))
+    nu = np.array(_solve_exact(w.tolist(), (-gamma.T).tolist()), dtype=object)
+    x_taps, u_taps = [exact_matrix(np.eye(n, dtype=int))], []
+    for k, l in reversed(gains):
+        u_taps.append(-(k @ x_taps[-1]) - l @ nu)
+        x_taps.append(a @ x_taps[-1] + b @ u_taps[-1])
+    return x_taps[:-1], u_taps
+
+
+def _condensed_taps(a, b, qw, rw, T: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(Phi_x taps, Phi_u taps) from one KKT system posed on the Phi_u taps.
+
+    The recursion fixes Phi_x once Phi_u is known, so the decision variables
+    are the Phi_u taps alone (the condensed form of the FIR problem).  With
+    u_i = Phi_u[i+1] and W_d = sum_{s<d} (A^s)' Qw A^s the cost is
+    sum_{i,j} u_i' H[i][j] u_j + 2 g_i' u_i + const, where for i <= j
 
         H[i][j] = B' (A^{j-i})' W_{T-1-j} B  (+ Rw when i = j),
         H[j][i] = B' W_{T-1-j} A^{j-i} B,
         g_i     = B' W_{T-1-i} A^{i+1},
 
     and the only constraint left is the terminal one,
-    A^T + sum_i A^{T-1-i} B u_i = 0 (n rows).  The taps decouple per
-    disturbance column, so the (mT + n)-square KKT system is solved once for
-    all n columns, exactly over the rationals; Phi_x is rebuilt by the
-    recursion, making the affine identity of the returned bundle exact, not
-    merely small.  Infeasible horizons (e.g. unstabilizable pairs) raise
-    InfeasibleError.  Qw and Rw must be exactly symmetric positive
-    semidefinite, or the KKT point minimizes nothing; any other weight
-    raises InvariantViolation.
+    A^T + sum_i A^{T-1-i} B u_i = 0 (n rows).  The (mT + n)-square system is
+    solved once for all n columns, free variables set to zero, so it serves
+    a singular Rw, where the minimizer need not be unique.  An inconsistent
+    system raises InfeasibleError.
     """
-    if T < 1:
-        raise InvariantViolation("horizon must be at least 1")
-    n, m = plant.n, plant.m
-    a, b = plant.A, plant.B
-    qw = exact_matrix(Qw)
-    rw = exact_matrix(Rw)
-    if qw.shape != (n, n) or rw.shape != (m, m):
-        raise InvariantViolation("weight shapes must be Qw: n x n and Rw: m x m")
-    for name, weight in (("Qw", qw), ("Rw", rw)):
-        if not _is_psd(weight):
-            raise InvariantViolation(f"{name} must be symmetric positive semidefinite")
+    n, m = b.shape
     powers = [exact_matrix(np.eye(n, dtype=int))]  # A^0 .. A^T
     for _ in range(T):
         powers.append(a @ powers[-1])
@@ -466,16 +491,57 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
         kkt[jj, nv:] = kkt[nv:, jj].T
         rhs[jj] = -(bw @ powers[j + 1])
     rhs[nv:] = -powers[T]
-    try:
-        sol = np.array(_solve_exact(kkt.tolist(), rhs.tolist()), dtype=object)
-    except InfeasibleError as exc:
-        raise InfeasibleError(
-            f"no FIR response pair exists at horizon {T} for this plant"
-        ) from exc
+    sol = np.array(_solve_exact(kkt.tolist(), rhs.tolist()), dtype=object)
     u_taps = [sol[k * m:(k + 1) * m] for k in range(T)]
     x_taps = [powers[0]]
     for k in range(T - 1):
         x_taps.append(a @ x_taps[-1] + b @ u_taps[k])
+    return x_taps, u_taps
+
+
+def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
+    """FIR H2 state-feedback synthesis at horizon T.
+
+    Minimizes sum_k ||Qw^{1/2} Phi_x[k]||_F^2 + ||Rw^{1/2} Phi_u[k]||_F^2
+    over the FIR instances of (zI - A) Phi_x - B Phi_u = I:
+
+        Phi_x[1] = I,
+        Phi_x[k+1] = A Phi_x[k] + B Phi_u[k]   (k < T),
+        A Phi_x[T] + B Phi_u[T] = 0.
+
+    Column j of the taps is finite-horizon LQR from x_1 = e_j with the
+    terminal constraint x_{T+1} = 0 (Anderson, Doyle, Low and Matni, "System
+    level synthesis", 2019, Sec. 5), solved exactly over the rationals for
+    all n columns at once.  When Rw is positive definite the minimizer is
+    unique, and an exact backward Riccati recursion with a multiplier for the
+    terminal constraint, then one forward pass, finds it stage by stage
+    (``_staged_taps``).  A singular Rw leaves the last stage without a unique
+    control; then one (mT + n)-square KKT system on the Phi_u taps is solved
+    instead, free variables set to zero (``_condensed_taps``).  Either way
+    Phi_x follows the recursion, making the affine identity of the returned
+    bundle exact, not merely small.  Infeasible horizons (e.g. unstabilizable
+    pairs) raise InfeasibleError.  Qw and Rw must be exactly symmetric
+    positive semidefinite, or the KKT point minimizes nothing; any other
+    weight raises InvariantViolation.
+    """
+    if T < 1:
+        raise InvariantViolation("horizon must be at least 1")
+    n, m = plant.n, plant.m
+    qw = exact_matrix(Qw)
+    rw = exact_matrix(Rw)
+    if qw.shape != (n, n) or rw.shape != (m, m):
+        raise InvariantViolation("weight shapes must be Qw: n x n and Rw: m x m")
+    ranks = {"Qw": _psd_rank(qw), "Rw": _psd_rank(rw)}
+    for name, rank in ranks.items():
+        if rank is None:
+            raise InvariantViolation(f"{name} must be symmetric positive semidefinite")
+    taps = _staged_taps if ranks["Rw"] == m else _condensed_taps
+    try:
+        x_taps, u_taps = taps(plant.A, plant.B, qw, rw, T)
+    except InfeasibleError as exc:
+        raise InfeasibleError(
+            f"no FIR response pair exists at horizon {T} for this plant"
+        ) from exc
     return slp_from_fir(plant, FIRPhi(tuple(x_taps)), FIRPhi(tuple(u_taps)))
 
 

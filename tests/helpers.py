@@ -318,8 +318,9 @@ def dense_fir_h2(plant: PlantSS, qw, rw, horizon: int) -> tuple[list[np.ndarray]
 
     The unknowns are the Phi_x and the Phi_u taps and one multiplier per
     constraint row; the rows are the FIR instances of
-    (zI - A) Phi_x - B Phi_u = I written out by hand.  The library poses
-    the same problem on Phi_u alone; both share only the exact solver.
+    (zI - A) Phi_x - B Phi_u = I written out by hand.  The library solves
+    the same problem stage by stage, or posed on Phi_u alone when Rw is
+    singular; both share only the exact solver.
     The weights enter the KKT blocks as given, so they must be symmetric.
     Raises InfeasibleError when no FIR response pair exists.
     """

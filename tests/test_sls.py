@@ -28,6 +28,8 @@ from rstab import (
     verify_lemma,
 )
 from rstab.errors import ConvergenceError, InfeasibleError, InvariantViolation
+from rstab.parameterizations import exact_matrix
+from rstab.sls import _condensed_taps
 
 from helpers import dense_fir_h2, dyadic_fir_pair, rand_fraction, reference_simulate
 
@@ -269,7 +271,10 @@ class TestSynthesize:
         k = slp_sf_to_controller(p)
         assert k.classify().all_proper
 
-    def test_kkt_system_is_posed_on_phi_u_alone(self, monkeypatch):
+    @pytest.fixture
+    def solve_shapes(self, monkeypatch):
+        """(rows, cols, rhs rows, rhs cols) of every system that synthesis
+        hands to the exact solver, in call order."""
         import rstab.sls
 
         shapes = []
@@ -281,9 +286,23 @@ class TestSynthesize:
             return solve(m, rhs)
 
         monkeypatch.setattr(rstab.sls, "_solve_exact", spy)
-        plant = PlantSS.state_feedback([[0.5, 0.25], [0.0, 0.25]], [[1.0], [0.5]])
-        synthesize_sf_h2(plant, np.eye(2), [[1.0]], 7)
-        assert shapes == [(1 * 7 + 2, 1 * 7 + 2, 1 * 7 + 2, 2)]
+        return shapes
+
+    def test_positive_definite_rw_is_solved_stage_by_stage(self, solve_shapes):
+        # one m-square system per stage for (K_t, L_t), then the n-square
+        # system for the multipliers of all n columns; never mT + n rows
+        n, m, horizon = 3, 2, 5
+        plant = PlantSS.state_feedback([[F(1, 2), 1, 0], [0, F(1, 3), 1], [1, 0, F(-1, 2)]],
+                                       [[1, 0], [0, 0], [F(1, 2), 1]])
+        synthesize_sf_h2(plant, np.eye(n), [[2, 1], [1, 2]], horizon)
+        assert solve_shapes == [(m, m, m, 2 * n)] * horizon + [(n, n, n, n)]
+
+    def test_singular_rw_falls_back_to_the_kkt_system(self, solve_shapes):
+        n, m, horizon = 2, 1, 3
+        got = fir_from_slp(synthesize_sf_h2(WEIGHTED, np.eye(n), [[0]], horizon), horizon)
+        assert solve_shapes == [(m * horizon + n,) * 3 + (n,)]
+        for taps, fir in zip(dense_fir_h2(WEIGHTED, np.eye(n), [[0]], horizon), got):
+            assert all((w == g).all() for w, g in zip(taps, fir.taps))
 
     @pytest.mark.parametrize("qw, rw, named", [
         ([[2, 1], [0, 2]], [[1]], "Qw"),  # its symmetric part defines the same cost
@@ -323,6 +342,37 @@ class TestSynthesize:
             for taps, fir in zip(want, got):
                 assert all((w == g).all() for w, g in zip(taps, fir.taps))
         assert 0 < infeasible < 40
+
+    def test_staged_matches_the_condensed_kkt_solve(self):
+        """With Rw positive definite, the stage-by-stage taps equal, exactly,
+        those of the (mT + n)-square KKT system kept for a singular Rw, also
+        for rank-deficient Qw, and both refuse the same horizons."""
+        rng = random.Random(20261019)
+        infeasible = 0
+        for case in range(200):
+            n, m = rng.randint(1, 3), rng.randint(1, 2)
+            horizon = rng.randint(1, 16 if n < 3 else 8)
+            a = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+            b = [[rand_fraction(rng) if rng.random() < 0.6 else 0 for _ in range(m)]
+                 for _ in range(n)]
+            plant = PlantSS.state_feedback(a, b)
+            if case % 4 == 0:
+                qw = np.zeros((n, n), dtype=int)
+            else:  # V V' with V n x (case % 4): rank-deficient when case % 4 < n
+                v = np.array([[rand_fraction(rng) for _ in range(case % 4)] for _ in range(n)])
+                qw = v @ v.T
+            rw = dominant_weight(rng, m)
+            try:
+                want = _condensed_taps(plant.A, plant.B, exact_matrix(qw), exact_matrix(rw), horizon)
+            except InfeasibleError:
+                infeasible += 1
+                with pytest.raises(InfeasibleError):
+                    synthesize_sf_h2(plant, qw, rw, horizon)
+                continue
+            got = fir_from_slp(synthesize_sf_h2(plant, qw, rw, horizon), horizon)
+            for taps, fir in zip(want, got):
+                assert all((w == g).all() for w, g in zip(taps, fir.taps))
+        assert 0 < infeasible < 200
 
 
 def dominant_weight(rng, k: int) -> list[list[F]]:
