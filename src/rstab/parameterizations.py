@@ -16,10 +16,11 @@ off the same blocks, for two jobs.  It evaluates the identities that K does
 not enter, which, with the stability memberships (numeric pole tests), check
 every bundle on construction; and it derives every block of S that a bundle
 does not hold, which the check reads and ``convert`` uses to translate any
-bundle into any other.  The ``*_to_controller`` functions map bundles back
-to controllers.  The tests hold oracles that share none of this code:
-``bundle_identities`` and ``adjugate_inverse`` in ``tests/helpers.py``, and
-loops written out by hand.
+bundle into any other; Youla's Q, an affine image of the block
+S[u,y] = (Vr - Mr Q) Ml through the coprime factors, goes through that
+block.  The ``*_to_controller`` functions map bundles back to controllers.
+The tests hold oracles that share none of this code: ``bundle_identities``
+and ``adjugate_inverse`` in ``tests/helpers.py``, and loops written out by hand.
 
 Signal naming convention: states are "x", controls "u", measurements "y".
 """
@@ -589,19 +590,20 @@ def youla_to_controller(f: CoprimeFactors, q: YoulaParam) -> TFMatrix:
     return (f.Vr - f.Mr @ q.Q) @ (f.Ur - f.Nr @ q.Q).inverse()
 
 
+def _youla_of(f: CoprimeFactors, s_uy: TFMatrix) -> YoulaParam:
+    """Q = Mr^{-1} (Vr - S[u,y] Ml^{-1}), the inverse of S[u,y] = (Vr - Mr Q) Ml."""
+    return YoulaParam.checked(f.Mr_inv @ (f.Vr - s_uy @ f.Ml_inv))
+
+
 def controller_to_youla(f: CoprimeFactors, k: TFMatrix) -> YoulaParam:
-    """Q = Mr^{-1} (Vr - S_ux Ml^{-1}) from the closed loop's control response.
+    """Q from S[u,y] (``_youla_of``) of the loop that k closes around G = Ml^{-1} Nl.
 
     The controller must be admissible: its loop with the factored plant has
     to pass the causality/stability conditions.
     """
     g = f.g()
-    loop = plant_feedback_loop(g, k)
-    s = stabilized_loop(loop, "controller_to_youla")
-    out_name = g.rows.names[0]
-    s_ux = s.S.block(g.cols.names[0], out_name)
-    q = f.Mr_inv @ (f.Vr - s_ux @ f.Ml_inv)
-    return YoulaParam.checked(q)
+    s = stabilized_loop(plant_feedback_loop(g, k), "controller_to_youla")
+    return _youla_of(f, s.S.block(g.cols.names[0], g.rows.names[0]))
 
 
 def iop_from_controller(g: TFMatrix, k: TFMatrix) -> IOPParam:
@@ -670,16 +672,15 @@ def mixed2_from_controller(plant: PlantSS, k: TFMatrix) -> MixedParam2:
 
 
 def youla_to_iop(f: CoprimeFactors, q: YoulaParam) -> IOPParam:
-    """Translate a Youla parameter into the input-output bundle:
+    """Translate a Youla parameter into the input-output bundle, with Y, W
+    and Z derived from U = S[u,y] by ``_Lemma`` around G = Ml^{-1} Nl:
 
     [[Y, W], [U, Z]] = [[(Ur-NrQ)Ml, (Ur-NrQ)Nl], [(Vr-MrQ)Ml, I+(Vr-MrQ)Nl]].
     """
-    e = f.Ur - f.Nr @ q.Q
-    v = f.Vr - f.Mr @ q.Q
-    eye_u = TFMatrix.identity(f.Mr.rows)
-    return IOPParam.checked(
-        Y=e @ f.Ml, W=e @ f.Nl, U=v @ f.Ml, Z=eye_u + v @ f.Nl, g=f.g(),
-    )
+    g = f.g()
+    space, r, at = _plant_part(g)
+    block = _Lemma(g, space, r, {at: (f.Vr - f.Mr @ q.Q) @ f.Ml}).block
+    return IOPParam.checked(*(block(i, j) for i, j in _held_names(REGISTRY["iop"], at)), g)
 
 
 def slp_sf_to_iop(p: SLPStateFeedback, plant: PlantSS) -> IOPParam:
@@ -722,12 +723,9 @@ def convert(source: str, target: str, bundle, plant: PlantSS,
     The controller measures x for slp_sf and an IOP bundle over the state, y
     otherwise, and for an IOP target what the source does.  Measuring x takes
     C = I and D = 0, and gives slp_sf's column y as S[i,x] (zI - A) - I_ix.
-    Youla enters through ``youla_to_iop`` and leaves through
-    K = S[u,u]^{-1} S[u,y] and ``controller_to_youla``, which alone call
-    ``factors``, a loader of the coprime factors.
+    Youla enters and leaves as S[u,y] (``_youla_of``); only a Youla source or
+    target calls ``factors``, a loader of the coprime factors.
     """
-    if source == "youla" and target != "youla":
-        bundle, source = youla_to_iop(_factors_of(plant, factors), bundle), "iop"
     if source == target:
         return bundle
     entry, to = REGISTRY[source], REGISTRY[target]
@@ -739,9 +737,12 @@ def convert(source: str, target: str, bundle, plant: PlantSS,
                                  "parameterizations requires C = I and D = 0")
     if "x" in (signal, measured) and not measures_state:
         plant = PlantSS.state_feedback(plant.A, plant.B)
+    f = _factors_of(plant, factors) if "youla" in (source, target) else None
     spaces = {"x": plant.x_space, "u": plant.u_space, "y": plant.y_space}
-    held = {(i, j): getattr(bundle, f).relabel(spaces[i], spaces[j])
-            for (i, j), f in zip(entry.blocks, entry.fields)}
+    held = {(i, j): getattr(bundle, field).relabel(spaces[i], spaces[j])
+            for (i, j), field in zip(entry.blocks, entry.fields)}
+    if source == "youla":
+        held[("u", "y")] = (f.Vr - f.Mr @ bundle.Q) @ f.Ml
     if source == "slp_sf":
         zia = plant.z_minus_a()
         for i in ("x", "u"):
@@ -750,8 +751,7 @@ def convert(source: str, target: str, bundle, plant: PlantSS,
             held[(i, "y")] = v.relabel(spaces[i], spaces["y"])
     block = _Lemma(plant, *_plant_part(plant)[:2], held).block
     if target == "youla":
-        k = block("u", "u").inverse() @ block("u", "y")
-        return controller_to_youla(_factors_of(plant, factors), k)
+        return _youla_of(f, block("u", "y"))
     spaces["y"] = spaces[measured]  # an IOP bundle over the state names its output x
     blocks = [block(i, j).relabel(spaces[i], spaces[j]) for i, j in to.blocks]
     return to.bundle.checked(*blocks, to.plant_map(plant, measured))
@@ -774,7 +774,7 @@ class Parameterization:
     ``bundle`` is the dataclass whose fields name the document's blocks;
     ``blocks`` gives the (row, col) block of S behind each field, with the
     measured signal named by ``signal`` ("x" or "y"), and is empty for Youla,
-    whose Q is a formula in S and the coprime factors.  ``plant_map`` takes
+    whose Q is an affine image of S[u,y] (``_youla_of``).  ``plant_map`` takes
     the plant and the label of the measured signal to what ``bundle.checked``
     takes after the blocks; it is None when the blocks are checked alone.
     """

@@ -41,6 +41,7 @@ from rstab import (
     youla_to_iop,
 )
 from rstab.errors import InternalStabilityError, InvariantViolation, SpaceMismatchError
+from rstab import parameterizations
 from rstab.parameterizations import REGISTRY, _Lemma, _plant_part, convert
 
 from helpers import adjugate_inverse, bundle_identities, rand_fir_tfmatrix
@@ -574,22 +575,40 @@ def test_derived_identities_agree_with_the_hand_derived_oracle(name, field, plan
 
 
 def test_a_plant_inverts_zi_minus_a_once(monkeypatch):
-    inverted = []
-    real = TFMatrix.inverse
+    inverted, loops = [], []
+    real, real_loop = TFMatrix.inverse, parameterizations.stability_from_realization
 
     def spy(self):
         inverted.append(self)
         return real(self)
 
+    def spy_loop(r):
+        loops.append(r)
+        return real_loop(r)
+
     monkeypatch.setattr(TFMatrix, "inverse", spy)
+    monkeypatch.setattr(parameterizations, "stability_from_realization", spy_loop)
     plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[1]])
-    bundle = mixed1_from_controller(plant, tf(U1, Y1, [[RatFun(F(-1, 4))]]))
+    k = tf(U1, Y1, [[RatFun(F(-1, 4))]])
+    bundle = mixed1_from_controller(plant, k)
     for target in ("slp_of", "mixed2", "iop"):
         convert("mixed1", target, bundle, plant)
     plant.transfer()
     plant.state_transfer()
     assert sum(m == plant.z_minus_a() for m in inverted) == 1
     assert plant.resolvent() is plant.resolvent()
+
+    # Youla enters and leaves the completion as S[u,y]: no loop is built, and
+    # the only inverse is the slp_of target's S[u,u] (D != 0)
+    f = coprime_factorize(plant, [[F(-1, 2)]], [[F(-1, 2)]])
+    q, expected = controller_to_youla(f, k), slp_of_from_controller(plant, k)
+    s_uu = stability_from_realization(output_feedback_loop(plant, k)).S.block("u", "u")
+    inverted.clear()
+    loops.clear()
+    assert convert("mixed1", "youla", bundle, plant, lambda: f) == q
+    assert convert("youla", "slp_of", q, plant, lambda: f) == expected
+    assert loops == []
+    assert inverted == [s_uu]
 
 
 @pytest.mark.parametrize("name", ["iop", "slp_of", "mixed1", "mixed2"])

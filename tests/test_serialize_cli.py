@@ -403,24 +403,33 @@ def test_convert_every_pair_matches_the_library(convert_plants, plant_name, sour
     assert json.loads(out.read_text()) == serialize.bundle_to_doc(target, expected)
 
 
-@pytest.mark.parametrize("target", PARAMETERIZATION_NAMES)
-def test_convert_refuses_a_bundle_whose_controller_is_improper(tmp_path, target):
+@pytest.mark.parametrize("source, target", [
+    *(("slp_of", name) for name in PARAMETERIZATION_NAMES),
+    *(("youla", name) for name in PARAMETERIZATION_NAMES if name != "youla"),
+])
+def test_convert_refuses_a_bundle_whose_controller_is_improper(tmp_path, source, target):
     import rstab
 
     # x+ = x/2 + u, y = x + u: these blocks meet every identity and are stable
     # proper, but S[u,u] = Phi_ux B + Phi_uy D + I = -1/(z - 1/2) has no proper
-    # inverse, so the controller z - 1/2 is improper
+    # inverse, so the controller z - 1/2 is improper.  With the factors of
+    # F = L = -1/2, Q = 1 gives Ur(inf) - Nr(inf) Q = 0: its controller
+    # (Vr - Mr Q) (Ur - Nr Q)^{-1} is improper too, and each target's check
+    # refuses it, or the state-feedback target refuses the plant first
     plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[1]])
     h = RatFun([F(-1, 2), 1])
 
     def block(r, c, value):
         return TFMatrix(SignalSpace.single(r, 1), SignalSpace.single(c, 1), [[value]])
 
-    bundle = rstab.SLPOutputFeedback(block("x", "x", RatFun([F(-3, 2), 1]) / (h * h)),
-                                     block("u", "x", -1 / h), block("x", "y", -1 / h),
-                                     block("u", "y", RatFun(-1)))
+    if source == "youla":
+        bundle = rstab.YoulaParam.checked(block("u", "y", RatFun(1)))
+    else:
+        bundle = rstab.SLPOutputFeedback(block("x", "x", RatFun([F(-3, 2), 1]) / (h * h)),
+                                         block("u", "x", -1 / h), block("x", "y", -1 / h),
+                                         block("u", "y", RatFun(-1)))
     inputs = {
-        "bundle": write(tmp_path, "of.json", serialize.bundle_to_doc("slp_of", bundle)),
+        "bundle": write(tmp_path, "bundle.json", serialize.bundle_to_doc(source, bundle)),
         "plant": write(tmp_path, "plant.json", serialize.plant_to_doc(plant)),
         "factors": write(tmp_path, "factors.json", serialize.coprime_to_doc(
             coprime_factorize(plant, [[F(-1, 2)]], [[F(-1, 2)]]))),
@@ -428,7 +437,9 @@ def test_convert_refuses_a_bundle_whose_controller_is_improper(tmp_path, target)
     out = tmp_path / "out.json"
     code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
     assert code == 1, report
-    assert "S[u,u] has no proper inverse" in report["details"]["error"]
+    refusal = (STATE_OUTPUT_REFUSAL if (source, target) == ("youla", "slp_sf")
+               else "S[u,u] has no proper inverse")
+    assert refusal in report["details"]["error"]
     assert not out.exists()
 
 
