@@ -26,9 +26,9 @@ from .parameterizations import REGISTRY, PlantSS, convert, coprime_factorize
 from .ratfun import DEFAULT_TOL
 from .realization import check_conditions, stability_from_realization, verify_lemma
 from .sls import (
-    DESIGN_SEPARATION,
     RealizationVariant,
     VARIANT_KINDS,
+    VARIANT_PARTS,
     certify_realization,
     dare_lqr,
     simulate,
@@ -156,15 +156,10 @@ def _variant_from_inputs(job: JobSpec) -> tuple[RealizationVariant, PlantSS]:
     plant = serialize.plant_from_doc(serialize.load_document(job.inputs["plant"]))
     parts = serialize.fir_bundle_from_doc(serialize.load_document(job.inputs["fir"]))
     kind = job.options["variant"]
-    if kind == DESIGN_SEPARATION:
-        if "p_c" not in parts or "m_c" not in parts:
-            raise SchemaError("design separation needs p_c and m_c taps in the fir_bundle")
-        v = RealizationVariant.design_separation(
-            parts["p_c"], parts["m_c"], parts["phi_x"], parts["phi_u"]
-        )
-    else:
-        v = RealizationVariant(kind, parts["phi_x"], parts["phi_u"])
-    return v, plant
+    missing = [name for name in VARIANT_PARTS[kind] if name not in parts]
+    if missing:
+        raise SchemaError(f"{kind} needs {' and '.join(missing)} taps in the fir_bundle")
+    return RealizationVariant(kind, **{name: parts[name] for name in VARIANT_PARTS[kind]}), plant
 
 
 def _cmd_certify(job: JobSpec):

@@ -738,8 +738,15 @@ class RatFun:
         For a proper function the verdict depends only on the denominator,
         which is monic and cancelled, so functions that share it share the
         verdict (``TFMatrix.classify`` tests each distinct one once).
+
+        Before any float is taken, a coefficient a_k of the monic degree-n
+        denominator with |a_k| > C(n, k) rejects exactly: by Vieta, some root
+        has |z| >= 1.  So the poles are computed from coefficients <= 2^n.
         """
         if not self.is_proper:
+            return False
+        den, n = self.den._p, self.den.degree
+        if any(abs(c) > math.comb(n, k) * den[-1] for k, c in enumerate(den)):
             return False
         return all(abs(p) < 1.0 - DEFAULT_TOL for p in self.poles())
 

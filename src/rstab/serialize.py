@@ -23,7 +23,7 @@ from .errors import SchemaError, ToolkitError
 from .parameterizations import REGISTRY, CoprimeFactors, PlantSS
 from .ratfun import RatFun, _as_coeff
 from .realization import Realization, StabilityMatrix
-from .sls import FIRPhi, SimTrace, fir_from_tfmatrix
+from .sls import FIR_PARTS, FIRPhi, SimTrace, fir_from_tfmatrix, part_shape
 from .tfmatrix import SignalSpace, TFMatrix
 
 SCHEMA_VERSION = 1
@@ -129,26 +129,13 @@ def _check_header(doc, kind: str) -> dict:
 
 
 def plant_to_doc(plant: PlantSS) -> dict:
-    return _with_header(
-        "plant",
-        {
-            "A": real_matrix_to_doc(plant.A),
-            "B": real_matrix_to_doc(plant.B),
-            "C": real_matrix_to_doc(plant.C),
-            "D": real_matrix_to_doc(plant.D),
-        },
-    )
+    return _with_header("plant", {name: real_matrix_to_doc(getattr(plant, name)) for name in "ABCD"})
 
 
 def plant_from_doc(doc) -> PlantSS:
     _check_header(doc, "plant")
     with _parsing("plant document"):
-        return PlantSS(
-            real_matrix_from_doc(doc["A"]),
-            real_matrix_from_doc(doc["B"]),
-            real_matrix_from_doc(doc["C"]),
-            real_matrix_from_doc(doc["D"]),
-        )
+        return PlantSS(*(real_matrix_from_doc(doc[name]) for name in "ABCD"))
 
 
 def realization_to_doc(r: Realization, s: StabilityMatrix | None = None) -> dict:
@@ -242,19 +229,16 @@ def fir_bundle_from_doc(doc) -> dict[str, Any]:
             raise SchemaError("fir_bundle needs an integer horizon")
         if horizon < 1:
             raise SchemaError("fir_bundle horizon must be positive")
-        parts = {}
-        for name in ("phi_x", "phi_u", "p_c", "m_c"):
-            if name not in doc:
-                continue
-            taps_doc = doc[name]
-            if not isinstance(taps_doc, list) or len(taps_doc) != horizon:
+        parts = {name: doc[name] for name in FIR_PARTS if name in doc}
+        for name, taps in parts.items():
+            if not isinstance(taps, list) or len(taps) != horizon:
                 raise SchemaError(f"{name} must list exactly {horizon} tap matrices")
-            parts[name] = [real_matrix_from_doc(mat) for mat in taps_doc]
+            parts[name] = [real_matrix_from_doc(mat) for mat in taps]
         if "phi_x" not in parts or "phi_u" not in parts:
             raise SchemaError("fir_bundle needs phi_x and phi_u")
         n, m = len(parts["phi_x"][0]), len(parts["phi_u"][0])
         for name, taps in parts.items():
-            shape = (m, n) if name in ("phi_u", "m_c") else (n, n)
+            shape = part_shape(name, n, m)
             if any((len(t), len(t[0])) != shape for t in taps):
                 raise SchemaError(f"every {name} tap must be {shape[0]} x {shape[1]}")
         return {"horizon": horizon, **{name: FIRPhi(tuple(taps)) for name, taps in parts.items()}}

@@ -14,6 +14,9 @@ space (x, u, delta):
   for a (P_c, M_c) pair that realizes the same controller; stability is not
   automatic and is certified a posteriori.
 
+``VARIANT_PARTS`` declares each variant's FIR parts; the CLI and the
+fir_bundle reader take them from there.
+
 ``certify_realization`` inverts I - R exactly and checks every block for
 stable properness.  ``simulate`` runs the same R as a time-domain recursion
 in floating point, and ``impulse_match`` compares its impulse responses
@@ -51,7 +54,23 @@ from .tfmatrix import SignalSpace, TFMatrix
 ORIGINAL = "original_sls"
 DEPLOYMENT = "deployment"
 DESIGN_SEPARATION = "design_separation"
-VARIANT_KINDS = (ORIGINAL, DEPLOYMENT, DESIGN_SEPARATION)
+#: each variant's FIR parts in wiring order: the response pair, then any
+#: parts wired in its place; the last two are the (P, M) of
+#: delta = x + (I - z P) delta and u = z M delta
+VARIANT_PARTS: dict[str, tuple[str, ...]] = {
+    ORIGINAL: ("phi_x", "phi_u"),
+    DEPLOYMENT: ("phi_x", "phi_u"),
+    DESIGN_SEPARATION: ("phi_x", "phi_u", "p_c", "m_c"),
+}
+VARIANT_KINDS = tuple(VARIANT_PARTS)
+#: every part that a fir_bundle may carry, in document order
+FIR_PARTS = tuple(dict.fromkeys(name for parts in VARIANT_PARTS.values() for name in parts))
+
+
+def part_shape(name: str, n: int, m: int) -> tuple[int, int]:
+    """The shape of a part's taps, for n states and m inputs: the control
+    parts are m x n, the others n x n."""
+    return (m, n) if name in ("phi_u", "m_c") else (n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,16 +103,9 @@ def fir_to_tfmatrix(f: FIRPhi, rows: SignalSpace, cols: SignalSpace) -> TFMatrix
     nr, nc = f.shape
     if rows.total != nr or cols.total != nc:
         raise SpaceMismatchError("FIR tap shape does not match the requested spaces")
-    t = f.horizon
-    den = Poly.z(t)
-    ent = []
-    for i in range(nr):
-        row = []
-        for j in range(nc):
-            num = Poly([f.taps[k][i, j] for k in range(t - 1, -1, -1)])
-            row.append(RatFun(num, den))
-        ent.append(row)
-    return TFMatrix(rows, cols, ent)
+    den = Poly.z(f.horizon)
+    return TFMatrix(rows, cols, [[RatFun(Poly([t[i, j] for t in reversed(f.taps)]), den)
+                                  for j in range(nc)] for i in range(nr)])
 
 
 def fir_from_tfmatrix(m: TFMatrix, horizon: int | None = None) -> FIRPhi:
@@ -138,7 +150,8 @@ def fir_from_slp(p: SLPStateFeedback, horizon: int | None = None) -> tuple[FIRPh
 
 @dataclass(frozen=True, eq=False)
 class RealizationVariant:
-    """One of the three closed-loop realizations with its FIR payload."""
+    """One of the three closed-loop realizations with the FIR parts that
+    ``VARIANT_PARTS`` declares for its kind."""
 
     kind: str
     phi_x: FIRPhi
@@ -147,18 +160,16 @@ class RealizationVariant:
     m_c: FIRPhi | None = None
 
     def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
+        parts = VARIANT_PARTS.get(self.kind)
+        if parts is None:
             raise InvariantViolation(f"unknown realization variant {self.kind!r}")
-        n = self.phi_x.shape[0]
-        if self.phi_x.shape != (n, n) or self.phi_u.shape[1] != n:
-            raise InvariantViolation("Phi_x must be n x n and Phi_u m x n")
-        if self.kind == DESIGN_SEPARATION:
-            if self.p_c is None or self.m_c is None:
-                raise InvariantViolation("design separation needs the (P_c, M_c) pair")
-            if self.p_c.shape != (n, n) or self.m_c.shape != self.phi_u.shape:
-                raise InvariantViolation("(P_c, M_c) shapes must match (Phi_x, Phi_u)")
-        elif self.p_c is not None or self.m_c is not None:
-            raise InvariantViolation(f"variant {self.kind!r} takes no (P_c, M_c) payload")
+        n, m = self.phi_x.shape[0], self.phi_u.shape[0]
+        for name in FIR_PARTS:
+            taps, shape = getattr(self, name), part_shape(name, n, m)
+            if (taps is None) == (name in parts):
+                raise InvariantViolation(f"variant {self.kind!r} takes the parts {', '.join(parts)}")
+            if taps is not None and taps.shape != shape:
+                raise InvariantViolation(f"every {name} tap must be {shape[0]} x {shape[1]}")
 
     @classmethod
     def original(cls, phi_x: FIRPhi, phi_u: FIRPhi) -> "RealizationVariant":
@@ -174,9 +185,8 @@ class RealizationVariant:
 
     def controller_taps(self) -> tuple[FIRPhi, FIRPhi]:
         """The (state-shaping, control) taps actually wired into the loop."""
-        if self.kind == DESIGN_SEPARATION:
-            return self.p_c, self.m_c
-        return self.phi_x, self.phi_u
+        p, m = VARIANT_PARTS[self.kind][-2:]
+        return getattr(self, p), getattr(self, m)
 
 
 def _loop_space(v: RealizationVariant, plant: PlantSS) -> SignalSpace:
@@ -223,12 +233,9 @@ def closed_form_stability(v: RealizationVariant, plant: PlantSS) -> TFMatrix:
     instead of silently re-certified.
     """
     space = _loop_space(v, plant)
-    n, m = plant.n, plant.m
-    x_sp = SignalSpace.single("x", n)
-    u_sp = SignalSpace.single("u", m)
-    d_sp = SignalSpace.single("delta", n)
-    z = RatFun.z()
-    zinv = RatFun.z_inv()
+    x_sp, u_sp = plant.x_space, plant.u_space
+    d_sp = SignalSpace.single("delta", plant.n)
+    z, zinv = RatFun.z(), RatFun.z_inv()
     phi_x = fir_to_tfmatrix(v.phi_x, x_sp, x_sp)
     phi_u = fir_to_tfmatrix(v.phi_u, u_sp, x_sp)
     b = TFMatrix.constant(x_sp, u_sp, plant.B)
@@ -294,15 +301,12 @@ def certify_realization(v: RealizationVariant, plant: PlantSS) -> CertificationR
     r = build_realization(v, plant)
     s = stability_from_realization(r)
     report = check_conditions(r, s)
-    schur = None
+    schur = plant.resolvent().classify().in_rh_inf if v.kind == DEPLOYMENT else None
     delta_ok = None
-    if v.kind == DEPLOYMENT:
-        schur = plant.resolvent().classify().in_rh_inf
     if v.kind == DESIGN_SEPARATION:
         # S[delta, x] is stable proper unless check_conditions reports it
-        s_dx = s.S.block("delta", "x")
         delta_ok = (not any((f.matrix, f.row, f.col) == ("S", "delta", "x") for f in report.findings)
-                    and s_dx.is_strictly_proper)
+                    and s.S.block("delta", "x").is_strictly_proper)
     return CertificationReport(
         variant=v.kind,
         passed=report.passed,
@@ -545,6 +549,14 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
     return slp_from_fir(plant, FIRPhi(tuple(x_taps)), FIRPhi(tuple(u_taps)))
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array, refusing an entry beyond the float range."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise InvariantViolation(f"{what} has an entry that does not fit a float") from exc
+
+
 #: the Riccati iteration stops once successive iterates agree within
 #: DARE_TOL, and gives up after DARE_MAX_ITER steps
 DARE_TOL = 1e-12
@@ -560,10 +572,10 @@ def dare_lqr(plant: PlantSS, Qw, Rw) -> np.ndarray:
     lies in RH-infinity.  A gain that fails this, divergence (growth past
     1e14) or exhaustion of ``DARE_MAX_ITER`` steps raises ConvergenceError.
     """
-    a = plant.A.astype(float)
-    b = plant.B.astype(float)
-    qw = np.atleast_2d(np.asarray(Qw, dtype=float))
-    rw = np.atleast_2d(np.asarray(Rw, dtype=float))
+    a = _floats(plant.A, "the Riccati iteration's A")
+    b = _floats(plant.B, "the Riccati iteration's B")
+    qw = np.atleast_2d(_floats(Qw, "Qw"))
+    rw = np.atleast_2d(_floats(Rw, "Rw"))
     p = qw.copy()
     for _ in range(DARE_MAX_ITER):
         btpb = rw + b.T @ p @ b
@@ -600,7 +612,7 @@ class SimTrace:
 def _schedule(d: Mapping[str, Sequence] | None, name: str, horizon: int, dim: int) -> np.ndarray:
     out = np.zeros((horizon + 1, dim))
     if d and name in d:
-        arr = np.atleast_2d(np.asarray(d[name], dtype=float))
+        arr = np.atleast_2d(_floats(d[name], f"disturbance {name!r}"))
         if arr.shape[1] != dim:
             raise SpaceMismatchError(f"disturbance {name!r} must have {dim} columns")
         steps = min(arr.shape[0], horizon + 1)
@@ -630,7 +642,7 @@ def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
             top = e.den.degree + s
             for k in range(top + 1):
                 coeffs[k, i, j] -= e.num[top - k]
-    coeffs = np.array(coeffs, dtype=float)
+    coeffs = _floats(coeffs, "the loop's realization matrix R")
     try:
         lead = np.linalg.inv(coeffs[0])
     except np.linalg.LinAlgError as exc:
@@ -707,8 +719,8 @@ def impulse_match(
     space = s_ref.rows
     size = space.total
     # (channel, signal, lag), like the deviations below
-    want = np.array([[[float(h) for h in s_ref.entries[i][j].series(horizon)]
-                      for i in range(size)] for j in range(size)])
+    want = _floats([[s_ref.entries[i][j].series(horizon) for i in range(size)]
+                    for j in range(size)], "a Markov parameter of the closed-form stability matrix")
     impulse = np.zeros((horizon + 1, size, size))
     impulse[0] = np.eye(size)
     got = _respond(build_realization(v, plant), impulse).transpose(2, 1, 0)

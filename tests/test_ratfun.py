@@ -586,6 +586,30 @@ class TestPoles:
     def test_stability_invariant_under_scaling(self, r, c):
         assert (RatFun.constant(c) * r).is_stable() == r.is_stable()
 
+    def test_a_coefficient_beyond_the_float_range_is_decided_exactly(self):
+        # the pole of 1/(z + 10^400) is -10^400, and float(10^400) overflows
+        assert not rf(1, [10**400, 1]).is_stable()
+        # 1/(1 + 10^400 z) has its pole at -10^-400
+        assert rf(1, [1, 10**400]).is_stable()
+
+    @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                    min_size=1, max_size=6))
+    def test_a_coefficient_beyond_its_binomial_bound_means_a_root_outside(self, low):
+        # the monic z^n + sum_k low[k] z^k; were every root inside the circle,
+        # each |low[k]| would be at most C(n, k) (Vieta)
+        n = len(low)
+        if any(abs(c) > math.comb(n, k) for k, c in enumerate(low)):
+            assert not rf(1, [*low, 1]).is_stable()
+            assert max(abs(np.roots([1.0, *map(float, reversed(low))]))) >= 1 - 1e-9
+
+    @given(st.lists(st.fractions(min_value=F(-9, 10), max_value=F(9, 10), max_denominator=10),
+                    min_size=1, max_size=6))
+    def test_roots_inside_the_circle_are_stable(self, roots):
+        den = Poly.one()
+        for root in roots:
+            den = den * Poly([-root, 1])
+        assert rf(1, den).is_stable()
+
 
 def check_markov_parameters(r: RatFun, n: int) -> None:
     """h_0 .. h_n times the denominator in w = 1/z give back the numerator's

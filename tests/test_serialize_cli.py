@@ -600,11 +600,11 @@ class TestCLIInputs:
         assert "disturbance for 'x'" in report["details"]["error"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("variant", ["original_sls", "deployment"])
+    @pytest.mark.parametrize("variant", ["original_sls", "deployment", "design_separation"])
     def test_simulate_payload_that_does_not_fit_the_plant_exit_one(self, tmp_path, variant):
         plant = PlantSS.state_feedback([[0, 1], [0, 0]], [[0], [1]])
         fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
-               "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
+               "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]], "p_c": [[["1"]]], "m_c": [[["-1/2"]]]}
         inputs = {"plant": write(tmp_path, "plant.json", serialize.plant_to_doc(plant)),
                   "fir": write(tmp_path, "fir.json", fir)}
         code, report = run(JobSpec(
@@ -612,6 +612,90 @@ class TestCLIInputs:
         ))
         assert code == 1 and report["exit_code"] == 1
         assert "payload dimensions do not match the plant" in report["details"]["error"]
+
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    @pytest.mark.parametrize("given, missing", [
+        ({}, "p_c and m_c"), ({"p_c": [[["1"]]]}, "m_c"), ({"m_c": [[["-1/2"]]]}, "p_c"),
+    ], ids=["neither", "p_c_only", "m_c_only"])
+    def test_design_separation_without_its_parts_is_a_parse_error(
+        self, tmp_path, scalar_plant_doc, command, given, missing
+    ):
+        _, plant_path = scalar_plant_doc
+        fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+               "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]], **given}
+        options = {"variant": "design_separation"}
+        if command == "simulate":
+            options.update(horizon=3, out=str(tmp_path / "t.json"))
+        code, report = run(JobSpec(
+            command, {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir)}, options))
+        assert code == 2 and report["exit_code"] == 2
+        assert report["details"]["error"] == (
+            f"design_separation needs {missing} taps in the fir_bundle")
+        # the response pair alone serves the variants that declare no more
+        options["variant"] = "original_sls"
+        assert run(JobSpec(
+            command, {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir)}, options))[0] == 0
+
+
+def _plant_beyond_floats(tmp_path, matrix, row, col):
+    """The plant x+ = [[0, 1], [0, 0]] x + [0; 1] u, measured whole, with the
+    entry (row, col) of ``matrix`` set to 10^400, beyond the float range."""
+    doc = serialize.plant_to_doc(PlantSS.state_feedback([[0, 1], [0, 0]], [[0], [1]]))
+    doc[matrix][row][col] = "1e400"
+    return write(tmp_path, "plant.json", doc)
+
+
+#: Phi_u = [1 0] closes A + B Phi_u = [[0, a], [1, 0]], with poles +-sqrt(a)
+#: for a = A[0][1], so a large A[0][1] reaches the denominators of S
+FIR_BEYOND_FLOATS = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+                     "phi_x": [[["1", "0"], ["0", "1"]]], "phi_u": [[["1", "0"]]],
+                     "p_c": [[["1", "0"], ["0", "1"]]], "m_c": [[["1", "0"]]]}
+
+
+@pytest.mark.parametrize("command, entry, options, code, message", [
+    ("certify", ("A", 0, 1), {"variant": "original_sls"}, 1, None),
+    ("certify", ("A", 0, 1), {"variant": "design_separation"}, 1, None),
+    ("simulate", ("B", 1, 0), {"variant": "deployment", "horizon": 3}, 1,
+     "the loop's realization matrix R has an entry that does not fit a float"),
+    ("factorize", ("A", 0, 1), {}, 1, "the Riccati iteration's A has an entry"),
+    # the dual iteration runs on (A', C')
+    ("factorize", ("C", 0, 0), {}, 1, "the Riccati iteration's B has an entry"),
+    ("synthesize", ("A", 0, 1), {"horizon": 2}, 0, None),
+], ids=["certify-original_sls", "certify-design_separation", "simulate", "factorize-A",
+        "factorize-C", "synthesize"])
+def test_a_plant_entry_beyond_the_float_range_gets_an_exit_code(
+    tmp_path, command, entry, options, code, message
+):
+    inputs = {"plant": _plant_beyond_floats(tmp_path, *entry)}
+    if command in ("certify", "simulate"):
+        inputs["fir"] = write(tmp_path, "fir.json", FIR_BEYOND_FLOATS)
+    if command in WRITES:
+        options = {**options, "out": str(tmp_path / "out.json")}
+    got, report = run(JobSpec(command, inputs, options))
+    assert got == code and report["exit_code"] == code
+    if message is not None:
+        assert message in report["details"]["error"]
+
+
+def test_convert_of_a_plant_entry_beyond_the_float_range_exits_zero(tmp_path):
+    plant = PlantSS.state_feedback([[10**400]], [[1]])
+    bundle = synthesize_sf_h2(plant, [[1]], [[1]], 1)
+    inputs = {"plant": write(tmp_path, "plant.json", serialize.plant_to_doc(plant)),
+              "bundle": write(tmp_path, "slp_sf.json", serialize.bundle_to_doc("slp_sf", bundle))}
+    out = tmp_path / "iop.json"
+    code, _ = run(JobSpec("convert", inputs, {"target": "iop", "out": str(out)}))
+    assert code == 0
+    assert json.loads(out.read_text()) == serialize.bundle_to_doc("iop", slp_sf_to_iop(bundle, plant))
+
+
+def test_verify_of_a_pole_beyond_the_float_range_exits_one(tmp_path):
+    # R[y, u] = 1/(z + 10^400): its pole -10^400 has no float
+    space = SignalSpace.make(y=1, u=1)
+    r = Realization(space, TFMatrix.from_blocks(space, space, {("y", "u"): [[RatFun(1, [10**400, 1])]]}))
+    code, report = run(JobSpec("verify", {"realization": write(tmp_path, "r.json",
+                                                                serialize.realization_to_doc(r))}))
+    assert code == 1 and report["exit_code"] == 1
+    assert {"matrix": "S", "row": "y", "col": "u", "kind": "unstable"} in report["findings"]
 
 
 @pytest.mark.parametrize("target, exit_code", [("slp_of", 0), ("youla", 1)])

@@ -29,7 +29,7 @@ from rstab import (
 )
 from rstab.errors import ConvergenceError, InfeasibleError, InvariantViolation
 from rstab.parameterizations import exact_matrix
-from rstab.sls import _condensed_taps
+from rstab.sls import VARIANT_KINDS, VARIANT_PARTS, _condensed_taps
 
 from helpers import dense_fir_h2, dyadic_fir_pair, rand_fraction, reference_simulate
 
@@ -66,6 +66,18 @@ class TestFIR:
             RealizationVariant.original(wide, FU)  # Phi_x must be square
         with pytest.raises(InvariantViolation):
             RealizationVariant(DESIGN_SEPARATION, FX, FU)  # missing (P_c, M_c)
+        with pytest.raises(InvariantViolation, match="takes the parts phi_x, phi_u$"):
+            RealizationVariant("original_sls", FX, FU, p_c=FX, m_c=FU)  # undeclared parts
+        with pytest.raises(InvariantViolation, match="every m_c tap must be 1 x 1"):
+            RealizationVariant.design_separation(FX, FIRPhi((np.zeros((2, 1)),)), FX, FU)
+
+    def test_each_variant_declares_its_parts_and_wires_the_last_two(self):
+        assert VARIANT_KINDS == tuple(VARIANT_PARTS)
+        assert all(parts[:2] == ("phi_x", "phi_u") for parts in VARIANT_PARTS.values())
+        pc, mc = FIRPhi((np.array([[2.0]]),)), FIRPhi((np.array([[3.0]]),))
+        wired = {v.kind: v.controller_taps() for v in variants()}
+        wired[DESIGN_SEPARATION] = RealizationVariant.design_separation(pc, mc, FX, FU).controller_taps()
+        assert wired == {"original_sls": (FX, FU), "deployment": (FX, FU), DESIGN_SEPARATION: (pc, mc)}
 
 
 class TestBuildRealization:
@@ -416,6 +428,10 @@ class TestDareLqr:
         with pytest.raises(ConvergenceError):
             dare_lqr(PlantSS.state_feedback([[2.0]], [[0.0]]), [[1.0]], [[1.0]])
 
+    def test_an_entry_beyond_the_float_range_is_refused(self):
+        with pytest.raises(InvariantViolation, match="A has an entry that does not fit a float"):
+            dare_lqr(PlantSS.state_feedback([[10**400]], [[1]]), [[1]], [[1]])
+
     @pytest.mark.parametrize("a", [2.0, 1.0 - 1e-9])
     def test_non_stabilizing_gain(self, a):
         # with B = 0 and Qw = 0 the recursion stops at P = 0 and K = 0, so
@@ -526,6 +542,13 @@ class TestImpulseMatch:
     def test_negative_horizon_is_refused(self):
         with pytest.raises(InvariantViolation, match="nonnegative"):
             impulse_match(RealizationVariant.original(FX, FU), SCALAR, -1)
+
+    @pytest.mark.parametrize("variant", variants(), ids=lambda v: v.kind)
+    def test_a_markov_parameter_beyond_the_float_range_is_refused(self, variant):
+        # S[x, delta] = Phi_x (zI - A) - I carries A's entry 10^400
+        plant = PlantSS.state_feedback([[10**400]], [[1]])
+        with pytest.raises(InvariantViolation, match="Markov parameter .* does not fit a float"):
+            impulse_match(variant, plant, 3)
 
     def test_exact_match_reports_no_worst_location(self):
         rep = impulse_match(RealizationVariant.original(FX, FU), SCALAR, 5)
