@@ -8,15 +8,21 @@ empty tuple).  A rational function is a cancelled quotient ``num/den`` whose
 denominator is monic and nonzero.  Both forms are unique, so ``==`` is a
 structural comparison.
 
-The arithmetic works on ints only; a ``fractions.Fraction`` is built only at
-the boundary: scalars coming in, and coefficients, leading coefficients and
-Markov parameters going out.  One fraction-free division of integer
-polynomials, ``_pdivmod``, serves ``divmod``, the gcd's check of a
-reconstructed factor and its remainder sequence.  One gcd, ``_gcd``, returns
-the gcd of two primitive parts with both cofactors, and ``RatFun`` cancels a
-pair with those cofactors.  ``RatFun`` adds unlike denominators by Henrici's
-rule (only gcd(b, d) and then gcd(t, g) can cancel; Knuth, TAOCP vol. 2,
-4.5.1), so a sum of coprime denominators takes no gcd of the result.
+The arithmetic works on ints only.  A scalar comes in as an integer pair
+(``_as_pair``): an int, a Fraction's two ints, or the canonical "p/q" that
+rstab writes, read with ``int``; only a scalar of another form is read by
+``fractions.Fraction``.  A document's coefficients go out as strings written
+from the integer form (``_coeff_strs``), and a Fraction is built only for
+coefficients, leading coefficients and Markov parameters asked for one by
+one.
+
+One fraction-free division of integer polynomials, ``_pdivmod``, serves
+``divmod``, the gcd's check of a reconstructed factor and its remainder
+sequence.  One gcd, ``_gcd``, returns the gcd of two primitive parts with
+both cofactors, and ``RatFun`` cancels a pair with those cofactors.
+``RatFun`` adds unlike denominators by Henrici's rule (only gcd(b, d) and
+then gcd(t, g) can cancel; Knuth, TAOCP vol. 2, 4.5.1), so a sum of coprime
+denominators takes no gcd of the result.
 
 Properness is a degree comparison (strictly proper, biproper, improper),
 poles are the roots of the cancelled denominator, and ``series`` expands a
@@ -29,6 +35,7 @@ floating point.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable
 from fractions import Fraction
 from typing import Sequence, Union
@@ -59,6 +66,33 @@ def _as_coeff(value) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
+#: the form in which rstab writes an exact scalar (ASCII digits only)
+_CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _as_pair(value) -> tuple[int, int]:
+    """``_as_coeff(value)`` as (numerator, denominator) in lowest terms with a
+    positive denominator.  An int, a Fraction and the canonical "p" or "p/q"
+    are read without building a Fraction; every other value goes through
+    ``_as_coeff``, so it is accepted, or refused with the same error, exactly
+    as there."""
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is Fraction:
+        return value.numerator, value.denominator
+    if kind is str and _CANONICAL.fullmatch(value):
+        n, _, d = value.partition("/")
+        if not d:
+            return int(n), 1
+        n, d = int(n), int(d)
+        if d:  # "p/0" is refused below, as Fraction refuses it
+            g = math.gcd(n, d)
+            return n // g, d // g
+    c = _as_coeff(value)
+    return c.numerator, c.denominator
+
+
 class Poly:
     """Univariate polynomial in z with exact rational coefficients.
 
@@ -70,6 +104,11 @@ class Poly:
     parts is primitive (Gauss's lemma), so multiplication convolves integers
     and never normalizes.  ``coeffs`` is a ``Fraction`` view computed on
     demand.
+
+    The constructor is the one path from scalars to this form: it reads each
+    coefficient as an integer pair (``_as_pair``), scales them to one common
+    denominator and splits off the content.  ``_poly`` wraps a form that the
+    arithmetic has already normalized.
     """
 
     __slots__ = ("_n", "_d", "_p")
@@ -79,10 +118,11 @@ class Poly:
     _p: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_coeff(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        n, d, p = _split(*_int_lift_pair(cs))
+        pairs = [_as_pair(c) for c in coeffs]
+        while pairs and not pairs[-1][0]:
+            pairs.pop()
+        scale = math.lcm(*[b for _, b in pairs])
+        n, d, p = _split([a * (scale // b) for a, b in pairs], scale)
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_p", p)
@@ -311,13 +351,20 @@ def _split(ints: list[int], scale: int) -> tuple[int, int, tuple[int, ...]]:
     return g, scale, tuple(ints)
 
 
-def _int_lift_pair(coeffs) -> tuple[list[int], int]:
-    """Common-denominator integer lift: returns (scaled coefficients, scale)."""
-    scale = 1
-    for c in coeffs:
-        d = c.denominator
-        scale = scale // math.gcd(scale, d) * d
-    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+def _pair_str(a: int, b: int) -> str:
+    """``str(Fraction(a, b))`` for b > 0: a / b reduced by one gcd, written
+    "a/b", or "a" when the denominator is 1."""
+    if b == 1:
+        return str(a)
+    g = math.gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
+
+
+def _coeff_strs(p: Poly) -> list[str]:
+    """``[str(c) for c in p.coeffs]``, written from the integer form: each
+    coefficient is ``_n * _p[k] / _d``."""
+    n, d = p._n, p._d
+    return [_pair_str(n * v, d) for v in p._p]
 
 
 def _height(a: Sequence[int]) -> int:

@@ -3,15 +3,24 @@
 All documents are self-describing: a top-level ``kind`` selects the payload
 (plant / realization / parameter_bundle / coprime_factors / fir_bundle /
 weights / gains / disturbance / sim_trace / report) and ``schema_version``
-pins the layout.  Exact rationals travel as "p/q" strings (plain integers
-and decimal strings are also accepted on input); simulation data travels as
-JSON numbers.  Rational functions are two ascending coefficient arrays
-named ``num`` and ``den``.
+pins the layout.  Rational functions are two ascending coefficient arrays
+named ``num`` and ``den``, and simulation data travels as JSON numbers.
+
+Exact rationals travel as "p/q" or "p" strings, written from ``Poly``'s
+integer form, and one scalar rule (``ratfun._as_pair``) reads them back: the
+canonical "p/q" (an optional minus sign, ASCII digits) is read as two
+integers, any other string as ``fractions.Fraction`` reads it (decimals
+such as "0.25" or "1e-3" among them), and a JSON integer as itself.  A JSON
+number with a fraction or an exponent is the decimal it is written as, so
+1.2 reads as 6/5.  A number whose double reading is not finite is refused,
+and one too small for a double reads as 0, as that double does; quoted,
+either is read exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -21,9 +30,9 @@ import numpy as np
 
 from .errors import SchemaError, ToolkitError
 from .parameterizations import REGISTRY, CoprimeFactors, PlantSS
-from .ratfun import RatFun, _as_coeff
+from .ratfun import Poly, RatFun, _as_coeff, _as_pair, _coeff_strs, _pair_str
 from .realization import Realization, StabilityMatrix
-from .sls import FIR_PARTS, FIRPhi, SimTrace, fir_from_tfmatrix, part_shape
+from .sls import FIR_PARTS, FIRPhi, SimTrace, _fir_horizon, part_shape
 from .tfmatrix import SignalSpace, TFMatrix
 
 SCHEMA_VERSION = 1
@@ -58,13 +67,13 @@ def parse_scalar(value: Any) -> Fraction:
         return _as_coeff(value)
 
 
-def scalar_str(value: Fraction) -> str:
-    return str(Fraction(value))
+def scalar_str(value) -> str:
+    return _pair_str(*_as_pair(value))
 
 
 def real_matrix_to_doc(m) -> list[list[str]]:
     arr = np.atleast_2d(np.asarray(m, dtype=object))
-    return [[scalar_str(Fraction(v)) for v in row] for row in arr]
+    return [[scalar_str(v) for v in row] for row in arr]
 
 
 def real_matrix_from_doc(doc) -> list[list[Fraction]]:
@@ -74,19 +83,16 @@ def real_matrix_from_doc(doc) -> list[list[Fraction]]:
         raise SchemaError("expected a nested list for a real matrix")
     if any(len(r) != len(doc[0]) for r in doc):
         raise SchemaError("the rows of a real matrix must have equal lengths")
-    return [[_as_coeff(v) for v in row] for row in doc]
+    return [[Fraction(*_as_pair(v)) for v in row] for row in doc]
 
 
 def ratfun_to_doc(r: RatFun) -> dict:
-    return {
-        "num": [scalar_str(c) for c in r.num.coeffs],
-        "den": [scalar_str(c) for c in r.den.coeffs],
-    }
+    return {"num": _coeff_strs(r.num), "den": _coeff_strs(r.den)}
 
 
 def ratfun_from_doc(doc) -> RatFun:
     with _parsing("rational function document"):
-        return RatFun([_as_coeff(c) for c in doc["num"]], [_as_coeff(c) for c in doc["den"]])
+        return RatFun(Poly(doc["num"]), Poly(doc["den"]))
 
 
 def space_to_doc(s: SignalSpace) -> list[list]:
@@ -214,9 +220,14 @@ def coprime_from_doc(doc) -> CoprimeFactors:
 
 
 def fir_bundle_to_doc(horizon: int, parts: dict[str, TFMatrix]) -> dict:
+    """Write each part's ``horizon`` taps; tap k of an entry num / z^q is
+    num's coefficient of z^(q - k), written from the integer form."""
     payload: dict[str, Any] = {"horizon": horizon}
     for name, m in parts.items():
-        payload[name] = [real_matrix_to_doc(t) for t in fir_from_tfmatrix(m, horizon).taps]
+        _fir_horizon(m, horizon)  # refuses a part that is not FIR or does not fit
+        cells = [[(e.den.degree, _coeff_strs(e.num)) for e in row] for row in m.entries]
+        payload[name] = [[[c[q - k] if 0 <= q - k < len(c) else "0" for q, c in row]
+                          for row in cells] for k in range(1, horizon + 1)]
     return _with_header("fir_bundle", payload)
 
 
@@ -279,14 +290,24 @@ def gains_from_doc(doc) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
         return real_matrix_from_doc(doc["F"]), real_matrix_from_doc(doc["L"])
 
 
+def _json_decimal(text: str) -> Fraction | float:
+    """A JSON number with a fraction or an exponent, exactly as written.  One
+    whose double reading is not finite, or is 0, stays that double, which
+    the readers refuse (inf) or read as 0.  So an exact reading is built
+    only within the double range, where the text's length bounds the power
+    of ten it takes."""
+    x = float(text)
+    return Fraction(text) if x and math.isfinite(x) else x
+
+
 def load_document(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=_json_decimal)
+    except ValueError as exc:  # also a number beyond int()'s digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path} must hold a JSON object")

@@ -108,24 +108,32 @@ def fir_to_tfmatrix(f: FIRPhi, rows: SignalSpace, cols: SignalSpace) -> TFMatrix
                                   for j in range(nc)] for i in range(nr)])
 
 
-def fir_from_tfmatrix(m: TFMatrix, horizon: int | None = None) -> FIRPhi:
-    """Extract the exact taps of a strictly proper FIR transfer matrix.
+def _fir_horizon(m: TFMatrix, horizon: int | None = None) -> int:
+    """The number of taps of a strictly proper FIR transfer matrix: its
+    longest lag (at least 1), or ``horizon`` when given and long enough.
 
     Every entry must have a pure z-power denominator; otherwise the matrix
-    has infinite impulse response and the extraction refuses.
+    has infinite impulse response and this refuses.
     """
     worst = 0
     for row in m.entries:
         for e in row:
-            d = e.den
-            if any(c != 0 for c in d.coeffs[:-1]):
+            q = e.den.degree
+            if e.den != Poly.z(q):  # den is monic
                 raise InvariantViolation("matrix entry is not FIR (denominator is not z^k)")
-            if not e.is_zero and e.num.degree >= d.degree:
+            if not e.is_zero and e.num.degree >= q:
                 raise InvariantViolation("matrix entry is not strictly proper")
-            worst = max(worst, d.degree)
+            worst = max(worst, q)
     t = max(worst, 1) if horizon is None else horizon
     if t < max(worst, 1):
         raise InvariantViolation(f"horizon {t} cannot hold taps up to lag {worst}")
+    return t
+
+
+def fir_from_tfmatrix(m: TFMatrix, horizon: int | None = None) -> FIRPhi:
+    """Extract the exact taps of a strictly proper FIR transfer matrix,
+    refusing one that is not FIR (``_fir_horizon``)."""
+    t = _fir_horizon(m, horizon)
     nr, nc = m.shape
     taps = [np.zeros((nr, nc), dtype=object) for _ in range(t)]
     for i in range(nr):
@@ -629,7 +637,8 @@ def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
     polynomial sum_k C[k] z^{-k}, as R holds only FIR taps and constants.
     Its exact coefficients, cast to float once, give C[0] eta[t] =
     d[t - s_i] - sum_{k>=1} C[k] eta[t - k].  A singular C[0] (for the FIR
-    variants, a singular wired P[1]) raises SingularMatrixError.
+    variants, a singular wired P[1]) raises SingularMatrixError, and a
+    response that leaves the float range raises InvariantViolation.
     """
     rows = r.R.entries
     size = len(rows)
@@ -655,9 +664,12 @@ def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
     for i, s in enumerate(shifts):
         rhs[s:, i] = d[:steps - s, i]
     eta = np.zeros((lags + steps,) + d.shape[1:])
-    for t in range(steps):
-        history = eta[t:t + lags].reshape(lags * size, -1)
-        eta[lags + t] = lead @ (rhs[t] - past @ history)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            history = eta[t:t + lags].reshape(lags * size, -1)
+            eta[lags + t] = lead @ (rhs[t] - past @ history)
+    if not np.isfinite(eta).all():
+        raise InvariantViolation("the loop's response overflows the float range")
     return eta[lags:]
 
 
@@ -724,7 +736,8 @@ def impulse_match(
     impulse = np.zeros((horizon + 1, size, size))
     impulse[0] = np.eye(size)
     got = _respond(build_realization(v, plant), impulse).transpose(2, 1, 0)
-    dev = np.abs(got - want)
+    with np.errstate(over="ignore"):  # a difference beyond the float range is inf
+        dev = np.abs(got - want)
     max_dev = float(dev.max())
     worst: tuple[str | None, str | None, int | None] = (None, None, None)
     if max_dev > 0:

@@ -11,7 +11,9 @@ from rstab import (
     FIRPhi,
     JobSpec,
     PlantSS,
+    RatFun,
     RealizationVariant,
+    TFMatrix,
     certify_realization,
     fir_from_slp,
     fir_from_tfmatrix,
@@ -21,6 +23,7 @@ from rstab import (
     synthesize_sf_h2,
 )
 from rstab import serialize
+from rstab.errors import InvariantViolation
 from rstab.tfmatrix import SignalSpace
 
 HALF = PlantSS.state_feedback([[F(1, 2)]], [[1]])
@@ -69,11 +72,25 @@ def test_fraction_taps_round_trip_through_transfer_matrices_and_documents(pair):
     doc = serialize.fir_bundle_to_doc(horizon, mats)
     loaded = serialize.fir_bundle_from_doc(json.loads(json.dumps(doc)))
     for name, original in (("phi_x", phi_x), ("phi_u", phi_u)):
+        assert doc[name] == [[[str(v) for v in row] for row in t] for t in original.taps]
         for got in (fir_from_tfmatrix(mats[name], horizon), loaded[name]):
             assert got.horizon == horizon
             for g, w in zip(got.taps, original.taps):
                 assert all(type(v) is F for v in g.flat)
                 assert (g == w).all()
+
+
+@pytest.mark.parametrize("entry, horizon, message", [
+    (RatFun(1, [F(-1, 2), 1]), 2, "not FIR"),
+    (RatFun([1, 1], [0, 1]), 2, "not strictly proper"),
+    (RatFun(1, [0, 0, 0, 1]), 2, "horizon 2 cannot hold taps up to lag 3"),
+], ids=["iir", "biproper", "too_long"])
+def test_the_writer_refuses_what_the_taps_cannot_hold(entry, horizon, message):
+    sp = SignalSpace.single("x", 1)
+    m = TFMatrix(sp, sp, [[entry]])
+    for write_taps in (fir_from_tfmatrix, lambda m, t: serialize.fir_bundle_to_doc(t, {"phi_x": m})):
+        with pytest.raises(InvariantViolation, match=message):
+            write_taps(m, horizon)
 
 
 def test_exact_perturbation_of_a_tap_is_caught():

@@ -677,6 +677,22 @@ def test_a_plant_entry_beyond_the_float_range_gets_an_exit_code(
         assert message in report["details"]["error"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", ["original_sls", "deployment", "design_separation"])
+def test_simulate_of_a_response_beyond_the_float_range_exits_one(tmp_path, variant):
+    # B[1][0] = Phi_u[1][0] = 10^300 fit a float, the response does not
+    doc = serialize.plant_to_doc(PlantSS.state_feedback([[0, 1], [0, 0]], [[0], [1]]))
+    doc["B"][1][0] = "1e300"
+    fir = {**FIR_BEYOND_FLOATS, "phi_u": [[["1e300", "0"]]], "m_c": [[["1e300", "0"]]]}
+    inputs = {"plant": write(tmp_path, "plant.json", doc), "fir": write(tmp_path, "fir.json", fir)}
+    out = tmp_path / "trace.json"
+    code, report = run(JobSpec("simulate", inputs,
+                               {"variant": variant, "horizon": 4, "out": str(out)}))
+    assert code == 1 and report["exit_code"] == 1
+    assert report["details"]["error"] == "the loop's response overflows the float range"
+    assert not out.exists()
+
+
 def test_convert_of_a_plant_entry_beyond_the_float_range_exits_zero(tmp_path):
     plant = PlantSS.state_feedback([[10**400]], [[1]])
     bundle = synthesize_sf_h2(plant, [[1]], [[1]], 1)

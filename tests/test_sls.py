@@ -40,6 +40,12 @@ X1, U1 = SCALAR.x_space, SCALAR.u_space
 WEIGHTED = PlantSS.state_feedback([[F(1, 2), 1], [0, F(1, 3)]], [[0], [1]])
 
 
+#: B = [0; 10^300] and Phi_u[1] = [10^300, 0]: every entry fits a float, but
+#: the loop's response leaves the float range within four steps
+OVERFLOWING = PlantSS.state_feedback([[0, 1], [0, 0]], [[0], [10**300]])
+OVERFLOWING_PAIR = (FIRPhi(([[1, 0], [0, 1]],)), FIRPhi(([[10**300, 0]],)))
+
+
 def variants(fx=FX, fu=FU):
     return (
         RealizationVariant.original(fx, fu),
@@ -515,6 +521,12 @@ class TestSimulate:
                 assert err <= 1e-12, (v.kind, n, m, taps, err)
         assert deployments > 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", variants(*OVERFLOWING_PAIR), ids=lambda v: v.kind)
+    def test_a_response_beyond_the_float_range_is_refused(self, variant):
+        with pytest.raises(InvariantViolation, match="response overflows the float range"):
+            simulate(variant, OVERFLOWING, {"x": [[1.0, 0.0]]}, 4)
+
 
 class TestImpulseMatch:
     def test_all_variants_pass(self):
@@ -549,6 +561,12 @@ class TestImpulseMatch:
         plant = PlantSS.state_feedback([[10**400]], [[1]])
         with pytest.raises(InvariantViolation, match="Markov parameter .* does not fit a float"):
             impulse_match(variant, plant, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_response_beyond_the_float_range_is_refused(self):
+        # the other variants' Markov parameters already leave the float range
+        with pytest.raises(InvariantViolation, match="response overflows the float range"):
+            impulse_match(RealizationVariant.original(*OVERFLOWING_PAIR), OVERFLOWING, 4)
 
     def test_exact_match_reports_no_worst_location(self):
         rep = impulse_match(RealizationVariant.original(FX, FU), SCALAR, 5)
