@@ -8,13 +8,15 @@ empty tuple).  A rational function is a cancelled quotient ``num/den`` whose
 denominator is monic and nonzero.  Both forms are unique, so ``==`` is a
 structural comparison.
 
-The arithmetic works on ints only.  A scalar comes in as an integer pair
-(``_as_pair``): an int, a Fraction's two ints, or the canonical "p/q" that
-rstab writes, read with ``int``; only a scalar of another form is read by
-``fractions.Fraction``.  A document's coefficients go out as strings written
-from the integer form (``_coeff_strs``), and a Fraction is built only for
-coefficients, leading coefficients and Markov parameters asked for one by
-one.
+The arithmetic works on ints only.  One rule, ``_as_pair``, reads every
+exact scalar as an integer pair: an int, a Fraction's two ints, or the
+canonical "p/q" that rstab writes, read with ``int``; only a scalar of
+another form is read by ``fractions.Fraction``, and a decimal string whose
+exponent exceeds the interpreter's integer digit limit is refused first.
+``_as_coeff`` is its Fraction view.  A document's coefficients go out as
+strings written from the integer form (``_coeff_strs``, ``_pair_str``), and
+a Fraction is built only for coefficients, leading coefficients and Markov
+parameters asked for one by one.
 
 One fraction-free division of integer polynomials, ``_pdivmod``, serves
 ``divmod``, the gcd's check of a reconstructed factor and its remainder
@@ -36,13 +38,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import SchemaError, ToolkitError
 
 #: The one pole margin: a function is stable when every pole has
 #: |pole| < 1 - DEFAULT_TOL.  Poles on or outside the unit circle must be
@@ -54,28 +57,28 @@ CoeffsLike = Union["Poly", Scalar, Sequence[Scalar]]
 
 
 def _as_coeff(value) -> Fraction:
-    """The one rule for exact scalars: a Fraction, an int, a float (exactly),
-    a decimal or "p/q" string, or a numpy scalar of one of these.  A bool is
-    not a number here."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+    """``_as_pair(value)`` as a Fraction; a Fraction passes through as is."""
+    return value if isinstance(value, Fraction) else Fraction(*_as_pair(value))
 
 
 #: the form in which rstab writes an exact scalar (ASCII digits only)
 _CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
+#: the digits of a decimal exponent, where a string ends in one
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+#: the interpreter's integer digit limit, 0 for none (as before Python 3.10.7)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 def _as_pair(value) -> tuple[int, int]:
-    """``_as_coeff(value)`` as (numerator, denominator) in lowest terms with a
-    positive denominator.  An int, a Fraction and the canonical "p" or "p/q"
-    are read without building a Fraction; every other value goes through
-    ``_as_coeff``, so it is accepted, or refused with the same error, exactly
-    as there."""
+    """The one rule for exact scalars, as (numerator, denominator) in lowest
+    terms with a positive denominator: an int, a Fraction, a float (exactly),
+    a decimal or "p/q" string, or a numpy scalar of one of these.  A bool is
+    not a number here.  An int, a Fraction and the canonical "p" or "p/q"
+    are read without building a Fraction; every other value is read by
+    ``fractions.Fraction`` (a string through ``_decimal``), so it is accepted,
+    or refused with the same error, exactly as there."""
     kind = type(value)
     if kind is int:
         return value, 1
@@ -89,8 +92,39 @@ def _as_pair(value) -> tuple[int, int]:
         if d:  # "p/0" is refused below, as Fraction refuses it
             g = math.gcd(n, d)
             return n // g, d // g
-    c = _as_coeff(value)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, str):
+        c = _decimal(value)
+    elif isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
+        c = Fraction(value)
+    else:
+        raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
     return c.numerator, c.denominator
+
+
+def _decimal(text: str) -> Fraction:
+    """``Fraction(text)``, but a decimal whose exponent's magnitude exceeds
+    ``sys.get_int_max_str_digits()`` (when that limit is set) is refused
+    before Fraction builds its power of ten.  Whether ``text`` is a number at
+    all is Fraction's to decide, on a copy whose exponent digits are zeros,
+    so a string that Fraction refuses keeps Fraction's error."""
+    m = _EXPONENT.search(text)
+    limit = _digit_limit()
+    if m and limit:
+        try:
+            beyond = int(m[1]) > limit
+        except ValueError:  # no integer, or one of more than ``limit`` digits: Fraction refuses it
+            beyond = False
+        if beyond:
+            try:
+                Fraction(text[:m.start(1)] + re.sub(r"\d", "0", m[1]) + text[m.end(1):])
+            except ValueError:
+                beyond = False  # Fraction refuses ``text`` too, before any power of ten
+        if beyond:
+            raise ValueError(f"the exponent of {text!r} exceeds {limit}, "
+                             "the limit of sys.get_int_max_str_digits()")
+    return Fraction(text)
 
 
 class Poly:
@@ -353,11 +387,19 @@ def _split(ints: list[int], scale: int) -> tuple[int, int, tuple[int, ...]]:
 
 def _pair_str(a: int, b: int) -> str:
     """``str(Fraction(a, b))`` for b > 0: a / b reduced by one gcd, written
-    "a/b", or "a" when the denominator is 1."""
-    if b == 1:
-        return str(a)
-    g = math.gcd(a, b)
-    return str(a // g) if g == b else f"{a // g}/{b // g}"
+    "a/b", or "a" when the denominator is 1.  Every writer turns an exact
+    value into text here, so a numerator or denominator of more digits than
+    ``sys.get_int_max_str_digits()``, which no reader could read back, is
+    refused here as a SchemaError."""
+    try:
+        if b == 1:
+            return str(a)
+        g = math.gcd(a, b)
+        return str(a // g) if g == b else f"{a // g}/{b // g}"
+    except ValueError as exc:  # str(int) beyond the digit limit
+        raise SchemaError(f"cannot write a coefficient of more than "
+                          f"{_digit_limit()} digits, the limit of "
+                          "sys.get_int_max_str_digits()") from exc
 
 
 def _coeff_strs(p: Poly) -> list[str]:

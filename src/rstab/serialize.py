@@ -7,18 +7,25 @@ pins the layout.  Rational functions are two ascending coefficient arrays
 named ``num`` and ``den``, and simulation data travels as JSON numbers.
 
 Exact rationals travel as "p/q" or "p" strings, written from ``Poly``'s
-integer form, and one scalar rule (``ratfun._as_pair``) reads them back: the
-canonical "p/q" (an optional minus sign, ASCII digits) is read as two
-integers, any other string as ``fractions.Fraction`` reads it (decimals
-such as "0.25" or "1e-3" among them), and a JSON integer as itself.  A JSON
-number with a fraction or an exponent is the decimal it is written as, so
-1.2 reads as 6/5.  A number whose double reading is not finite is refused,
-and one too small for a double reads as 0, as that double does; quoted,
-either is read exactly.
+integer form by ``ratfun._pair_str``, and one scalar rule
+(``ratfun._as_pair``) reads them back: the canonical "p/q" (an optional minus
+sign, ASCII digits) is read as two integers, any other string as
+``fractions.Fraction`` reads it (decimals such as "0.25" or "1e-3" among
+them), and a JSON integer as itself.  A JSON number with a fraction or an
+exponent is the decimal it is written as, so 1.2 reads as 6/5.  A number
+whose double reading is not finite is refused, and one too small for a
+double reads as 0, as that double does; quoted, either is read exactly.
+
+``sys.get_int_max_str_digits()`` bounds both directions: a quoted decimal
+whose exponent exceeds it is refused before its power of ten is built, and
+a coefficient with more digits than it is refused instead of written, since
+no reader could read it back.  A document nested deeper than the JSON
+parser allows is refused as invalid JSON.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from contextlib import contextmanager
@@ -40,7 +47,8 @@ SCHEMA_VERSION = 1
 #: block names of each parameter bundle, in document order
 BUNDLE_FIELDS: dict[str, tuple[str, ...]] = {name: p.fields for name, p in REGISTRY.items()}
 
-COPRIME_FIELDS = ("Ml", "Nl", "Vl", "Ul", "Ur", "Nr", "Vr", "Mr")
+#: block names of a coprime factorization, in document order
+COPRIME_FIELDS: tuple[str, ...] = tuple(f.name for f in dataclasses.fields(CoprimeFactors))
 
 
 @contextmanager
@@ -61,12 +69,6 @@ def _parsing(what: str):
         raise SchemaError(f"malformed {what}: {exc}") from exc
 
 
-def parse_scalar(value: Any) -> Fraction:
-    """Accept "p/q", decimal strings, ints, and floats; return an exact Fraction."""
-    with _parsing(f"scalar {value!r}"):
-        return _as_coeff(value)
-
-
 def scalar_str(value) -> str:
     return _pair_str(*_as_pair(value))
 
@@ -83,7 +85,7 @@ def real_matrix_from_doc(doc) -> list[list[Fraction]]:
         raise SchemaError("expected a nested list for a real matrix")
     if any(len(r) != len(doc[0]) for r in doc):
         raise SchemaError("the rows of a real matrix must have equal lengths")
-    return [[Fraction(*_as_pair(v)) for v in row] for row in doc]
+    return [[_as_coeff(v) for v in row] for row in doc]
 
 
 def ratfun_to_doc(r: RatFun) -> dict:
@@ -307,7 +309,8 @@ def load_document(path) -> dict:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text, parse_float=_json_decimal)
-    except ValueError as exc:  # also a number beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:
+        # also a number beyond int()'s digit limit, or nesting deeper than the parser's
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path} must hold a JSON object")

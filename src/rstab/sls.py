@@ -197,8 +197,9 @@ class RealizationVariant:
         return getattr(self, p), getattr(self, m)
 
 
-def _loop_space(v: RealizationVariant, plant: PlantSS) -> SignalSpace:
-    """The (x, u, delta) space of the variant's loop around ``plant``.
+def _loop_space(v: RealizationVariant, plant: PlantSS) -> tuple[SignalSpace, ...]:
+    """The (x, u, delta) space of the variant's loop around ``plant``, then
+    its x, u and delta blocks, each a space of its own.
 
     Every routine that wires a payload to a plant passes through here, so a
     payload whose tap shapes do not fit the plant is refused in one place.
@@ -206,16 +207,15 @@ def _loop_space(v: RealizationVariant, plant: PlantSS) -> SignalSpace:
     n, m = plant.n, plant.m
     if v.phi_x.shape != (n, n) or v.phi_u.shape != (m, n):
         raise SpaceMismatchError("payload dimensions do not match the plant")
-    return SignalSpace((("x", n), ("u", m), ("delta", n)))
+    parts = plant.x_space, plant.u_space, SignalSpace.single("delta", n)
+    return (SignalSpace(tuple(b for p in parts for b in p.blocks)), *parts)
 
 
 def build_realization(v: RealizationVariant, plant: PlantSS) -> Realization:
     """Assemble the realization matrix of the chosen variant over (x, u, delta):
     the plant's x row, the controller u = z M delta with M = Phi_u or M_c,
     and the variant's delta row."""
-    _loop_space(v, plant)
-    x_sp, u_sp = plant.x_space, plant.u_space
-    d_sp = SignalSpace.single("delta", plant.n)
+    _, x_sp, u_sp, d_sp = _loop_space(v, plant)
     z, zinv = RatFun.z(), RatFun.z_inv()
     p_taps, m_taps = v.controller_taps()
     eye = TFMatrix.identity(x_sp).relabel(d_sp, x_sp)
@@ -240,9 +240,7 @@ def closed_form_stability(v: RealizationVariant, plant: PlantSS) -> TFMatrix:
     rather than the recomputed inverse, so payload corruption is detected
     instead of silently re-certified.
     """
-    space = _loop_space(v, plant)
-    x_sp, u_sp = plant.x_space, plant.u_space
-    d_sp = SignalSpace.single("delta", plant.n)
+    space, x_sp, u_sp, d_sp = _loop_space(v, plant)
     z, zinv = RatFun.z(), RatFun.z_inv()
     phi_x = fir_to_tfmatrix(v.phi_x, x_sp, x_sp)
     phi_u = fir_to_tfmatrix(v.phi_u, u_sp, x_sp)
@@ -689,7 +687,7 @@ def simulate(
     """
     if horizon < 0:
         raise InvariantViolation("horizon must be nonnegative")
-    space = _loop_space(v, plant)
+    space = _loop_space(v, plant)[0]
     for name in d or ():
         if name not in space.names:
             raise SpaceMismatchError(f"unknown disturbance channel {name!r}; expected x, u or delta")

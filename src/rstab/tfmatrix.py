@@ -84,7 +84,7 @@ class TFClassification:
 
 
 def _coerce_entry(value) -> RatFun:
-    """A RatFun as is; a Poly, or a scalar by the rule of ``ratfun._as_coeff``,
+    """A RatFun as is; a Poly, or a scalar by the rule of ``ratfun._as_pair``,
     as a constant entry."""
     if isinstance(value, RatFun):
         return value
@@ -125,9 +125,7 @@ class TFMatrix:
 
     @classmethod
     def identity(cls, space: SignalSpace) -> "TFMatrix":
-        n = space.total
-        zero, one = RatFun.zero(), RatFun.one()
-        return cls(space, space, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.diagonal(space, RatFun.one())
 
     @classmethod
     def constant(cls, rows: SignalSpace, cols: SignalSpace, values) -> "TFMatrix":
@@ -379,14 +377,7 @@ def embed(space: SignalSpace, name: str) -> TFMatrix:
 
     Stacking these over all names reconstructs any matrix from its row blocks.
     """
-    cols = SignalSpace.single(name, space.dim(name))
-    rr = space.index_range(name)
-    zero, one = RatFun.zero(), RatFun.one()
-    ent = [
-        [one if i == rr.start + j else zero for j in range(len(rr))]
-        for i in range(space.total)
-    ]
-    return TFMatrix(space, cols, ent)
+    return TFMatrix.identity(space).col_block(name)
 
 
 def shift_identity(space: SignalSpace, power: int = -1) -> TFMatrix:

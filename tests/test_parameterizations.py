@@ -100,6 +100,24 @@ class TestCoprimeFactorize:
         with pytest.raises(InvariantViolation, match="F does not stabilize"):
             coprime_factorize(plant, [[0]], [[-2]])
 
+    def test_non_stabilizing_observer_gain_rejected(self):
+        plant = PlantSS([[2]], [[1]], [[1]], [[0]])
+        with pytest.raises(InvariantViolation, match="L does not stabilize"):
+            coprime_factorize(plant, [[-2]], [[0]])
+
+    def test_factors_whose_ml_has_no_proper_inverse_are_refused(self):
+        # the double Bezout identity holds for these stable proper factors,
+        # but Ml = 1/z inverts to z, which is improper
+        zinv, one = RatFun(1, [0, 1]), RatFun(1)
+        blocks = {"Ml": zinv, "Nl": -one, "Vl": one - zinv, "Ul": one,
+                  "Ur": one, "Nr": -one, "Vr": one - zinv, "Mr": zinv}
+        spaces = {"Ml": (Y1, Y1), "Nl": (Y1, U1), "Vl": (U1, Y1), "Ul": (U1, U1),
+                  "Ur": (Y1, Y1), "Nr": (Y1, U1), "Vr": (U1, Y1), "Mr": (U1, U1)}
+        f = parameterizations.CoprimeFactors(
+            **{name: tf(*spaces[name], [[value]]) for name, value in blocks.items()})
+        with pytest.raises(InvariantViolation, match="Ml is not invertible with a proper inverse"):
+            f.validate()
+
     def test_two_by_two_with_feedthrough(self):
         plant = PlantSS(
             [[F(1, 2), F(1, 4)], [0, F(-1, 3)]],
@@ -321,6 +339,16 @@ class TestSLPOutputFeedback:
         p = slp_of_from_controller(plant, TFMatrix.zeros(U1, Y1))
         assert p.phi_xy.is_zero
         assert slp_of_to_controller(p, plant.D) == p.phi_uy
+
+    def test_a_bundle_whose_column_identity_fails_is_refused(self):
+        # shifting Phi_xy by (zI - A)^{-1} B Delta and Phi_uy by Delta keeps
+        # every row identity of (I - R) S = I and breaks column x of S (I - R) = I
+        plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[0]])
+        p = slp_of_from_controller(plant, TFMatrix.zeros(U1, Y1))
+        delta = tf(U1, Y1, [[RatFun(1, [0, 1])]])
+        shift = plant.resolvent() @ TFMatrix.constant(X1, U1, plant.B) @ delta
+        with pytest.raises(InvariantViolation, match=r"S \(I - R\) = I fails in column x"):
+            SLPOutputFeedback.checked(p.phi_xx, p.phi_ux, p.phi_xy + shift, p.phi_uy + delta, plant)
 
     def test_unstable_loop_rejected(self):
         plant = PlantSS([[2]], [[1]], [[1]], [[0]])

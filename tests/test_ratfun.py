@@ -541,6 +541,23 @@ class TestArithmetic:
         if not a.is_zero:
             assert a * a.inverse() == RatFun.one()
 
+    @given(ratfuns.filter(bool), st.integers(min_value=-3, max_value=3))
+    def test_a_power_is_the_product_of_its_factors(self, a, n):
+        factor = a if n >= 0 else RatFun.one() / a
+        product = RatFun.one()
+        for _ in range(abs(n)):
+            product = product * factor
+        assert a ** n == product
+
+    def test_the_zeroth_power_of_zero_is_one(self):
+        assert RatFun.zero() ** 0 == RatFun.one()
+
+    @given(ratfuns, polys)
+    def test_a_scalar_minus_a_function_is_the_sum_with_its_negation(self, r, p):
+        assert 1 - r == RatFun.one() + (-1) * r
+        assert 1 - p == Poly.one() + (-1) * p
+        assert F(1, 2) - r == F(1, 2) + (-r)
+
     @given(ratfuns)
     def test_normalization_idempotent(self, a):
         again = RatFun(a.num, a.den)

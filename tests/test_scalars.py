@@ -4,19 +4,24 @@
 and hands every other value to ``fractions.Fraction``; the writers produce
 ``str(Fraction)`` from Poly's integer form.  Fraction is the oracle for both,
 so the document reader and writer are checked only here and by the round
-trips of the document tests.
+trips of the document tests.  The one departure from Fraction, a decimal
+whose exponent exceeds the interpreter's integer digit limit, is refused,
+and the oracle refuses it too.
 """
 
 import json
+import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rstab import JobSpec, PlantSS, Poly, RatFun, Realization, SignalSpace, TFMatrix, run
 from rstab import serialize
-from rstab.ratfun import _as_pair
+from rstab.errors import SchemaError
+from rstab.ratfun import _as_coeff, _as_pair
 
 #: canonical strings, strings that only Fraction reads, and strings it refuses
 TABLE = ["3/4", "-0/5", "007/010", " 3/4", "+3", "3_0", "1.5", "1e3", "3/-4", "3/0",
@@ -25,12 +30,26 @@ TABLE = ["3/4", "-0/5", "007/010", " 3/4", "+3", "3_0", "1.5", "1e3", "3/-4", "3
 SPACE = SignalSpace.make(y=1, u=1)
 
 
+def exponent_refusal(text: str) -> ValueError:
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"the exponent of {text!r} exceeds {limit}, "
+                      "the limit of sys.get_int_max_str_digits()")
+
+
 def fraction_reading(value):
-    """(Fraction(value), None), or (None, the error Fraction raises)."""
+    """(Fraction(value), None), or (None, the error Fraction raises); a
+    decimal that Fraction reads but whose exponent's magnitude exceeds the
+    integer digit limit is refused with ``exponent_refusal``."""
     try:
-        return F(value), None
+        want = F(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         return None, exc
+    limit = sys.get_int_max_str_digits()
+    text = value.lower() if isinstance(value, str) else ""
+    exponent = int(text.rpartition("e")[2]) if "e" in text else 0
+    if limit and abs(exponent) > limit:
+        return None, exponent_refusal(value)
+    return want, None
 
 
 def assert_reads_as_fraction(value):
@@ -56,6 +75,43 @@ def test_the_reader_agrees_with_fraction_on_random_strings(text):
 @given(st.one_of(st.integers(), st.fractions()))
 def test_ints_and_fractions_pass_straight_through(value):
     assert _as_pair(value) == (value.numerator, value.denominator)
+
+
+@pytest.mark.parametrize("value, want", [("1/2", F(1, 2)), ("0.25", F(1, 4)), ("1e-3", F(1, 1000)),
+                                         (3, 3), (0.5, F(1, 2)), (np.int64(-2), -2)])
+def test_the_fraction_view_reads_each_scalar_format(value, want):
+    got = _as_coeff(value)
+    assert type(got) is F and got == want
+
+
+def test_the_fraction_view_passes_a_fraction_through():
+    value = F(2, 3)
+    assert _as_coeff(value) is value
+
+
+@pytest.mark.parametrize("value, error", [("not-a-number", ValueError), (True, TypeError),
+                                          (False, TypeError), (np.bool_(True), TypeError),
+                                          (None, TypeError)])
+def test_a_value_that_is_not_an_exact_scalar_is_refused(value, error):
+    with pytest.raises(error):
+        _as_coeff(value)
+    with pytest.raises(SchemaError, match="malformed plant document"):
+        serialize.plant_from_doc({"schema_version": 1, "kind": "plant", "A": [[value]],
+                                  "B": [["1"]], "C": [["1"]], "D": [["0"]]})
+
+
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_an_exponent_at_the_digit_limit_is_read_exactly(sign):
+    limit = sys.get_int_max_str_digits()
+    scale = F(10) ** int(f"{sign}{limit}")
+    assert _as_pair(f"1e{sign}{limit}") == (scale.numerator, scale.denominator)
+    with pytest.raises(ValueError, match="exceeds"):
+        _as_pair(f"1e{sign}{limit + 1}")
+
+
+@pytest.mark.parametrize("text", ["x1e99999999", "1e-99999999/2", "1e--99999999", "1e-9_9999_9999_"])
+def test_a_string_that_fraction_refuses_keeps_its_error_whatever_its_exponent(text):
+    assert_reads_as_fraction(text)
 
 
 def report_and_output(job: JobSpec):

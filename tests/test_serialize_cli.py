@@ -49,15 +49,6 @@ class TestDocuments:
             r = rand_ratfun(rng, 3)
             assert serialize.ratfun_from_doc(serialize.ratfun_to_doc(r)) == r
 
-    def test_scalar_formats(self):
-        assert serialize.parse_scalar("1/2") == F(1, 2)
-        assert serialize.parse_scalar("0.25") == F(1, 4)
-        assert serialize.parse_scalar("1e-3") == F(1, 1000)
-        assert serialize.parse_scalar(3) == 3
-        for value in ("not-a-number", True, False):
-            with pytest.raises(SchemaError):
-                serialize.parse_scalar(value)
-
     def test_tfmatrix_roundtrip(self):
         rng = random.Random(1)
         m = TFMatrix(SP, SP, [[rand_ratfun(rng, 2) for _ in range(2)] for _ in range(2)])
@@ -598,6 +589,57 @@ class TestCLIInputs:
         ))
         assert code == 2 and report["exit_code"] == 2
         assert "disturbance for 'x'" in report["details"]["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parts, error", [
+        ({"phi_x": [[["1"]], [["0"]]], "phi_u": [[["-1/2"]]]}, "phi_x must list exactly 1 tap matrices"),
+        ({"phi_x": [[["1"]]], "phi_u": "-1/2"}, "phi_u must list exactly 1 tap matrices"),
+        ({"phi_x": [[["1"]]]}, "fir_bundle needs phi_x and phi_u"),
+        ({"phi_u": [[["-1/2"]]], "p_c": [[["1"]]]}, "fir_bundle needs phi_x and phi_u"),
+    ], ids=["extra_tap", "not_a_list", "no_phi_u", "no_phi_x"])
+    def test_a_fir_bundle_with_a_wrong_or_missing_part_is_a_parse_error(
+        self, tmp_path, scalar_plant_doc, parts, error
+    ):
+        _, plant_path = scalar_plant_doc
+        fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1, **parts}
+        code, report = run(JobSpec(
+            "certify", {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir)},
+            {"variant": "original_sls"}))
+        assert (code, report["exit_code"], report["details"]["error"]) == (2, 2, error)
+
+    @pytest.mark.parametrize("signals", [None, [[1]], "x"])
+    def test_a_disturbance_without_a_signals_object_is_a_parse_error(
+        self, tmp_path, scalar_plant_doc, signals
+    ):
+        _, plant_path = scalar_plant_doc
+        fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+               "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
+        disturbance = {"schema_version": 1, "kind": "disturbance"}
+        if signals is not None:
+            disturbance["signals"] = signals
+        out = tmp_path / "t.json"
+        inputs = {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir),
+                  "disturbance": write(tmp_path, "d.json", disturbance)}
+        code, report = run(JobSpec(
+            "simulate", inputs, {"variant": "original_sls", "horizon": 3, "out": str(out)}))
+        assert (code, report["exit_code"]) == (2, 2)
+        assert report["details"]["error"] == "disturbance document needs a signals object"
+        assert not out.exists()
+
+    def test_simulate_disturbance_with_the_wrong_number_of_columns_exit_one(
+        self, tmp_path, scalar_plant_doc
+    ):
+        _, plant_path = scalar_plant_doc
+        fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 1,
+               "phi_x": [[["1"]]], "phi_u": [[["-1/2"]]]}
+        disturbance = {"schema_version": 1, "kind": "disturbance", "signals": {"x": [[1, 0]]}}
+        out = tmp_path / "t.json"
+        inputs = {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir),
+                  "disturbance": write(tmp_path, "d.json", disturbance)}
+        code, report = run(JobSpec(
+            "simulate", inputs, {"variant": "original_sls", "horizon": 3, "out": str(out)}))
+        assert (code, report["exit_code"]) == (1, 1)
+        assert report["details"]["error"] == "disturbance 'x' must have 1 columns"
         assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["original_sls", "deployment", "design_separation"])
