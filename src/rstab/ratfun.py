@@ -294,12 +294,7 @@ class Poly:
         if len(a) == 1:
             return _poly(n, d, b)
         # the product of primitive parts is primitive with a positive lead
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return _poly(n, d, tuple(out))
+        return _poly(n, d, tuple(_pmul(a, b)))
 
     __rmul__ = __mul__
 
@@ -412,6 +407,22 @@ def _coeff_strs(p: Poly) -> list[str]:
 def _height(a: Sequence[int]) -> int:
     """Largest |coefficient|."""
     return max(max(a), -min(a))
+
+
+def _norm(a: Sequence[int]) -> int:
+    """The 1-norm: the sum of |coefficient|, which bounds every coefficient
+    of a product by the product of the factors' norms."""
+    return sum(map(abs, a))
+
+
+def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two nonzero integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
 
 
 def _at(a: Sequence[int], s: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InvariantViolation, SingularMatrixError, SpaceMismatchError
-from .tfmatrix import SignalSpace, TFMatrix, embed
+from .tfmatrix import SignalSpace, TFMatrix, _is_right_inverse, embed
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ class Transformation:
     """Invertible disturbance-basis change d = T w.
 
     Stores both T and its inverse; T T_inv = T_inv T = I is checked exactly
-    on construction.  One product suffices: over the field of rational
-    functions a one-sided inverse of a square matrix is two-sided.
+    on construction, as ``verify_lemma`` checks its identity.  One product
+    suffices: over the field of rational functions a one-sided inverse of a
+    square matrix is two-sided.
     """
 
     T: TFMatrix
@@ -79,8 +80,7 @@ class Transformation:
     def __post_init__(self):
         if not self.T.is_square or self.T.rows != self.T_inv.rows:
             raise SpaceMismatchError("transformation matrices must be square over one space")
-        eye = TFMatrix.identity(self.T.rows)
-        if self.T @ self.T_inv != eye:
+        if not _is_right_inverse(self.T, self.T_inv):
             raise InvariantViolation("T and T_inv are not exact inverses")
 
     @classmethod
@@ -126,23 +126,31 @@ def stability_from_realization(r: Realization) -> StabilityMatrix:
 def verify_lemma(r: Realization, s: StabilityMatrix) -> bool:
     """Check (I - R) S = S (I - R) = I exactly.
 
-    Only (I - R) S = I is computed: I - R and S are square over the field of
-    rational functions, where a one-sided inverse is two-sided.
+    Only (I - R) S = I is decided: I - R and S are square over the field of
+    rational functions, where a one-sided inverse is two-sided.  It is
+    decided without forming the product: with the rows of I - R and the
+    columns of S cleared to integer polynomials, N and P, every entry of
+    N P is compared with the cleared identity's by one integer product at a
+    point 2^s beyond every coefficient of their difference
+    (``tfmatrix._is_right_inverse``), so the verdict is exact.
     """
     if r.space != s.space:
         raise SpaceMismatchError("realization and stability matrix use different spaces")
-    eye = TFMatrix.identity(r.space)
-    return (eye - r.R) @ s.S == eye
+    return _is_right_inverse(TFMatrix.identity(r.space) - r.R, s.S)
 
 
-def check_conditions(r: Realization, s: StabilityMatrix) -> ConditionReport:
+def check_conditions(
+    r: Realization, s: StabilityMatrix, verdicts: dict | None = None
+) -> ConditionReport:
     """Causality and internal-stability conditions for a synthesized loop.
 
     Off-diagonal blocks of R must be proper and every block of S must be
     stable proper.  Diagonal blocks of R are exempt: rows that encode plant
     dynamics carry improper diagonal entries by construction.  Failures are
     reported, not raised.  Each distinct denominator of S is tested for
-    stability once.
+    stability once.  ``verdicts`` is the check's dict from denominator to
+    verdict, as ``TFMatrix.classify`` takes it: pass one to share the
+    verdicts with the check's later classifications.
     """
     if r.space != s.space:
         raise SpaceMismatchError("realization and stability matrix use different spaces")
@@ -152,7 +160,8 @@ def check_conditions(r: Realization, s: StabilityMatrix) -> ConditionReport:
         for b in names:
             if a != b and not r.R.block(a, b).is_proper:
                 findings.append(BlockFinding("R", a, b, "improper"))
-    verdicts: dict = {}
+    if verdicts is None:
+        verdicts = {}
     for a in names:
         for b in names:
             cls = s.S.block(a, b).classify(verdicts)

@@ -306,8 +306,9 @@ def certify_realization(v: RealizationVariant, plant: PlantSS) -> CertificationR
     """Build the variant, invert I - R exactly, and test every block."""
     r = build_realization(v, plant)
     s = stability_from_realization(r)
-    report = check_conditions(r, s)
-    schur = plant.resolvent().classify().in_rh_inf if v.kind == DEPLOYMENT else None
+    verdicts: dict = {}
+    report = check_conditions(r, s, verdicts)
+    schur = plant.resolvent().classify(verdicts).in_rh_inf if v.kind == DEPLOYMENT else None
     delta_ok = None
     if v.kind == DESIGN_SEPARATION:
         # S[delta, x] is stable proper unless check_conditions reports it

@@ -1,0 +1,204 @@
+"""The integer kernel of rstab.tfmatrix: inversion and the lemma's identity
+decided at one Kronecker point, checked against independent oracles.
+
+Both inverse routes are called directly and compared with the cofactor
+oracle of ``helpers``, on inputs on each side of the size rule that picks
+between them; the identity check is compared with the product it replaces.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rstab import (
+    Poly,
+    RatFun,
+    Realization,
+    SignalSpace,
+    StabilityMatrix,
+    TFMatrix,
+    Transformation,
+    stability_from_realization,
+    verify_lemma,
+)
+from rstab import tfmatrix
+from rstab.errors import InvariantViolation, SingularMatrixError, SpaceMismatchError
+from rstab.tfmatrix import (
+    _KRONECKER_BITS,
+    _cleared,
+    _gauss_jordan_inverse,
+    _kronecker_inverse,
+    _kronecker_size,
+)
+
+from helpers import adjugate_inverse, rand_fir_tfmatrix, rand_ratfun, rand_realization, rand_tfmatrix
+
+
+def space(n: int) -> SignalSpace:
+    return SignalSpace(tuple((f"s{i}", 1) for i in range(n)))
+
+
+def kronecker(m: TFMatrix) -> TFMatrix:
+    rows = _cleared(m.entries)
+    return _kronecker_inverse(m, rows, _kronecker_size(rows)[0])
+
+
+def kronecker_bits(m: TFMatrix) -> int:
+    return _kronecker_size(_cleared(m.entries))[1]
+
+
+def fir_loop(rng: random.Random, n: int, deg: int, span: int) -> TFMatrix:
+    """I - R with R a strictly proper FIR matrix, so I - R is invertible."""
+    sp = space(n)
+    return TFMatrix.identity(sp) - rand_fir_tfmatrix(rng, sp, sp, deg, span, biproper=False)
+
+
+def small_input(rng: random.Random) -> TFMatrix:
+    if rng.random() < 0.5:
+        n = rng.randint(1, 2)
+        return rand_tfmatrix(rng, space(n), space(n), max_deg=2)
+    return fir_loop(rng, rng.randint(1, 3), rng.randint(1, 3), span=2)
+
+
+def large_input(rng: random.Random) -> TFMatrix:
+    # long loops with wide taps, as fir_h2_pipeline's n = 5, T >= 7 loops
+    return fir_loop(rng, 3, rng.randint(6, 8), span=2 ** rng.randint(60, 90))
+
+
+def with_one_coefficient_scaled(r: RatFun, factor) -> RatFun:
+    coeffs = list(r.num.coeffs)
+    k = next(k for k, c in enumerate(coeffs) if c)
+    coeffs[k] *= factor
+    return RatFun(Poly(coeffs), r.den)
+
+
+def replaced(m: TFMatrix, i: int, j: int, value: RatFun) -> TFMatrix:
+    ent = [list(row) for row in m.entries]
+    ent[i][j] = value
+    return TFMatrix(m.rows, m.cols, ent)
+
+
+class TestInverseRoutes:
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_both_routes_equal_the_cofactor_oracle(self, seed, large):
+        rng = random.Random(seed)
+        m = large_input(rng) if large else small_input(rng)
+        try:
+            expected = adjugate_inverse(m)
+        except SingularMatrixError:
+            for route in (kronecker, _gauss_jordan_inverse):
+                with pytest.raises(SingularMatrixError):
+                    route(m)
+            return
+        assert kronecker(m) == expected
+        assert _gauss_jordan_inverse(m) == expected
+
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_inverse_takes_the_route_of_the_size_rule(self, seed, large):
+        rng = random.Random(seed)
+        m = large_input(rng) if large else fir_loop(rng, rng.randint(1, 3), rng.randint(1, 3), 2)
+        assert (kronecker_bits(m) > _KRONECKER_BITS) == large
+        with mock.patch.object(tfmatrix, "_gauss_jordan_inverse",
+                               wraps=_gauss_jordan_inverse) as gauss_jordan, \
+             mock.patch.object(tfmatrix, "_kronecker_inverse",
+                               wraps=_kronecker_inverse) as kron:
+            m.inverse()
+        assert (gauss_jordan.call_count, kron.call_count) == ((1, 0) if large else (0, 1))
+
+    @pytest.mark.parametrize("rows", [
+        [[RatFun([1, 1], [0, 1]), RatFun(2)], [RatFun([1, 1], [0, 1]), RatFun(2)]],
+        [[RatFun(0), RatFun(0)], [RatFun([F(1, 2), 1]), RatFun(3)]],
+        [[RatFun(1), RatFun([0, 1]), RatFun(2, [1, 1])],
+         [RatFun(2), RatFun([0, 2]), RatFun(4, [1, 1])],
+         [RatFun(3), RatFun(0, 1), RatFun([F(1, 3), 5])]],
+        [[RatFun(1), RatFun([0, 1]), RatFun(0)],
+         [RatFun([0, 1]), RatFun([0, 0, 1]), RatFun(0)],
+         [RatFun([1, 1], [2, 1]), RatFun(7), RatFun(0)]],
+    ], ids=["repeated-row", "zero-row", "rank-2-by-rows", "zero-column"])
+    def test_a_singular_matrix_raises_the_same_error_on_both_routes(self, rows):
+        m = TFMatrix(space(len(rows)), space(len(rows)), rows)
+        for route in (kronecker, _gauss_jordan_inverse, TFMatrix.inverse):
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                route(m)
+
+
+class TestIdentityCheck:
+    def test_a_coefficient_off_by_one_part_in_two_to_the_64_is_rejected(self):
+        rng = random.Random(3)
+        r = rand_realization(rng)
+        s = stability_from_realization(r).S
+        i, j = next((i, j) for i in range(s.rows.total) for j in range(s.cols.total) if s[i, j])
+        bad = replaced(s, i, j, with_one_coefficient_scaled(s[i, j], 1 + F(1, 2 ** 64)))
+        assert verify_lemma(r, StabilityMatrix(r.space, s))
+        assert not verify_lemma(r, StabilityMatrix(r.space, bad))
+        with pytest.raises(InvariantViolation):
+            Transformation(TFMatrix.identity(r.space) - r.R, bad)
+
+    def test_entries_near_ten_to_the_400_are_decided_exactly(self):
+        # the cleared matrices' coefficients run from 10^400 to 10^1200, so
+        # the point 2^s lies beyond 2^5000
+        big = 10 ** 400
+        sp = SignalSpace.make(x=1, u=1)
+        r = Realization.from_blocks(sp, {
+            ("x", "x"): TFMatrix(SignalSpace.single("x", 1), SignalSpace.single("x", 1), [[RatFun([big + 1, big], [big + 3, big - 1])]]),
+            ("x", "u"): TFMatrix(SignalSpace.single("x", 1), SignalSpace.single("u", 1), [[RatFun(big - 7, [big, big + 5])]]),
+            ("u", "x"): TFMatrix(SignalSpace.single("u", 1), SignalSpace.single("x", 1), [[RatFun(F(big + 11, big))]]),
+        })
+        s = stability_from_realization(r).S
+        assert verify_lemma(r, StabilityMatrix(sp, s))
+        assert (TFMatrix.identity(sp) - r.R) @ s == TFMatrix.identity(sp)
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            near = replaced(s, i, j, with_one_coefficient_scaled(s[i, j], 1 + F(1, big)))
+            assert not verify_lemma(r, StabilityMatrix(sp, near))
+
+    def test_a_difference_that_vanishes_at_a_low_point_is_rejected(self):
+        # each wrong S below passes at some point 2^s below the bound
+        sp = SignalSpace.make(x=1, u=1)
+        x, u = SignalSpace.single("x", 1), SignalSpace.single("u", 1)
+        r = Realization.from_blocks(sp, {("x", "u"): TFMatrix(x, u, [[RatFun(1, [-2, 1])]]),
+                                         ("u", "x"): TFMatrix(u, x, [[RatFun(3, [-2, 1])]])})
+        s = stability_from_realization(r).S
+        assert verify_lemma(r, StabilityMatrix(sp, s))
+        # (I - R) 0 = 0, and both cleared diagonal entries D_i L_i E_i K_i of
+        # the right side carry the factor z - 2, so vanish at 2^1
+        assert not verify_lemma(r, StabilityMatrix(sp, TFMatrix.zeros(sp, sp)))
+        # (I - R) (S + S E) = I + E, with E's entry zero at z = 2, 4, ..., 2^64
+        vanishing = Poly.one()
+        for k in range(1, 65):
+            vanishing = vanishing * Poly([-2 ** k, 1])
+        e = TFMatrix.from_blocks(sp, sp, {("x", "u"): [[RatFun(vanishing, Poly.z(64))]]})
+        assert not verify_lemma(r, StabilityMatrix(sp, s + s @ e))
+
+    def test_agrees_with_the_product_on_200_random_pairs(self):
+        rng = random.Random(7)
+        verdicts = []
+        for k in range(200):
+            r = rand_realization(rng, max_deg=2)
+            s = stability_from_realization(r).S
+            n = s.rows.total
+            kind = k % 4
+            if kind == 1:  # one entry replaced by a random function
+                s = replaced(s, rng.randrange(n), rng.randrange(n), rand_ratfun(rng, 2))
+            elif kind == 2:  # one coefficient slightly off
+                i, j = next((i, j) for i in range(n) for j in range(n) if s[i, j])
+                s = replaced(s, i, j, with_one_coefficient_scaled(s[i, j], F(1001, 1000)))
+            elif kind == 3:  # an unrelated matrix
+                s = rand_tfmatrix(rng, r.space, r.space, 2)
+            expected = (TFMatrix.identity(r.space) - r.R) @ s == TFMatrix.identity(r.space)
+            got = verify_lemma(r, StabilityMatrix(r.space, s))
+            assert got == expected
+            verdicts.append(got)
+        assert verdicts.count(True) >= 50 and verdicts.count(False) >= 100
+
+    def test_a_product_over_the_wrong_spaces_is_refused_as_matmul_refuses_it(self):
+        x, y = SignalSpace.make(x=1, u=1), SignalSpace.make(a=1, b=1)
+        with pytest.raises(SpaceMismatchError, match="cannot multiply"):
+            Transformation(TFMatrix.identity(x).relabel(x, y), TFMatrix.identity(x))
+        with pytest.raises(InvariantViolation):
+            Transformation(TFMatrix.identity(x), TFMatrix.identity(x).relabel(x, y))
