@@ -47,7 +47,7 @@ from .realization import (
     check_conditions,
     stability_from_realization,
 )
-from .tfmatrix import SignalSpace, TFMatrix
+from .tfmatrix import SignalSpace, TFMatrix, _product_is
 
 
 def exact_matrix(values) -> np.ndarray:
@@ -229,38 +229,56 @@ class _Lemma:
         S[c,a] (I - R)[a,a] = I_ca + sum_{b != a} S[c,b] R[b,a]
 
     (I_ac = I if a = c, else 0), where (I - R)[a,a] is zI - A at x and I
-    elsewhere.  ``holds`` evaluates one of them.  ``block`` reads a block of
-    S and derives a missing one, when first read, as such a sum, times the
-    plant's ``resolvent()`` at x: a block of a held row from its column's
-    identity, any other from its row's.  The bundles hold row u and the
-    measured signal's column, which K enters, so every chain ends there.
-    Zero blocks of R add no terms.
+    elsewhere.  ``holds`` decides one of them as one product, the line of
+    I - R for row (or column) a times the blocks of S that it meets
+    (``tfmatrix._product_is``).  ``block`` reads a block of S and derives a
+    missing one, when first read, as such a sum, times the plant's
+    ``resolvent()`` at x: a block of a held row from its column's identity,
+    any other from its row's.  The bundles hold row u and the measured
+    signal's column, which K enters, so every chain ends there.  Zero blocks
+    of R add no terms.
     """
 
     def __init__(self, plant, space: SignalSpace, r: dict, held: dict):
         self.plant = plant
+        self.space = space
         self.spaces = {name: SignalSpace.single(name, dim) for name, dim in space}
         self.r = {ab: m for ab, m in r.items() if not m.is_zero}
-        self.diagonal = {a: TFMatrix.identity(m.rows) - m for (a, b), m in self.r.items() if a == b}
         self.rows = {i for i, _ in held}
         self.s = dict(held)
 
+    @functools.cached_property
+    def _loop(self) -> TFMatrix:
+        """I - R over the loop's space, with K's block zero."""
+        return TFMatrix.identity(self.space) - TFMatrix.from_blocks(self.space, self.space, self.r)
+
+    def _line(self, a: str, by_column: bool) -> list[tuple[str, TFMatrix]]:
+        """(b, R[a,b]) for each nonzero block of R's row a off the diagonal,
+        or (b, R[b,a]) for each of its column a by column."""
+        return [(i if by_column else j, m) for (i, j), m in self.r.items()
+                if i != j and (j if by_column else i) == a]
+
+    def _eye(self, i: str, j: str) -> TFMatrix:
+        """I_ij over the blocks i and j."""
+        rows, cols = self.spaces[i], self.spaces[j]
+        return TFMatrix.identity(rows) if i == j else TFMatrix.zeros(rows, cols)
+
     def _sum(self, a: str, c: str, by_column: bool) -> TFMatrix:
         """I_ac + sum_{b != a} R[a,b] S[b,c], or I_ca + sum_{b != a} S[c,b] R[b,a] by column."""
-        rows, cols = self.spaces[c if by_column else a], self.spaces[a if by_column else c]
-        v = TFMatrix.identity(rows) if a == c else TFMatrix.zeros(rows, cols)
-        for (i, j), m in self.r.items():
-            if i != j and (j if by_column else i) == a:
-                v = v + (self.block(c, i) @ m if by_column else m @ self.block(j, c))
+        v = self._eye(c, a) if by_column else self._eye(a, c)
+        for b, m in self._line(a, by_column):
+            v = v + (self.block(c, b) @ m if by_column else m @ self.block(b, c))
         return v
 
     def holds(self, a: str, c: str, by_column: bool) -> bool:
         """Whether row a of (I - R) S = I holds at column c, or by column,
         column a of S (I - R) = I at row c."""
-        s = self.block(c, a) if by_column else self.block(a, c)
-        if a in self.diagonal:
-            s = s @ self.diagonal[a] if by_column else self.diagonal[a] @ s
-        return s == self._sum(a, c, by_column)
+        met = [a] + [b for b, _ in self._line(a, by_column)]
+        if by_column:
+            s = TFMatrix.from_blocks(self.spaces[c], self.space, {(c, b): self.block(c, b) for b in met})
+            return _product_is(s, self._loop.col_block(a), self._eye(c, a))
+        s = TFMatrix.from_blocks(self.space, self.spaces[c], {(b, c): self.block(b, c) for b in met})
+        return _product_is(self._loop.row_block(a), s, self._eye(a, c))
 
     def block(self, i: str, j: str) -> TFMatrix:
         """Block (i, j) of S: held, or derived when first read."""
@@ -268,7 +286,7 @@ class _Lemma:
             by_column = i in self.rows
             a, c = (j, i) if by_column else (i, j)
             v = self._sum(a, c, by_column)
-            if a in self.diagonal:
+            if (a, a) in self.r:
                 v = v @ self.plant.resolvent() if by_column else self.plant.resolvent() @ v
             self.s[(i, j)] = v
         return self.s[(i, j)]
@@ -314,6 +332,7 @@ def _checked(bundle, plant):
     """Return ``bundle`` once its memberships and lemma identities hold, in its loop
     around ``plant`` (for IOP, around G or (zI - A)^{-1} B).
 
+    Each held block must be over its row's and column's spaces in the loop.
     The identities are those that the controller does not enter: the rows of
     (I - R) S = I other than u's, at the held columns, and the columns of
     S (I - R) = I other than the measured signal's, at the held rows.  A block
@@ -328,7 +347,12 @@ def _checked(bundle, plant):
     _members(bundle, entry.strictly_proper)
     space, r, (u, measured) = _plant_part(plant, entry.signal)
     names = _held_names(entry, (u, measured))
-    lemma = _Lemma(plant, space, r, dict(zip(names, (getattr(bundle, f) for f in entry.fields))))
+    blocks = [getattr(bundle, f) for f in entry.fields]
+    lemma = _Lemma(plant, space, r, dict(zip(names, blocks)))
+    for f, (i, j), m in zip(entry.fields, names, blocks):
+        if (m.rows, m.cols) != (lemma.spaces[i], lemma.spaces[j]):
+            raise SpaceMismatchError(f"{name} block {f} must be over rows {lemma.spaces[i].blocks} "
+                                     f"and columns {lemma.spaces[j].blocks}")
     rows = list(dict.fromkeys(i for i, _ in names))
     cols = list(dict.fromkeys(j for _, j in names))
     for a, c in [(a, c) for a in rows if a != u for c in cols]:
@@ -337,7 +361,7 @@ def _checked(bundle, plant):
     for a, c in [(a, c) for a in cols if a != measured for c in rows]:
         if not lemma.holds(a, c, True):
             raise InvariantViolation(f"{name}: S (I - R) = I fails in column {a} at block ({c}, {a})")
-    direct = None if measured in lemma.diagonal else lemma.r.get((measured, u))
+    direct = None if (measured, measured) in lemma.r else lemma.r.get((measured, u))
     if direct is not None and not direct.is_strictly_proper:
         try:
             proper = lemma.block(u, u).inverse().is_proper
@@ -359,9 +383,10 @@ class CoprimeFactors:
 
         [[Ml, -Nl], [-Vl, Ul]] @ [[Ur, Nr], [Vr, Mr]] = I
 
-    holds exactly.  ``validate`` does not compare Ml^{-1} Nl with Nr Mr^{-1}:
-    once Ml and Mr invert, the (y, u) block of the Bezout product,
-    Ml Nr - Nl Mr = 0, already makes them equal.
+    holds exactly, as decided by ``tfmatrix._product_is``.  ``validate``
+    does not compare Ml^{-1} Nl with Nr Mr^{-1}: once Ml and Mr invert, the
+    (y, u) block of the Bezout product, Ml Nr - Nl Mr = 0, already makes
+    them equal.
     """
 
     Ml: TFMatrix
@@ -387,8 +412,8 @@ class CoprimeFactors:
         """The plant transfer matrix Ml^{-1} Nl."""
         return self.Ml_inv @ self.Nl
 
-    def bezout_product(self) -> TFMatrix:
-        """Left factor times right factor; identity iff the Bezout identity holds."""
+    def _bezout_factors(self) -> tuple[TFMatrix, TFMatrix]:
+        """The left and the right factor of the double Bezout identity."""
         y_sp, u_sp = self.Ml.rows, self.Mr.rows
         sp = SignalSpace(y_sp.blocks + u_sp.blocks)
         yname, uname = y_sp.names[0], u_sp.names[0]
@@ -410,12 +435,17 @@ class CoprimeFactors:
                 (uname, uname): self.Mr,
             },
         )
+        return left, right
+
+    def bezout_product(self) -> TFMatrix:
+        """Left factor times right factor; identity iff the Bezout identity holds."""
+        left, right = self._bezout_factors()
         return left @ right
 
     def validate(self) -> None:
         _members(self)
-        sp = SignalSpace(self.Ml.rows.blocks + self.Mr.rows.blocks)
-        if self.bezout_product() != TFMatrix.identity(sp):
+        left, right = self._bezout_factors()
+        if not _product_is(left, right, TFMatrix.identity(left.rows)):
             raise InvariantViolation("double Bezout identity fails")
         # Ml, Mr must be invertible with proper inverses so that G = Ml^{-1} Nl
         # is well defined; their inverses carry the plant's poles, so they are
@@ -706,11 +736,13 @@ def slp_of_to_iop(p: SLPOutputFeedback, plant: PlantSS) -> IOPParam:
 
 
 def _factors_of(plant: PlantSS, factors: Callable[[], CoprimeFactors] | None) -> CoprimeFactors:
-    """The coprime factors from the loader ``factors``, once they factor ``plant``."""
+    """The coprime factors from the loader ``factors``, once they factor
+    ``plant``: Ml^{-1} Nl = G is decided as Ml G = Nl, since Ml inverts."""
     if factors is None:
         raise SchemaError("this conversion needs the coprime factors (a coprime_factors document)")
     f = factors()
-    if f.g() != plant.transfer():
+    g = plant.transfer()
+    if f.Ml.cols != g.rows or not _product_is(f.Ml, g, f.Nl):
         raise InvariantViolation("the coprime factors are not of this plant: Ml^{-1} Nl != G")
     return f
 

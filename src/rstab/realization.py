@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InvariantViolation, SingularMatrixError, SpaceMismatchError
-from .tfmatrix import SignalSpace, TFMatrix, _is_right_inverse, embed
+from .tfmatrix import SignalSpace, TFMatrix, _product_is, embed
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,9 @@ class Transformation:
     """Invertible disturbance-basis change d = T w.
 
     Stores both T and its inverse; T T_inv = T_inv T = I is checked exactly
-    on construction, as ``verify_lemma`` checks its identity.  One product
-    suffices: over the field of rational functions a one-sided inverse of a
-    square matrix is two-sided.
+    on construction by ``tfmatrix._product_is``.  One product suffices: over
+    the field of rational functions a one-sided inverse of a square matrix
+    is two-sided.
     """
 
     T: TFMatrix
@@ -80,7 +80,7 @@ class Transformation:
     def __post_init__(self):
         if not self.T.is_square or self.T.rows != self.T_inv.rows:
             raise SpaceMismatchError("transformation matrices must be square over one space")
-        if not _is_right_inverse(self.T, self.T_inv):
+        if not _product_is(self.T, self.T_inv, TFMatrix.identity(self.T.rows)):
             raise InvariantViolation("T and T_inv are not exact inverses")
 
     @classmethod
@@ -126,17 +126,14 @@ def stability_from_realization(r: Realization) -> StabilityMatrix:
 def verify_lemma(r: Realization, s: StabilityMatrix) -> bool:
     """Check (I - R) S = S (I - R) = I exactly.
 
-    Only (I - R) S = I is decided: I - R and S are square over the field of
-    rational functions, where a one-sided inverse is two-sided.  It is
-    decided without forming the product: with the rows of I - R and the
-    columns of S cleared to integer polynomials, N and P, every entry of
-    N P is compared with the cleared identity's by one integer product at a
-    point 2^s beyond every coefficient of their difference
-    (``tfmatrix._is_right_inverse``), so the verdict is exact.
+    Only (I - R) S = I is decided, by ``tfmatrix._product_is``: I - R and S
+    are square over the field of rational functions, where a one-sided
+    inverse is two-sided.
     """
     if r.space != s.space:
         raise SpaceMismatchError("realization and stability matrix use different spaces")
-    return _is_right_inverse(TFMatrix.identity(r.space) - r.R, s.S)
+    eye = TFMatrix.identity(r.space)
+    return _product_is(eye - r.R, s.S, eye)
 
 
 def check_conditions(
@@ -220,7 +217,7 @@ def transform(
 
 
 def verify_equivalent(r1: Realization, r2: Realization, t: Transformation) -> bool:
-    """Check (I - R2) = T^{-1} (I - R1) exactly.
+    """Check T^{-1} (I - R1) = I - R2 exactly, by ``tfmatrix._product_is``.
 
     When this holds, the bijection between realizations and stability
     matrices forces S2 = S1 T.
@@ -230,4 +227,4 @@ def verify_equivalent(r1: Realization, r2: Realization, t: Transformation) -> bo
     if t.T.rows != r1.space:
         raise SpaceMismatchError("transformation space does not match the systems")
     eye = TFMatrix.identity(r1.space)
-    return (eye - r2.R) == t.T_inv @ (eye - r1.R)
+    return _product_is(t.T_inv, eye - r1.R, eye - r2.R)

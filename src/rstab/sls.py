@@ -49,7 +49,7 @@ from .realization import (
     check_conditions,
     stability_from_realization,
 )
-from .tfmatrix import SignalSpace, TFMatrix
+from .tfmatrix import SignalSpace, TFMatrix, _product_is
 
 ORIGINAL = "original_sls"
 DEPLOYMENT = "deployment"
@@ -333,7 +333,8 @@ def design_separation_constraint(
         [Phi_x; Phi_u] ((zI - A) P_c - B M_c) = [P_c; M_c]
 
     holds exactly iff the design-separation realization built from
-    (P_c, M_c) reproduces {Phi_x, Phi_u}.  Both I - z P_c and z M_c must be
+    (P_c, M_c) reproduces {Phi_x, Phi_u}; each row block is decided by
+    ``tfmatrix._product_is``.  Both I - z P_c and z M_c must be
     proper for the realization to make sense, i.e. P_c and M_c strictly
     proper.
     """
@@ -344,7 +345,7 @@ def design_separation_constraint(
             )
     b = TFMatrix.constant(plant.x_space, plant.u_space, plant.B)
     delta_c = plant.z_minus_a() @ p_c - b @ m_c
-    return p.phi_x @ delta_c == p_c and p.phi_u @ delta_c == m_c
+    return _product_is(p.phi_x, delta_c, p_c) and _product_is(p.phi_u, delta_c, m_c)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ integer polynomials (``_cleared``).  When det N(2^s) has at most
 coefficients, the inverse is read from one fraction-free elimination of the
 integer matrix N(2^s) (Kronecker substitution; Bareiss, 1968).  Otherwise
 it is Gauss-Jordan elimination over the rational-function field, which
-cancels as it goes and wins on long loops with wide coefficients.  The
-identity a @ b = I is decided the same way, by one integer product at one
-point (``_is_right_inverse``).
+cancels as it goes and wins on long loops with wide coefficients.
+
+Every exact identity the library checks, a @ b = c, is decided by one kernel,
+``_product_is``: one integer product at one point, from the same clearing.
 """
 
 from __future__ import annotations
@@ -487,43 +488,54 @@ def _gauss_jordan_inverse(m: TFMatrix) -> TFMatrix:
     return TFMatrix(m.cols, m.rows, inv_rows)
 
 
-def _is_right_inverse(a: TFMatrix, b: TFMatrix) -> bool:
-    """Whether a @ b == TFMatrix.identity(a.rows), decided at one integer point.
+def _product_is(a: TFMatrix, b: TFMatrix, c: TFMatrix) -> bool:
+    """Whether a @ b == c, decided at one integer point.
 
     With the rows of a cleared, a = diag(1/(D_i L_i)) N, and the columns of
-    b, b = P diag(1/(E_j K_j)) (``_cleared``), the identity is
-    (N P)_ij = delta_ij D_i L_i E_j K_j.  Both sides of every entry are
-    evaluated at 2^s, with 2^(s-1) above sum_t |N_it|_1 |P_tj|_1 plus the
-    right side's 1-norm for every entry, which bounds every coefficient of
-    their difference: a nonzero integer polynomial whose coefficients are all
-    below 2^(s-1) in magnitude does not vanish at 2^s, so the verdict is
-    exact.  Raises SpaceMismatchError when a @ b is not defined.
+    b, b = P diag(1/(E_j K_j)) (``_cleared``), and each entry of c written
+    c_ij = (n/d) p/q, with p and q primitive integer polynomials and lc(q)
+    taken into n, the identity is d q (N P)_ij = n D_i L_i E_j K_j p.  Both
+    sides of every entry are evaluated at 2^s, with 2^(s-1) above the sum of
+    the two sides' 1-norm bounds for every entry, which bounds every
+    coefficient of their difference: a nonzero integer polynomial whose
+    coefficients are all below 2^(s-1) in magnitude does not vanish at 2^s,
+    so the verdict is exact.  False when c is not over (a.rows, b.cols);
+    raises SpaceMismatchError when a @ b is not defined.
     """
     if a.cols != b.rows:
         raise SpaceMismatchError(
             f"cannot multiply: columns {a.cols.blocks} != rows {b.rows.blocks}"
         )
-    if b.cols != a.rows:
+    if c.rows != a.rows or c.cols != b.cols:
         return False
     rows = _cleared(a.entries)
     cols = _cleared([[row[j] for row in b.entries] for j in range(b.cols.total)])
+    # c_ij = (n/d) p/q as (n, d, p, q), with lc(q) in n; None for a zero entry
+    right = [[(*_content_mul(e.num._n, e.num._d, e.den._p[-1], 1), e.num._p, e.den._p)
+              if e.num._p else None for e in row] for row in c.entries]
     norms_a = [list(map(_norm, line)) for _, _, line in rows]
     norms_b = [list(map(_norm, line)) for _, _, line in cols]
     bound = 0
-    for i, ri in enumerate(norms_a):
-        for j, cj in enumerate(norms_b):
+    for (da, la, _), ri, right_i in zip(rows, norms_a, right):
+        for (db, lb, _), cj, cij in zip(cols, norms_b, right_i):
             e = sum(x * y for x, y in zip(ri, cj))
-            if i == j:
-                e += rows[i][0] * cols[j][0] * _norm(rows[i][1]) * _norm(cols[j][1])
+            if cij:
+                n, d, p, q = cij
+                e = e * d * _norm(q) + abs(n) * da * db * _norm(la) * _norm(lb) * _norm(p)
             bound = max(bound, e)
     s = bound.bit_length() + 1
     at_a = [[_at(p, s) for p in line] for _, _, line in rows]
     at_b = [[_at(p, s) for p in line] for _, _, line in cols]
-    return all(
-        sum(x * y for x, y in zip(ri, cj)) == (
-            rows[i][0] * cols[j][0] * _at(rows[i][1], s) * _at(cols[j][1], s) if i == j else 0)
-        for i, ri in enumerate(at_a) for j, cj in enumerate(at_b)
-    )
+    for (da, la, _), ri, right_i in zip(rows, at_a, right):
+        for (db, lb, _), cj, cij in zip(cols, at_b, right_i):
+            e = sum(x * y for x, y in zip(ri, cj))
+            if cij:
+                n, d, p, q = cij
+                if e * d * _at(q, s) != n * da * db * _at(la, s) * _at(lb, s) * _at(p, s):
+                    return False
+            elif e:
+                return False
+    return True
 
 
 def embed(space: SignalSpace, name: str) -> TFMatrix:

@@ -188,6 +188,30 @@ def rand_fir_tfmatrix(
     return TFMatrix(rows, cols, ent)
 
 
+#: the factor of the one-coefficient perturbations that every exact verdict must see
+NEAR_ONE = 1 + Fraction(1, 2 ** 64)
+
+
+def with_one_coefficient_scaled(r: RatFun, factor) -> RatFun:
+    """r with the lowest nonzero coefficient of its numerator times ``factor``."""
+    coeffs = list(r.num.coeffs)
+    k = next(k for k, c in enumerate(coeffs) if c)
+    coeffs[k] *= factor
+    return RatFun(Poly(coeffs), r.den)
+
+
+def replaced(m: TFMatrix, i: int, j: int, value: RatFun) -> TFMatrix:
+    ent = [list(row) for row in m.entries]
+    ent[i][j] = value
+    return TFMatrix(m.rows, m.cols, ent)
+
+
+def one_coefficient_scaled(m: TFMatrix, factor=NEAR_ONE) -> TFMatrix:
+    """m with one coefficient of its first nonzero entry times ``factor``."""
+    i, j = next((i, j) for i in range(m.rows.total) for j in range(m.cols.total) if m[i, j])
+    return replaced(m, i, j, with_one_coefficient_scaled(m[i, j], factor))
+
+
 # -- naive polynomial oracle over Fraction tuples ------------------------------
 #
 # A polynomial here is a sequence of Fraction coefficients in ascending powers

@@ -1,9 +1,11 @@
-"""The integer kernel of rstab.tfmatrix: inversion and the lemma's identity
-decided at one Kronecker point, checked against independent oracles.
+"""The integer kernels of rstab.tfmatrix: inversion, and the identity
+a @ b = c decided at one Kronecker point (``_product_is``), checked against
+independent oracles.
 
 Both inverse routes are called directly and compared with the cofactor
 oracle of ``helpers``, on inputs on each side of the size rule that picks
-between them; the identity check is compared with the product it replaces.
+between them; ``_product_is`` is compared with ``RatFun`` products and
+``==``, directly and through the public verdicts that call it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from rstab import (
     TFMatrix,
     Transformation,
     stability_from_realization,
+    transform,
+    verify_equivalent,
     verify_lemma,
 )
 from rstab import tfmatrix
@@ -35,13 +39,29 @@ from rstab.tfmatrix import (
     _gauss_jordan_inverse,
     _kronecker_inverse,
     _kronecker_size,
+    _product_is,
 )
 
-from helpers import adjugate_inverse, rand_fir_tfmatrix, rand_ratfun, rand_realization, rand_tfmatrix
+from helpers import (
+    adjugate_inverse,
+    one_coefficient_scaled,
+    rand_fir_tfmatrix,
+    rand_ratfun,
+    rand_realization,
+    rand_tfmatrix,
+    replaced,
+    with_one_coefficient_scaled,
+)
 
 
-def space(n: int) -> SignalSpace:
-    return SignalSpace(tuple((f"s{i}", 1) for i in range(n)))
+def space(n: int, prefix: str = "s") -> SignalSpace:
+    return SignalSpace(tuple((f"{prefix}{i}", 1) for i in range(n)))
+
+
+def with_zeros(rng: random.Random, m: TFMatrix) -> TFMatrix:
+    """m with each entry replaced by zero with probability 1/3."""
+    return TFMatrix(m.rows, m.cols, [[0 if rng.random() < 1 / 3 else e for e in row]
+                                     for row in m.entries])
 
 
 def kronecker(m: TFMatrix) -> TFMatrix:
@@ -69,19 +89,6 @@ def small_input(rng: random.Random) -> TFMatrix:
 def large_input(rng: random.Random) -> TFMatrix:
     # long loops with wide taps, as fir_h2_pipeline's n = 5, T >= 7 loops
     return fir_loop(rng, 3, rng.randint(6, 8), span=2 ** rng.randint(60, 90))
-
-
-def with_one_coefficient_scaled(r: RatFun, factor) -> RatFun:
-    coeffs = list(r.num.coeffs)
-    k = next(k for k, c in enumerate(coeffs) if c)
-    coeffs[k] *= factor
-    return RatFun(Poly(coeffs), r.den)
-
-
-def replaced(m: TFMatrix, i: int, j: int, value: RatFun) -> TFMatrix:
-    ent = [list(row) for row in m.entries]
-    ent[i][j] = value
-    return TFMatrix(m.rows, m.cols, ent)
 
 
 class TestInverseRoutes:
@@ -133,12 +140,15 @@ class TestIdentityCheck:
         rng = random.Random(3)
         r = rand_realization(rng)
         s = stability_from_realization(r).S
-        i, j = next((i, j) for i in range(s.rows.total) for j in range(s.cols.total) if s[i, j])
-        bad = replaced(s, i, j, with_one_coefficient_scaled(s[i, j], 1 + F(1, 2 ** 64)))
+        bad = one_coefficient_scaled(s)
         assert verify_lemma(r, StabilityMatrix(r.space, s))
         assert not verify_lemma(r, StabilityMatrix(r.space, bad))
         with pytest.raises(InvariantViolation):
             Transformation(TFMatrix.identity(r.space) - r.R, bad)
+        t = Transformation.from_matrix(TFMatrix.diagonal(r.space, RatFun([1, 2], [F(-1, 2), 1])))
+        r2 = transform(r, StabilityMatrix(r.space, s), t)[0]
+        assert verify_equivalent(r, r2, t)
+        assert not verify_equivalent(r, Realization(r.space, one_coefficient_scaled(r2.R)), t)
 
     def test_entries_near_ten_to_the_400_are_decided_exactly(self):
         # the cleared matrices' coefficients run from 10^400 to 10^1200, so
@@ -174,6 +184,17 @@ class TestIdentityCheck:
             vanishing = vanishing * Poly([-2 ** k, 1])
         e = TFMatrix.from_blocks(sp, sp, {("x", "u"): [[RatFun(vanishing, Poly.z(64))]]})
         assert not verify_lemma(r, StabilityMatrix(sp, s + s @ e))
+        # a right side with a denominator, off by vanishing / (z^64 (z - 3))
+        a = TFMatrix(space(1), space(2, "t"), [[RatFun(1, [-3, 1]), RatFun([1, 1], [F(1, 2), 0, 1])]])
+        b = TFMatrix(space(2, "t"), space(1, "v"), [[RatFun(2, [0, 1])], [RatFun(1, [F(-1, 3), 1])]])
+        ab = a @ b
+        off = ab + TFMatrix(ab.rows, ab.cols, [[RatFun(vanishing, Poly.z(64) * Poly([-3, 1]))]])
+        assert ab[0, 0].den.degree > 0 and off != ab
+        assert _product_is(a, b, ab)
+        assert not _product_is(a, b, off)
+        # 1 @ 1 against p/q with q - p = vanishing: the difference sits in q
+        one = TFMatrix.identity(space(1))
+        assert not _product_is(one, one, TFMatrix(space(1), space(1), [[RatFun(Poly.z(65), vanishing + Poly.z(65))]]))
 
     def test_agrees_with_the_product_on_200_random_pairs(self):
         rng = random.Random(7)
@@ -196,9 +217,32 @@ class TestIdentityCheck:
             verdicts.append(got)
         assert verdicts.count(True) >= 50 and verdicts.count(False) >= 100
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_agrees_with_the_product_for_general_right_sides(self, seed):
+        rng = random.Random(seed)
+        rows, mid, cols = space(rng.randint(1, 3)), space(rng.randint(1, 3), "t"), space(rng.randint(1, 3), "v")
+        a = with_zeros(rng, rand_tfmatrix(rng, rows, mid, 2))
+        b = with_zeros(rng, rand_tfmatrix(rng, mid, cols, 2))
+        ab = a @ b
+        sides = [ab, TFMatrix.zeros(rows, cols), rand_tfmatrix(rng, rows, cols, 2)]
+        if not ab.is_zero:
+            sides.append(one_coefficient_scaled(ab))
+        for c in sides:
+            assert _product_is(a, b, c) == (ab == c)
+        assert _product_is(a, b, ab)
+        # the same entries over other spaces
+        assert not _product_is(a, b, ab.relabel(rows, space(cols.total, "w")))
+        assert not _product_is(a, b, ab.relabel(space(rows.total, "w"), cols))
+
     def test_a_product_over_the_wrong_spaces_is_refused_as_matmul_refuses_it(self):
         x, y = SignalSpace.make(x=1, u=1), SignalSpace.make(a=1, b=1)
         with pytest.raises(SpaceMismatchError, match="cannot multiply"):
             Transformation(TFMatrix.identity(x).relabel(x, y), TFMatrix.identity(x))
         with pytest.raises(InvariantViolation):
             Transformation(TFMatrix.identity(x), TFMatrix.identity(x).relabel(x, y))
+        a = TFMatrix.identity(x).relabel(x, y)
+        with pytest.raises(SpaceMismatchError, match="cannot multiply"):
+            a @ TFMatrix.identity(x)
+        for c in (TFMatrix.identity(x), TFMatrix.zeros(x, x), TFMatrix.zeros(y, y)):
+            with pytest.raises(SpaceMismatchError, match="cannot multiply"):
+                _product_is(a, TFMatrix.identity(x), c)

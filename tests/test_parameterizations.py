@@ -44,7 +44,7 @@ from rstab.errors import InternalStabilityError, InvariantViolation, SpaceMismat
 from rstab import parameterizations
 from rstab.parameterizations import REGISTRY, _Lemma, _plant_part, convert
 
-from helpers import adjugate_inverse, bundle_identities, rand_fir_tfmatrix
+from helpers import adjugate_inverse, bundle_identities, one_coefficient_scaled, rand_fir_tfmatrix
 
 Y1 = SignalSpace.single("y", 1)
 U1 = SignalSpace.single("u", 1)
@@ -117,6 +117,14 @@ class TestCoprimeFactorize:
             **{name: tf(*spaces[name], [[value]]) for name, value in blocks.items()})
         with pytest.raises(InvariantViolation, match="Ml is not invertible with a proper inverse"):
             f.validate()
+
+    @pytest.mark.parametrize("name", ["Ml", "Nl", "Vl", "Ul", "Ur", "Nr", "Vr", "Mr"])
+    def test_a_factor_off_in_one_coefficient_breaks_the_bezout_identity(self, name):
+        plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[F(1, 3)]])
+        f = coprime_factorize(plant, [[F(-1, 2)]], [[F(-1, 2)]])
+        bad = dataclasses.replace(f, **{name: one_coefficient_scaled(getattr(f, name))})
+        with pytest.raises(InvariantViolation, match=r"^double Bezout identity fails$"):
+            bad.validate()
 
     def test_two_by_two_with_feedthrough(self):
         plant = PlantSS(
@@ -600,6 +608,13 @@ def test_derived_identities_agree_with_the_hand_derived_oracle(name, field, plan
     assert not all(lhs == rhs for lhs, rhs in bundle_identities(bad, against))
     with pytest.raises(InvariantViolation, match=rf"^{cls.__name__}: .* fails in (row|column) "):
         cls.checked(*(getattr(bad, f) for f in fields), against)
+
+    # the same entries over a block w that the loop does not have, on either side
+    w = SignalSpace.single("w", block.rows.total), SignalSpace.single("w", block.cols.total)
+    for rows, cols in ((w[0], block.cols), (block.rows, w[1])):
+        bad = dataclasses.replace(bundle, **{field: block.relabel(rows, cols)})
+        with pytest.raises(SpaceMismatchError, match=rf"^{cls.__name__} block {field} must be over rows "):
+            cls.checked(*(getattr(bad, f) for f in fields), against)
 
 
 def test_a_plant_inverts_zi_minus_a_once(monkeypatch):

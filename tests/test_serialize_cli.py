@@ -25,7 +25,7 @@ from rstab import serialize
 from rstab.errors import SchemaError
 from rstab.sls import RealizationVariant
 
-from helpers import rand_ratfun, rand_fir_tfmatrix
+from helpers import NEAR_ONE, rand_ratfun, rand_fir_tfmatrix
 
 SP = SignalSpace.make(x=1, u=1)
 
@@ -434,14 +434,18 @@ def test_convert_refuses_a_bundle_whose_controller_is_improper(tmp_path, source,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("other, gain", [
+    (PlantSS([[2]], [[1]], [[1]], [[0]]), -2),
+    (PlantSS([[F(1, 2)]], [[1]], [[NEAR_ONE]], [[0]]), F(-1, 2)),  # C off by 2^-64
+], ids=["other-plant", "c-off-by-2^-64"])
 @pytest.mark.parametrize("source, target", [
     pair for name in PARAMETERIZATION_NAMES if name != "youla"
     for pair in (("youla", name), (name, "youla"))
 ])
-def test_convert_refuses_coprime_factors_of_another_plant(tmp_path, source, target):
+def test_convert_refuses_coprime_factors_of_another_plant(tmp_path, source, target, other, gain):
     import rstab
 
-    # the plant x+ = x/2 + u, y = x with the factors of x+ = 2 x + u
+    # the plant x+ = x/2 + u, y = x with the factors of another plant
     plant = PlantSS([[F(1, 2)]], [[1]], [[1]], [[0]])
     k = TFMatrix.constant(plant.u_space, plant.y_space, [[F(-1, 4)]])
     if source == "youla":
@@ -453,17 +457,16 @@ def test_convert_refuses_coprime_factors_of_another_plant(tmp_path, source, targ
         if source == "slp_sf":
             k = k.relabel(plant.u_space, plant.x_space)
         bundle = getattr(rstab, f"{source}_from_controller")(plant, k)
-    other = PlantSS([[2]], [[1]], [[1]], [[0]])
     inputs = {
         "bundle": write(tmp_path, "b.json", serialize.bundle_to_doc(source, bundle)),
         "plant": write(tmp_path, "plant.json", serialize.plant_to_doc(plant)),
         "factors": write(tmp_path, "factors.json", serialize.coprime_to_doc(
-            coprime_factorize(other, [[-2]], [[-2]]))),
+            coprime_factorize(other, [[gain]], [[gain]]))),
     }
     out = tmp_path / "out.json"
     code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
     assert code == 1, report
-    assert "the coprime factors are not of this plant" in report["details"]["error"]
+    assert report["details"]["error"] == "the coprime factors are not of this plant: Ml^{-1} Nl != G"
     assert not out.exists()
 
 
@@ -770,6 +773,20 @@ def test_convert_validates_the_factors_only_when_it_reads_them(convert_plants, t
         assert json.loads(out.read_text()) == serialize.bundle_to_doc(target, library[(target, "y")])
     else:
         assert "Bezout" in report["details"]["error"]
+
+
+@pytest.mark.parametrize("field", ["phi_x", "phi_u"])
+@pytest.mark.parametrize("target", ["iop", "slp_of"])
+def test_convert_refuses_a_bundle_block_over_the_wrong_spaces(convert_plants, field, target):
+    tmp, paths, _, _ = convert_plants["state"]
+    doc = serialize.load_document(paths["slp_sf"])
+    doc["blocks"][field]["rows"] = [["w", 1]]
+    inputs = {"bundle": write(tmp, f"slp_sf_{field}_over_w.json", doc), "plant": paths["plant"]}
+    out = tmp / f"slp_sf_{field}_over_w_to_{target}.json"
+    code, report = run(JobSpec("convert", inputs, {"target": target, "out": str(out)}))
+    assert code == 1, report
+    assert f"SLPStateFeedback block {field} must be over rows" in report["details"]["error"]
+    assert not out.exists()
 
 
 def _blocks_as_list(doc):

@@ -31,7 +31,13 @@ from rstab.errors import ConvergenceError, InfeasibleError, InvariantViolation
 from rstab.parameterizations import exact_matrix
 from rstab.sls import VARIANT_KINDS, VARIANT_PARTS, _condensed_taps
 
-from helpers import dense_fir_h2, dyadic_fir_pair, rand_fraction, reference_simulate
+from helpers import (
+    dense_fir_h2,
+    dyadic_fir_pair,
+    one_coefficient_scaled,
+    rand_fraction,
+    reference_simulate,
+)
 
 SCALAR = PlantSS.state_feedback([[0.5]], [[1.0]])
 FX = FIRPhi((np.array([[1.0]]),))            # Phi_x = z^{-1}
@@ -231,9 +237,14 @@ class TestDesignSeparationConstraint:
         zu = TFMatrix.zeros(U1, X1)
         assert design_separation_constraint(zx, zu, slp, SCALAR)
 
-    def test_scaled_pair_fails(self):
+    @pytest.mark.parametrize("off", [
+        lambda p_c, m_c: (2 * p_c, m_c),
+        lambda p_c, m_c: (one_coefficient_scaled(p_c), m_c),
+        lambda p_c, m_c: (p_c, one_coefficient_scaled(m_c)),
+    ], ids=["p_c-doubled", "p_c-off-by-2^-64", "m_c-off-by-2^-64"])
+    def test_scaled_pair_fails(self, off):
         slp = slp_from_fir(SCALAR, FX, FU)
-        assert not design_separation_constraint(2 * slp.phi_x, slp.phi_u, slp, SCALAR)
+        assert not design_separation_constraint(*off(slp.phi_x, slp.phi_u), slp, SCALAR)
 
     def test_improper_payload_rejected(self):
         slp = slp_from_fir(SCALAR, FX, FU)
