@@ -27,11 +27,12 @@ then gcd(t, g) can cancel; Knuth, TAOCP vol. 2, 4.5.1), so a sum of coprime
 denominators takes no gcd of the result.
 
 Properness is a degree comparison (strictly proper, biproper, improper),
-poles are the roots of the cancelled denominator, and ``series`` expands a
-proper function into its Markov parameters h_0, h_1, ... with
-r = sum_k h_k z^{-k}, by a fraction-free integer recurrence on the primitive
-parts.  All arithmetic is exact; only pole locations are computed in
-floating point.
+stability is decided exactly by the Schur-Cohn recursion on the integer
+denominator (``_schur_cohn``), and ``series`` expands a proper function into
+its Markov parameters h_0, h_1, ... with r = sum_k h_k z^{-k}, by a
+fraction-free integer recurrence on the primitive parts.  All arithmetic and
+every verdict is exact; only the pole locations that ``poles`` reports are
+computed in floating point.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ from .errors import SchemaError, ToolkitError
 #: |pole| < 1 - DEFAULT_TOL.  Poles on or outside the unit circle must be
 #: rejected, so the inequality is strict.
 DEFAULT_TOL = 1e-8
+
+#: rho = 1 - DEFAULT_TOL, the double, held exactly as (R, 2^E); a stable
+#: function's poles all lie in |z| < R / 2^E
+_RHO = (1.0 - DEFAULT_TOL).as_integer_ratio()
 
 Scalar = Union[int, Fraction]
 CoeffsLike = Union["Poly", Scalar, Sequence[Scalar]]
@@ -486,6 +491,28 @@ def _primitive(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
+def _schur_cohn(a: Sequence[int]) -> bool:
+    """Whether every root of the integer polynomial a (a[-1] > 0) lies in
+    |z| < 1, by the Schur-Cohn recursion (Schur 1917, Cohn 1922; Jury's
+    table).  With p* = z^n p(1/z), p has all its roots in |z| < 1 if and
+    only if |a_0| < a_n and (a_n p - a_0 p*)/z, of degree n - 1 and lead
+    a_n^2 - a_0^2 > 0, has too: on |z| = 1, |a_n p| > |a_0 p*| unless p
+    vanishes there, when the next row vanishes there as well (Rouché).  So
+    the first row with |a_0| >= a_n rejects, and a constant row accepts.
+    Each row is divided by its content, which keeps the verdict."""
+    a = list(a)
+    while len(a) > 1:
+        a0, an = a[0], a[-1]
+        if abs(a0) >= an:
+            return False
+        n = len(a) - 1
+        a = [an * a[k] - a0 * a[n - k] for k in range(1, n + 1)]
+        g = math.gcd(*a)
+        if g != 1:
+            a = [v // g for v in a]
+    return True
+
+
 def _gcd(ia: Sequence[int], ib: Sequence[int]) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
     """(g, ia/g, ib/g) for primitive parts of degree >= 1, with g their
     primitive gcd (positive lead); see ``poly_gcd``."""
@@ -823,9 +850,10 @@ class RatFun:
     def poles(self) -> list[complex]:
         """Roots of the (already cancelled) denominator, with multiplicity.
 
-        Computed numerically from the companion matrix of the denominator;
-        exact cancellation at construction guarantees removable factors do
-        not contribute spurious poles.
+        Computed numerically from the companion matrix of the denominator,
+        for reporting only: no verdict reads them (``is_stable`` decides
+        exactly).  Exact cancellation at construction guarantees removable
+        factors do not contribute spurious poles.
         """
         if self.den.degree <= 0:
             return []
@@ -837,18 +865,43 @@ class RatFun:
 
         For a proper function the verdict depends only on the denominator,
         which is monic and cancelled, so functions that share it share the
-        verdict (``TFMatrix.classify`` tests each distinct one once).
+        verdict (``TFMatrix.classify`` tests each distinct one once).  The
+        verdict is exact, on the primitive integer denominator p:
 
-        Before any float is taken, a coefficient a_k of the monic degree-n
-        denominator with |a_k| > C(n, k) rejects exactly: by Vieta, some root
-        has |z| >= 1.  So the poles are computed from coefficients <= 2^n.
+        - A coefficient a_k of the monic degree-n denominator with
+          |a_k| > C(n, k) rejects at once: by Vieta, some root has |z| >= 1.
+        - The power of z is split off; its poles at 0 are inside.
+        - Stage one runs the Schur-Cohn recursion (``_schur_cohn``) on p at
+          radius 1, and rejects a root with |z| >= 1.
+        - Stage two, for a survivor only, reduces p to its squarefree part
+          p / gcd(p, p'), which has the same roots, and runs the recursion
+          on 2^(E n) p(rho w), with rho = 1 - DEFAULT_TOL the double, held
+          exactly as R / 2^E (``_RHO``): its roots are those of p over rho.
+
+        Cost: with each row divided by its content, the rows' coefficients
+        grow by about the input's width per step, so a degree-n test works
+        on rows of up to n times the input's bits.  Stage two's input
+        carries E = 53 more bits per degree, so it dominates on a stable,
+        squarefree denominator with small coefficients: one test took about
+        5 ms at degree 10, 0.25 s at 20, 2.5 s at 30 and 15 s at 40 (Python
+        3.11, shared 2-vCPU host).  A repeated root costs stage two as a
+        simple one, but stage one sees the full degree: 1/(z - a)^40 with a
+        of 113 bits took 14 s there.  No denominator of the benchmark's
+        workloads passes degree 18.
         """
         if not self.is_proper:
             return False
         den, n = self.den._p, self.den.degree
         if any(abs(c) > math.comb(n, k) * den[-1] for k, c in enumerate(den)):
             return False
-        return all(abs(p) < 1.0 - DEFAULT_TOL for p in self.poles())
+        p = den[next(k for k, c in enumerate(den) if c):]
+        if not _schur_cohn(p):
+            return False
+        if len(p) > 2:
+            p = _gcd(p, _primitive([k * c for k, c in enumerate(p)][1:]))[1]
+        r, d = _RHO
+        n = len(p) - 1
+        return _schur_cohn([c * r ** k * d ** (n - k) for k, c in enumerate(p)])
 
     def series(self, n: int) -> list[Fraction]:
         """Markov parameters h_0 .. h_n of a proper rational function.

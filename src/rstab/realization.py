@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InvariantViolation, SingularMatrixError, SpaceMismatchError
-from .tfmatrix import SignalSpace, TFMatrix, _product_is, embed
+from .tfmatrix import SignalSpace, TFMatrix, _product_is, _sliced, embed
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,8 @@ def check_conditions(
     Off-diagonal blocks of R must be proper and every block of S must be
     stable proper.  Diagonal blocks of R are exempt: rows that encode plant
     dynamics carry improper diagonal entries by construction.  Failures are
-    reported, not raised.  Each distinct denominator of S is tested for
+    reported, not raised.  Each name's index range and one-block space are
+    built once per check, and each distinct denominator of S is tested for
     stability once.  ``verdicts`` is the check's dict from denominator to
     verdict, as ``TFMatrix.classify`` takes it: pass one to share the
     verdicts with the check's later classifications.
@@ -153,15 +154,21 @@ def check_conditions(
         raise SpaceMismatchError("realization and stability matrix use different spaces")
     findings: list[BlockFinding] = []
     names = r.space.names
+    ranges = {a: r.space.index_range(a) for a in names}
+    spaces = {a: SignalSpace.single(a, len(rr)) for a, rr in ranges.items()}
+
+    def block(m: TFMatrix, a: str, b: str) -> TFMatrix:
+        return TFMatrix._of(spaces[a], spaces[b], _sliced(m.entries, ranges[a], ranges[b]))
+
     for a in names:
         for b in names:
-            if a != b and not r.R.block(a, b).is_proper:
+            if a != b and not block(r.R, a, b).is_proper:
                 findings.append(BlockFinding("R", a, b, "improper"))
     if verdicts is None:
         verdicts = {}
     for a in names:
         for b in names:
-            cls = s.S.block(a, b).classify(verdicts)
+            cls = block(s.S, a, b).classify(verdicts)
             if not cls.all_proper:
                 findings.append(BlockFinding("S", a, b, "improper"))
             elif not cls.in_rh_inf:

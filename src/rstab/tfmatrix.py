@@ -18,11 +18,15 @@ cancels as it goes and wins on long loops with wide coefficients.
 
 Every exact identity the library checks, a @ b = c, is decided by one kernel,
 ``_product_is``: one integer product at one point, from the same clearing.
+
+Only the public constructor coerces entries and checks their shape; blocks,
+arithmetic results and inverses are built by the trusted ``TFMatrix._of``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -132,6 +136,17 @@ class TFMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
 
+    @classmethod
+    def _of(cls, rows: SignalSpace, cols: SignalSpace,
+            entries: tuple[tuple[RatFun, ...], ...]) -> "TFMatrix":
+        """Trusted constructor: ``entries`` is a tuple of ``rows.total``
+        tuples of ``cols.total`` RatFun each, as every internal result is."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("TFMatrix is immutable")
 
@@ -212,24 +227,25 @@ class TFMatrix:
         """Sub-matrix for one (row block, column block) pair."""
         rr = self.rows.index_range(row_name)
         cr = self.cols.index_range(col_name)
-        ent = [[self.entries[i][j] for j in cr] for i in rr]
-        return TFMatrix(
-            SignalSpace.single(row_name, len(rr)), SignalSpace.single(col_name, len(cr)), ent
-        )
+        return TFMatrix._of(SignalSpace.single(row_name, len(rr)),
+                            SignalSpace.single(col_name, len(cr)),
+                            _sliced(self.entries, rr, cr))
 
     def row_block(self, row_name: str) -> "TFMatrix":
         rr = self.rows.index_range(row_name)
-        ent = [list(self.entries[i]) for i in rr]
-        return TFMatrix(SignalSpace.single(row_name, len(rr)), self.cols, ent)
+        return TFMatrix._of(SignalSpace.single(row_name, len(rr)), self.cols,
+                            self.entries[rr.start:rr.stop])
 
     def col_block(self, col_name: str) -> "TFMatrix":
         cr = self.cols.index_range(col_name)
-        ent = [[self.entries[i][j] for j in cr] for i in range(self.rows.total)]
-        return TFMatrix(self.rows, SignalSpace.single(col_name, len(cr)), ent)
+        return TFMatrix._of(self.rows, SignalSpace.single(col_name, len(cr)),
+                            _sliced(self.entries, range(self.rows.total), cr))
 
     def relabel(self, rows: SignalSpace, cols: SignalSpace) -> "TFMatrix":
         """Same entries over different (but dimension-compatible) spaces."""
-        return TFMatrix(rows, cols, self.entries)
+        if (rows.total, cols.total) != self.shape:
+            return TFMatrix(rows, cols, self.entries)  # raises SpaceMismatchError
+        return TFMatrix._of(rows, cols, self.entries)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -241,33 +257,27 @@ class TFMatrix:
         if not isinstance(other, TFMatrix):
             return NotImplemented
         self._check_same_spaces(other)
-        ent = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        return TFMatrix(self.rows, self.cols, ent)
+        ent = tuple(tuple(map(operator.add, ra, rb)) for ra, rb in zip(self.entries, other.entries))
+        return TFMatrix._of(self.rows, self.cols, ent)
 
     def __sub__(self, other):
         if not isinstance(other, TFMatrix):
             return NotImplemented
         self._check_same_spaces(other)
-        ent = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        return TFMatrix(self.rows, self.cols, ent)
+        ent = tuple(tuple(map(operator.sub, ra, rb)) for ra, rb in zip(self.entries, other.entries))
+        return TFMatrix._of(self.rows, self.cols, ent)
 
     def __neg__(self):
-        return TFMatrix(self.rows, self.cols, [[-e for e in row] for row in self.entries])
+        return TFMatrix._of(self.rows, self.cols,
+                            tuple(tuple(map(operator.neg, row)) for row in self.entries))
 
     def __mul__(self, other):
         """Scalar multiplication by a rational function or number."""
         scalar = RatFun._coerce(other)
         if scalar is None:
             return NotImplemented
-        return TFMatrix(
-            self.rows, self.cols, [[e * scalar for e in row] for row in self.entries]
-        )
+        return TFMatrix._of(self.rows, self.cols,
+                            tuple(tuple([e * scalar for e in row]) for row in self.entries))
 
     __rmul__ = __mul__
 
@@ -293,8 +303,8 @@ class TFMatrix:
                         if not b.is_zero:
                             acc = acc + a * b
                 out.append(acc)
-            ent.append(out)
-        return TFMatrix(self.rows, other.cols, ent)
+            ent.append(tuple(out))
+        return TFMatrix._of(self.rows, other.cols, tuple(ent))
 
     def inverse(self) -> "TFMatrix":
         """Exact inverse over the rational-function field.
@@ -340,10 +350,16 @@ class TFMatrix:
         all_sp = all(e.is_strictly_proper for e in flat)
         if verdicts is None:
             verdicts = {}
-        stable = all_proper and all(
-            verdicts[e.den] if e.den in verdicts else verdicts.setdefault(e.den, e.is_stable())
-            for e in flat
-        )
+        stable = all_proper
+        if stable:
+            for e in flat:
+                den = e.den
+                verdict = verdicts.get(den)
+                if verdict is None:
+                    verdict = verdicts[den] = e.is_stable()
+                if not verdict:
+                    stable = False
+                    break
         return TFClassification(
             all_proper=all_proper,
             all_strictly_proper=all_sp,
@@ -355,6 +371,12 @@ class TFMatrix:
         rows = ", ".join(f"{n}:{d}" for n, d in self.rows.blocks)
         cols = ", ".join(f"{n}:{d}" for n, d in self.cols.blocks)
         return f"TFMatrix([{rows}] x [{cols}])"
+
+
+def _sliced(entries: tuple[tuple[RatFun, ...], ...], rr: range, cr: range
+            ) -> tuple[tuple[RatFun, ...], ...]:
+    """The entries at rows ``rr`` and columns ``cr``, both contiguous."""
+    return tuple(row[cr.start:cr.stop] for row in entries[rr.start:rr.stop])
 
 
 def _cleared(lines: Sequence[Sequence[RatFun]]) -> list[tuple[int, Sequence[int], list[Sequence[int]]]]:
@@ -434,7 +456,7 @@ def _kronecker_inverse(m: TFMatrix, rows, s: int) -> TFMatrix:
                 d, lcm, _ = rows[j]
                 c, _, prim = _split(_pmul(adj, lcm), 1)
                 ent[i][j] = RatFun(_poly(c * d, 1, prim), det)
-    return TFMatrix(m.cols, m.rows, ent)
+    return TFMatrix._of(m.cols, m.rows, tuple(map(tuple, ent)))
 
 
 def _gauss_jordan_inverse(m: TFMatrix) -> TFMatrix:
@@ -485,7 +507,7 @@ def _gauss_jordan_inverse(m: TFMatrix) -> TFMatrix:
     inv_rows: list[list[RatFun] | None] = [None] * n
     for k in range(n):
         inv_rows[perm[k]] = b[k]
-    return TFMatrix(m.cols, m.rows, inv_rows)
+    return TFMatrix._of(m.cols, m.rows, tuple(map(tuple, inv_rows)))
 
 
 def _product_is(a: TFMatrix, b: TFMatrix, c: TFMatrix) -> bool:

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rstab import DEFAULT_TOL, RatFun, SignalSpace, TFMatrix, embed, shift_identity
+from rstab import (DEFAULT_TOL, RatFun, Realization, SignalSpace, StabilityMatrix, TFMatrix,
+                   check_conditions, embed, shift_identity)
 from rstab.errors import SingularMatrixError, SpaceMismatchError
+from rstab.tfmatrix import _cleared, _gauss_jordan_inverse, _kronecker_inverse, _kronecker_size
 
-from helpers import adjugate_inverse, rand_ratfun
+from helpers import adjugate_inverse, rand_ratfun, rand_tfmatrix
 
 SP = SignalSpace.make(x=1, u=1)
 G = RatFun(1, [0, 1])  # z^{-1}
@@ -171,6 +174,72 @@ class TestClassify:
             assert resolvent.classify().in_rh_inf == expected, a
             seen.add(expected)
         assert seen == {True, False}
+
+
+def well_formed(m: TFMatrix) -> None:
+    """``m``, built by the trusted ``TFMatrix._of``, is what the public
+    constructor builds from the same entries: tuples of RatFun, shaped by
+    the spaces."""
+    assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+    assert all(type(e) is RatFun for row in m.entries for e in row)
+    assert m == TFMatrix(m.rows, m.cols, m.entries)
+
+
+def blocked_space(rng: random.Random, prefix: str) -> SignalSpace:
+    return SignalSpace(tuple((f"{prefix}{i}", rng.randint(1, 2))
+                             for i in range(rng.randint(1, 3))))
+
+
+class TestTrustedConstructor:
+    @settings(max_examples=15)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_every_internal_result_is_well_formed(self, seed):
+        rng = random.Random(seed)
+        rows, cols = blocked_space(rng, "r"), blocked_space(rng, "c")
+        a, b = rand_tfmatrix(rng, rows, cols, 2), rand_tfmatrix(rng, rows, cols, 2)
+        results = [a + b, a - b, -a, a * RatFun(1, [F(1, 3), 1]), 3 * a, F(1, 2) * a,
+                   a @ rand_tfmatrix(rng, cols, rows, 2), a.relabel(
+                       SignalSpace.single("p", rows.total), SignalSpace.single("q", cols.total))]
+        for r in rows.names:
+            results.append(a.row_block(r))
+            results += [a.block(r, c) for c in cols.names]
+        results += [a.col_block(c) for c in cols.names]
+        square = rand_tfmatrix(rng, rows, rows, 2)
+        cleared = _cleared(square.entries)
+        try:
+            results += [square.inverse(), _gauss_jordan_inverse(square),
+                        _kronecker_inverse(square, cleared, _kronecker_size(cleared)[0])]
+        except SingularMatrixError:
+            pass
+        for m in results:
+            well_formed(m)
+
+    @settings(max_examples=15)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_check_conditions_classifies_well_formed_blocks(self, seed):
+        rng = random.Random(seed)
+        space = blocked_space(rng, "s")
+        r, s = rand_tfmatrix(rng, space, space, 2), rand_tfmatrix(rng, space, space, 2)
+        classified = []
+        real = TFMatrix.classify
+
+        def spy(self, verdicts=None):
+            classified.append(self)
+            return real(self, verdicts)
+
+        with mock.patch.object(TFMatrix, "classify", spy):
+            check_conditions(Realization(space, r), StabilityMatrix(space, s))
+        assert len(classified) == len(space.names) ** 2
+        for m, (a, b) in zip(classified, [(a, b) for a in space.names for b in space.names]):
+            well_formed(m)
+            assert m == s.block(a, b)
+
+    def test_relabel_onto_spaces_of_another_size(self):
+        m = TFMatrix.identity(SP)
+        with pytest.raises(SpaceMismatchError):
+            m.relabel(SignalSpace.make(x=1), SP)
+        with pytest.raises(SpaceMismatchError):
+            m.relabel(SP, SignalSpace.make(x=1, u=1, y=1))
 
 
 class TestEmbed:
