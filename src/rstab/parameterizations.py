@@ -115,15 +115,15 @@ class PlantSS:
 
     # -- derived spaces and transfer matrices -------------------------------
 
-    @property
+    @functools.cached_property
     def x_space(self) -> SignalSpace:
         return SignalSpace.single("x", self.n)
 
-    @property
+    @functools.cached_property
     def u_space(self) -> SignalSpace:
         return SignalSpace.single("u", self.m)
 
-    @property
+    @functools.cached_property
     def y_space(self) -> SignalSpace:
         return SignalSpace.single("y", self.p)
 

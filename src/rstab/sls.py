@@ -27,6 +27,9 @@ pair it claims to realize.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -420,6 +423,70 @@ def _psd_rank(w: np.ndarray) -> int | None:
     return rank
 
 
+class _IntMatrix:
+    """An exact rational matrix held as integer rows over one positive common
+    denominator, in lowest terms: entry (i, j) is ``rows[i][j] / den`` with
+    den > 0 and gcd(den, every entry) = 1, so a zero matrix has den = 1.
+
+    Synthesis runs its recursions in this form: a product multiplies the
+    two denominators, a sum cross-multiplies by their gcd, and each result is
+    reduced by one gcd of all its entries and its denominator, where an
+    array of ``Fraction`` takes a gcd per multiply-add.  Systems leave for
+    ``_solve_exact`` as ``Fraction`` lists (``fractions``), and taps leave as
+    ``Fraction`` object arrays (``array``).
+    """
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows: list[list[int]], den: int = 1):
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g != 1:
+            rows, den = [[v // g for v in row] for row in rows], den // g
+        self.rows, self.den = rows, den
+
+    @classmethod
+    def of(cls, values) -> "_IntMatrix":
+        """From a 2-D array or nested list of Fractions."""
+        rows = values.tolist() if isinstance(values, np.ndarray) else values
+        den = math.lcm(*(v.denominator for row in rows for v in row))
+        return cls([[v.numerator * (den // v.denominator) for v in row] for row in rows], den)
+
+    @classmethod
+    def identity(cls, n: int) -> "_IntMatrix":
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @property
+    def T(self) -> "_IntMatrix":
+        return _IntMatrix([list(col) for col in zip(*self.rows)], self.den)
+
+    def __matmul__(self, other: "_IntMatrix") -> "_IntMatrix":
+        cols = list(zip(*other.rows))
+        return _IntMatrix([[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows],
+                          self.den * other.den)
+
+    def _sum(self, other: "_IntMatrix", sign: int) -> "_IntMatrix":
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        return _IntMatrix([[x * fa + y * fb for x, y in zip(ra, rb)]
+                           for ra, rb in zip(self.rows, other.rows)], self.den * fa)
+
+    def __add__(self, other: "_IntMatrix") -> "_IntMatrix":
+        return self._sum(other, 1)
+
+    def __sub__(self, other: "_IntMatrix") -> "_IntMatrix":
+        return self._sum(other, -1)
+
+    def __neg__(self) -> "_IntMatrix":
+        return _IntMatrix([[-v for v in row] for row in self.rows], self.den)
+
+    def fractions(self) -> list[list[Fraction]]:
+        return [[Fraction(v, self.den) for v in row] for row in self.rows]
+
+    def array(self) -> np.ndarray:
+        """As a 2-D object array of Fractions, the form of ``FIRPhi`` taps."""
+        return np.array(self.fractions(), dtype=object)
+
+
 def _staged_taps(a, b, qw, rw, T: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(Phi_x taps, Phi_u taps) by an exact Riccati recursion; Rw must be
     positive definite.
@@ -438,28 +505,35 @@ def _staged_taps(a, b, qw, rw, T: int) -> tuple[list[np.ndarray], list[np.ndarra
     W_1 nu = -Gamma_1' gives the multipliers of all n columns (x_1 = I); an
     inconsistent one raises InfeasibleError.  A forward pass from Phi_x[1] = I
     then runs the stage controls through the plant.
+
+    Every matrix of both passes is an ``_IntMatrix``.  Each system, the
+    m-square stage systems and the terminal n-square one (singular when a
+    direction is uncontrollable but stable), goes to ``_solve_exact`` as
+    ``Fraction`` lists; fraction-free Bareiss elimination was slower on
+    both.  The taps leave as ``Fraction`` arrays.
     """
     n = len(a)
-    p = exact_matrix(np.zeros((n, n), dtype=int))
-    gamma = exact_matrix(np.eye(n, dtype=int))
-    w = exact_matrix(np.zeros((n, n), dtype=int))
+    a, b, qw, rw = map(_IntMatrix.of, (a, b, qw, rw))
+    at, bt = a.T, b.T
+    p = w = _IntMatrix([[0] * n for _ in range(n)])
+    gamma = _IntMatrix.identity(n)
     gains = []
     for _ in range(T):
-        btp, btg = b.T @ p, b.T @ gamma
-        s = rw + btp @ b
-        sol = np.array(_solve_exact(s.tolist(), np.hstack((btp @ a, btg)).tolist()), dtype=object)
-        k, l = sol[:, :n], sol[:, n:]
+        btp, btg = bt @ p, bt @ gamma
+        rhs = [r1 + r2 for r1, r2 in zip((btp @ a).fractions(), btg.fractions())]
+        sol = _solve_exact((rw + btp @ b).fractions(), rhs)
+        k, l = _IntMatrix.of([r[:n] for r in sol]), _IntMatrix.of([r[n:] for r in sol])
         closed = a - b @ k
-        p = qw + a.T @ p @ closed
+        p = qw + at @ p @ closed
         w = w - btg.T @ l
         gamma = closed.T @ gamma
         gains.append((k, l))
-    nu = np.array(_solve_exact(w.tolist(), (-gamma.T).tolist()), dtype=object)
-    x_taps, u_taps = [exact_matrix(np.eye(n, dtype=int))], []
+    nu = _IntMatrix.of(_solve_exact(w.fractions(), (-gamma.T).fractions()))
+    x_taps, u_taps = [_IntMatrix.identity(n)], []
     for k, l in reversed(gains):
-        u_taps.append(-(k @ x_taps[-1]) - l @ nu)
+        u_taps.append(-(k @ x_taps[-1] + l @ nu))
         x_taps.append(a @ x_taps[-1] + b @ u_taps[-1])
-    return x_taps[:-1], u_taps
+    return [x.array() for x in x_taps[:-1]], [u.array() for u in u_taps]
 
 
 def _condensed_taps(a, b, qw, rw, T: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -478,37 +552,45 @@ def _condensed_taps(a, b, qw, rw, T: int) -> tuple[list[np.ndarray], list[np.nda
     A^T + sum_i A^{T-1-i} B u_i = 0 (n rows).  The (mT + n)-square system is
     solved once for all n columns, free variables set to zero, so it serves
     a singular Rw, where the minimizer need not be unique.  An inconsistent
-    system raises InfeasibleError.
+    system raises InfeasibleError.  The blocks are built as ``_IntMatrix``
+    and the system goes to ``_solve_exact`` as ``Fraction`` lists.
     """
     n, m = b.shape
-    powers = [exact_matrix(np.eye(n, dtype=int))]  # A^0 .. A^T
+    a, b, qw, rw = map(_IntMatrix.of, (a, b, qw, rw))
+    bt = b.T
+    powers = [_IntMatrix.identity(n)]  # A^0 .. A^T
     for _ in range(T):
         powers.append(a @ powers[-1])
-    w = [exact_matrix(np.zeros((n, n), dtype=int))]  # W_0 .. W_{T-1}
+    w = [_IntMatrix([[0] * n for _ in range(n)])]  # W_0 .. W_{T-1}
     for s in range(T - 1):
         w.append(w[-1] + powers[s].T @ qw @ powers[s])
     nv = m * T
-    kkt = exact_matrix(np.zeros((nv + n, nv + n), dtype=int))
-    rhs = exact_matrix(np.zeros((nv + n, n), dtype=int))
+    zero = Fraction(0)
+    kkt = [[zero] * (nv + n) for _ in range(nv + n)]
+    rhs = [[zero] * n for _ in range(nv + n)]
+
+    def put(rows: list[list[Fraction]], i: int, j: int, block: _IntMatrix):
+        for r, values in enumerate(block.fractions(), i):
+            rows[r][j:j + len(values)] = values
+
     for j in range(T):
-        jj = slice(j * m, (j + 1) * m)
-        wb, bw = w[T - 1 - j] @ b, b.T @ w[T - 1 - j]
-        for i in range(j + 1):
-            ii = slice(i * m, (i + 1) * m)
+        wb, bw = w[T - 1 - j] @ b, bt @ w[T - 1 - j]
+        for i in range(j):
             ab = powers[j - i] @ b
-            kkt[ii, jj] = ab.T @ wb
-            kkt[jj, ii] = bw @ ab
-        kkt[jj, jj] += rw
-        kkt[nv:, jj] = powers[T - 1 - j] @ b
-        kkt[jj, nv:] = kkt[nv:, jj].T
-        rhs[jj] = -(bw @ powers[j + 1])
-    rhs[nv:] = -powers[T]
-    sol = np.array(_solve_exact(kkt.tolist(), rhs.tolist()), dtype=object)
-    u_taps = [sol[k * m:(k + 1) * m] for k in range(T)]
+            put(kkt, i * m, j * m, ab.T @ wb)
+            put(kkt, j * m, i * m, bw @ ab)
+        put(kkt, j * m, j * m, bw @ b + rw)
+        tail = powers[T - 1 - j] @ b
+        put(kkt, nv, j * m, tail)
+        put(kkt, j * m, nv, tail.T)
+        put(rhs, j * m, 0, -(bw @ powers[j + 1]))
+    put(rhs, nv, 0, -powers[T])
+    sol = _solve_exact(kkt, rhs)
+    u_taps = [_IntMatrix.of(sol[k * m:(k + 1) * m]) for k in range(T)]
     x_taps = [powers[0]]
     for k in range(T - 1):
         x_taps.append(a @ x_taps[-1] + b @ u_taps[k])
-    return x_taps, u_taps
+    return [x.array() for x in x_taps], [u.array() for u in u_taps]
 
 
 def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
@@ -529,9 +611,12 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
     terminal constraint, then one forward pass, finds it stage by stage
     (``_staged_taps``).  A singular Rw leaves the last stage without a unique
     control; then one (mT + n)-square KKT system on the Phi_u taps is solved
-    instead, free variables set to zero (``_condensed_taps``).  Either way
-    Phi_x follows the recursion, making the affine identity of the returned
-    bundle exact, not merely small.  Infeasible horizons (e.g. unstabilizable
+    instead, free variables set to zero (``_condensed_taps``).  Both run on
+    integer matrices over one common denominator (``_IntMatrix``) and hand
+    every system to ``_solve_exact``; the taps become ``Fraction`` arrays
+    only for the returned ``FIRPhi``.  Either way Phi_x follows the
+    recursion, making the affine identity of the returned bundle exact, not
+    merely small.  Infeasible horizons (e.g. unstabilizable
     pairs) raise InfeasibleError.  Qw and Rw must be exactly symmetric
     positive semidefinite, or the KKT point minimizes nothing; any other
     weight raises InvariantViolation.

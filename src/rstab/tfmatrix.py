@@ -25,6 +25,7 @@ arithmetic results and inverses are built by the trusted ``TFMatrix._of``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ class SignalSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.blocks)
 
-    @property
+    @functools.cached_property
     def total(self) -> int:
         return sum(d for _, d in self.blocks)
 
@@ -288,20 +289,28 @@ class TFMatrix:
             raise SpaceMismatchError(
                 f"cannot multiply: columns {self.cols.blocks} != rows {other.rows.blocks}"
             )
-        n, k, m = self.rows.total, self.cols.total, other.cols.total
+        # the terms a_it b_tj of one entry grouped by (a_it.den, b_tj.den):
+        # a group of two or more is one sum of numerator products over
+        # da db, cancelled once; a single term keeps RatFun's cross-cancelled
+        # product.  The normal form is unique, so the entry is the same.
+        cols = list(zip(*other.entries)) if other.entries else [()] * other.cols.total
         zero = RatFun.zero()
         ent = []
-        for i in range(n):
-            ri = self.entries[i]
+        for ri in self.entries:
             out = []
-            for j in range(m):
+            for cj in cols:
+                groups: dict[tuple[Poly, Poly], list[tuple[RatFun, RatFun]]] = {}
+                for a, b in zip(ri, cj):
+                    if not a.is_zero and not b.is_zero:
+                        groups.setdefault((a.den, b.den), []).append((a, b))
                 acc = zero
-                for t in range(k):
-                    a = ri[t]
-                    if not a.is_zero:
-                        b = other.entries[t][j]
-                        if not b.is_zero:
-                            acc = acc + a * b
+                for (da, db), terms in groups.items():
+                    if len(terms) == 1:
+                        a, b = terms[0]
+                        acc = acc + a * b
+                    else:
+                        acc = acc + RatFun(sum([a.num * b.num for a, b in terms[1:]],
+                                               terms[0][0].num * terms[0][1].num), da * db)
                 out.append(acc)
             ent.append(tuple(out))
         return TFMatrix._of(self.rows, other.cols, tuple(ent))
