@@ -16,7 +16,9 @@ exponent exceeds the interpreter's integer digit limit is refused first.
 ``_as_coeff`` is its Fraction view.  A document's coefficients go out as
 strings written from the integer form (``_coeff_strs``, ``_pair_str``), and
 a Fraction is built only for coefficients, leading coefficients and Markov
-parameters asked for one by one.
+parameters asked for one by one.  A float is read from the integer form by
+one int division, which rounds as ``float`` of the Fraction does
+(``_series_pairs`` gives the Markov parameters as integer pairs for that).
 
 One fraction-free division of integer polynomials, ``_pdivmod``, serves
 ``divmod``, the gcd's check of a reconstructed factor and its remainder
@@ -907,14 +909,23 @@ class RatFun:
         """Markov parameters h_0 .. h_n of a proper rational function.
 
         Exact long division in powers of z^{-1}:
-        r = sum_{k=0}^{n} h_k z^{-k} + O(z^{-(n+1)}).
+        r = sum_{k=0}^{n} h_k z^{-k} + O(z^{-(n+1)}).  Each h_k is one
+        Fraction of the integer pair of ``_series_pairs``.
+        """
+        return [Fraction(a, b) for a, b in self._series_pairs(n)]
+
+    def _series_pairs(self, n: int) -> list[tuple[int, int]]:
+        """The Markov parameters h_0 .. h_n as integer pairs (a, b), b > 0,
+        with h_k = a / b, not necessarily in lowest terms.  ``a / b`` on the
+        ints is the correctly rounded float that ``float(h_k)`` gives, signed
+        zero included, so a float is read without building a Fraction.
 
         In w = 1/z the coefficients of num z^{-q} and den z^{-q} are
         num[q-k] and den[q-k], with q = deg den.  On the primitive parts N of
         num (content c) and D of den (lead L, so den = D / L), write
         h_k = c g_k / L^k; then the g_k are integers,
         g_k = N[q-k] L^k - sum_{i=1..k} D[q-i] L^(i-1) g_{k-i},
-        summed over the nonzero taps of D, and each h_k is one Fraction.
+        summed over the nonzero taps of D.
         """
         if not self.is_proper:
             raise ToolkitError("series expansion requires a proper rational function")
@@ -925,7 +936,7 @@ class RatFun:
         taps = [(i, den[q - i] * lead ** (i - 1)) for i in range(1, q + 1) if den[q - i]]
         cn, cd = self.num._n, self.num._d
         g: list[int] = []
-        h: list[Fraction] = []
+        h: list[tuple[int, int]] = []
         power = 1  # lead ** k
         for k in range(n + 1):
             acc = num[q - k] * power if 0 <= q - k < len(num) else 0
@@ -934,7 +945,7 @@ class RatFun:
                     break
                 acc -= di * g[k - i]
             g.append(acc)
-            h.append(Fraction(cn * acc, cd * power))
+            h.append((cn * acc, cd * power))
             power *= lead
         return h
 

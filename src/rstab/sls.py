@@ -713,30 +713,52 @@ def _schedule(d: Mapping[str, Sequence] | None, name: str, horizon: int, dim: in
     return out
 
 
-def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
-    """Run eta = R eta + d from zero initial conditions; ``d`` and the result
-    are (steps, signals, experiments) arrays.
+def _loop_coefficients(r: Realization) -> tuple[list[int], np.ndarray]:
+    """The shifts s_i and the float coefficients C[k] of the recursion of
+    ``_respond``, as a (lags + 1, signals, signals) array.
 
     Row i of I - R times z^{-s_i}, with s_i the highest power of z in row i
     of R or 0 if lower (1 on the x rows, where (I - R)[x, x] = zI - A), is a
     polynomial sum_k C[k] z^{-k}, as R holds only FIR taps and constants.
-    Its exact coefficients, cast to float once, give C[0] eta[t] =
-    d[t - s_i] - sum_{k>=1} C[k] eta[t - k].  A singular C[0] (for the FIR
-    variants, a singular wired P[1]) raises SingularMatrixError, and a
-    response that leaves the float range raises InvariantViolation.
+    Each exact coefficient is rounded to a float once, from ``Poly``'s
+    integer form: an entry's a p_k / b as the int quotient -a p_k / b, and
+    the diagonal's 1 - a p_k / b as (b - a p_k) / b, which round as
+    ``float`` of the exact ``Fraction`` does.  A coefficient beyond the
+    float range raises InvariantViolation.
     """
     rows = r.R.entries
     size = len(rows)
     shifts = [max([0] + [e.num.degree - e.den.degree for e in row if e]) for row in rows]
     lags = max(e.den.degree + s for row, s in zip(rows, shifts) for e in row)
-    coeffs = np.zeros((lags + 1, size, size), dtype=object)
-    for i, (row, s) in enumerate(zip(rows, shifts)):
-        coeffs[s, i, i] = 1
-        for j, e in enumerate(row):
-            top = e.den.degree + s
-            for k in range(top + 1):
-                coeffs[k, i, j] -= e.num[top - k]
-    coeffs = _floats(coeffs, "the loop's realization matrix R")
+    coeffs = np.zeros((lags + 1, size, size))
+    try:
+        for i, (row, s) in enumerate(zip(rows, shifts)):
+            coeffs[s, i, i] = 1.0
+            for j, e in enumerate(row):
+                # e.num[top - k] = a p[top - k] / b, over the taps of p
+                a, b, p = e.num._n, e.num._d, e.num._p
+                top = e.den.degree + s
+                for k in range(top + 1 - len(p), top + 1):
+                    v = a * p[top - k]
+                    coeffs[k, i, j] = (b - v) / b if k == s and i == j else -v / b
+    except OverflowError as exc:
+        raise InvariantViolation("the loop's realization matrix R has an entry "
+                                 "that does not fit a float") from exc
+    return shifts, coeffs
+
+
+def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
+    """Run eta = R eta + d from zero initial conditions; ``d`` and the result
+    are (steps, signals, experiments) arrays.
+
+    With the shifts s_i and coefficients C[k] of ``_loop_coefficients``,
+    C[0] eta[t] = d[t - s_i] - sum_{k>=1} C[k] eta[t - k].  A singular C[0]
+    (for the FIR variants, a singular wired P[1]) raises
+    SingularMatrixError, and a coefficient or a response that leaves the
+    float range raises InvariantViolation.
+    """
+    shifts, coeffs = _loop_coefficients(r)
+    lags, size = coeffs.shape[0] - 1, coeffs.shape[1]
     try:
         lead = np.linalg.inv(coeffs[0])
     except np.linalg.LinAlgError as exc:
@@ -809,6 +831,11 @@ def impulse_match(
     response pair (for example a corrupted tap) shows up as a deviation at
     the first inconsistent lag.  The worst location is the first maximum by
     channel, signal, then lag, and None when nothing deviates.
+
+    Each Markov parameter is rounded to a float once, by dividing the integer
+    pair of ``RatFun._series_pairs`` as ints, which rounds as ``float`` of
+    the exact ``Fraction`` does; one beyond the float range raises
+    InvariantViolation.
     """
     if horizon < 0:
         raise InvariantViolation("horizon must be nonnegative")
@@ -816,8 +843,13 @@ def impulse_match(
     space = s_ref.rows
     size = space.total
     # (channel, signal, lag), like the deviations below
-    want = _floats([[s_ref.entries[i][j].series(horizon) for i in range(size)]
-                    for j in range(size)], "a Markov parameter of the closed-form stability matrix")
+    pairs = [[s_ref.entries[i][j]._series_pairs(horizon) for i in range(size)]
+             for j in range(size)]
+    try:
+        want = np.array([[[a / b for a, b in h] for h in row] for row in pairs])
+    except OverflowError as exc:
+        raise InvariantViolation("a Markov parameter of the closed-form stability matrix "
+                                 "has an entry that does not fit a float") from exc
     impulse = np.zeros((horizon + 1, size, size))
     impulse[0] = np.eye(size)
     got = _respond(build_realization(v, plant), impulse).transpose(2, 1, 0)

@@ -8,13 +8,15 @@ comparison; stability is decided once per distinct denominator per check,
 since a proper entry's verdict depends on its denominator alone.
 
 Inversion takes one of two exact routes, chosen from the input's size.
-Both start from the matrix cleared by rows, M = diag(1/(D_i L_i)) N with N
-integer polynomials (``_cleared``).  When det N(2^s) has at most
-``_KRONECKER_BITS`` bits, for the s at which base-2^s digits are N's minors'
-coefficients, the inverse is read from one fraction-free elimination of the
-integer matrix N(2^s) (Kronecker substitution; Bareiss, 1968).  Otherwise
-it is Gauss-Jordan elimination over the rational-function field, which
-cancels as it goes and wins on long loops with wide coefficients.
+The Kronecker route starts from the matrix cleared by rows, M =
+diag(1/(D_i L_i)) N with N integer polynomials (``_cleared``).  When det
+N(2^s) has at most ``_KRONECKER_BITS`` bits, for the s at which base-2^s
+digits are N's minors' coefficients, the inverse is read from one
+fraction-free elimination of the integer matrix N(2^s) (Kronecker
+substitution; Bareiss, 1968).  When the rows are too large but the columns
+fit, the same route inverts the transpose.  Otherwise it is Gauss-Jordan
+elimination over the rational-function field, which cancels as it goes and
+wins on long loops with wide coefficients.
 
 Every exact identity the library checks, a @ b = c, is decided by one kernel,
 ``_product_is``: one integer product at one point, from the same clearing.
@@ -320,10 +322,15 @@ class TFMatrix:
 
         Takes the Kronecker route (``_kronecker_inverse``) when det N(2^s)
         has at most ``_KRONECKER_BITS`` bits by ``_kronecker_size``, which
-        reads only the cleared input, and Gauss-Jordan elimination
-        (``_gauss_jordan_inverse``) otherwise; both give the same normal
-        form.  Raises SingularMatrixError when the determinant is
-        identically zero.
+        reads only the cleared input.  The input is cleared by rows first;
+        when that is too large it is cleared by columns, and when that fits
+        the Kronecker route inverts the transpose, since (m^T)^{-1} =
+        (m^{-1})^T.  A FIR loop I - R carries its wide tap denominators in
+        the u and delta rows but only in the delta columns, so its columns
+        are often the smaller side.  Only when neither side fits does it
+        take Gauss-Jordan elimination (``_gauss_jordan_inverse``).  Every
+        route gives the same normal form.  Raises SingularMatrixError when
+        the determinant is identically zero.
         """
         if not self.is_square:
             raise SpaceMismatchError("only square matrices can be inverted")
@@ -331,6 +338,11 @@ class TFMatrix:
         s, bits = _kronecker_size(rows)
         if bits <= _KRONECKER_BITS:
             return _kronecker_inverse(self, rows, s)
+        t = _transposed(self)
+        cols = _cleared(t.entries)
+        s, bits = _kronecker_size(cols)
+        if bits <= _KRONECKER_BITS:
+            return _transposed(_kronecker_inverse(t, cols, s))
         return _gauss_jordan_inverse(self)
 
     # -- analysis -----------------------------------------------------------
@@ -386,6 +398,11 @@ def _sliced(entries: tuple[tuple[RatFun, ...], ...], rr: range, cr: range
             ) -> tuple[tuple[RatFun, ...], ...]:
     """The entries at rows ``rr`` and columns ``cr``, both contiguous."""
     return tuple(row[cr.start:cr.stop] for row in entries[rr.start:rr.stop])
+
+
+def _transposed(m: TFMatrix) -> TFMatrix:
+    """m^T, over (m.cols, m.rows)."""
+    return TFMatrix._of(m.cols, m.rows, tuple(zip(*m.entries)))
 
 
 def _cleared(lines: Sequence[Sequence[RatFun]]) -> list[tuple[int, Sequence[int], list[Sequence[int]]]]:

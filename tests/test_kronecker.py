@@ -2,10 +2,11 @@
 a @ b = c decided at one Kronecker point (``_product_is``), checked against
 independent oracles.
 
-Both inverse routes are called directly and compared with the cofactor
-oracle of ``helpers``, on inputs on each side of the size rule that picks
-between them; ``_product_is`` is compared with ``RatFun`` products and
-``==``, directly and through the public verdicts that call it.
+Both inverse routes, and the Kronecker route from the column side, are
+called directly and compared with the cofactor oracle of ``helpers``, on
+inputs on each side of the size rule that picks between them;
+``_product_is`` is compared with ``RatFun`` products and ``==``, directly
+and through the public verdicts that call it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rstab import (
+    PlantSS,
     Poly,
     RatFun,
     Realization,
@@ -31,7 +33,7 @@ from rstab import (
     verify_equivalent,
     verify_lemma,
 )
-from rstab import tfmatrix
+from rstab import sls, tfmatrix
 from rstab.errors import InvariantViolation, SingularMatrixError, SpaceMismatchError
 from rstab.tfmatrix import (
     _KRONECKER_BITS,
@@ -40,6 +42,7 @@ from rstab.tfmatrix import (
     _kronecker_inverse,
     _kronecker_size,
     _product_is,
+    _transposed,
 )
 
 from helpers import (
@@ -69,8 +72,20 @@ def kronecker(m: TFMatrix) -> TFMatrix:
     return _kronecker_inverse(m, rows, _kronecker_size(rows)[0])
 
 
+def column_kronecker(m: TFMatrix) -> TFMatrix:
+    """The Kronecker route from the column side: m^T inverted, transposed."""
+    return _transposed(kronecker(_transposed(m)))
+
+
 def kronecker_bits(m: TFMatrix) -> int:
     return _kronecker_size(_cleared(m.entries))[1]
+
+
+def column_bits(m: TFMatrix) -> int:
+    return kronecker_bits(_transposed(m))
+
+
+ROUTES = (kronecker, column_kronecker, _gauss_jordan_inverse)
 
 
 def fir_loop(rng: random.Random, n: int, deg: int, span: int) -> TFMatrix:
@@ -86,37 +101,91 @@ def small_input(rng: random.Random) -> TFMatrix:
     return fir_loop(rng, rng.randint(1, 3), rng.randint(1, 3), span=2)
 
 
+def column_wide_input(rng: random.Random) -> TFMatrix:
+    """A loop with wide integers in one column only, as a FIR loop carries
+    its wide taps in the delta columns: too large by rows, small by columns
+    (drawn again in the few cases where it is not)."""
+    while True:
+        m = fir_loop(rng, 3, rng.randint(2, 3), span=2)
+        wide = rng.randrange(3)
+        m = TFMatrix(m.rows, m.cols, [[e * rng.randrange(2 ** 170, 2 ** 171) if j == wide else e
+                                       for j, e in enumerate(row)] for row in m.entries])
+        if kronecker_bits(m) > _KRONECKER_BITS >= column_bits(m):
+            return m
+
+
 def large_input(rng: random.Random) -> TFMatrix:
     # long loops with wide taps, as fir_h2_pipeline's n = 5, T >= 7 loops
     return fir_loop(rng, 3, rng.randint(6, 8), span=2 ** rng.randint(60, 90))
 
 
+#: inputs by the route that ``TFMatrix.inverse`` must take for them
+INPUTS = {
+    "rows": lambda rng: fir_loop(rng, rng.randint(1, 3), rng.randint(1, 3), 2),
+    "columns": column_wide_input,
+    "gauss_jordan": large_input,
+}
+
+
+def fir_n3_t4_loop() -> TFMatrix:
+    """I - R of the original_sls loop of an H2-optimal FIR pair at n = 3,
+    T = 4 (one of fir_h2_pipeline's seed-1 plants): 3008 bits by rows,
+    1924 by columns."""
+    plant = PlantSS.state_feedback([[F(-1, 2), F(1, 4), F(4, 3)], [F(-1, 2), F(1, 2), F(1, 2)],
+                                    [F(3, 5), -1, -1]], [[1], [-1], [F(3, 4)]])
+    pair = sls.fir_from_slp(sls.synthesize_sf_h2(plant, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], 4))
+    r = sls.build_realization(sls.RealizationVariant.original(*pair), plant)
+    return TFMatrix.identity(r.space) - r.R
+
+
+def routes_taken(m: TFMatrix) -> tuple[TFMatrix, list[TFMatrix], int]:
+    """m.inverse(), the matrices it handed to the Kronecker kernel, and the
+    number of its calls to Gauss-Jordan."""
+    with mock.patch.object(tfmatrix, "_gauss_jordan_inverse",
+                           wraps=_gauss_jordan_inverse) as gauss_jordan, \
+         mock.patch.object(tfmatrix, "_kronecker_inverse",
+                           wraps=_kronecker_inverse) as kron:
+        inv = m.inverse()
+    return inv, [call.args[0] for call in kron.call_args_list], gauss_jordan.call_count
+
+
 class TestInverseRoutes:
-    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
-    def test_both_routes_equal_the_cofactor_oracle(self, seed, large):
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from(["small", "columns", "gauss_jordan"]))
+    def test_every_route_equals_the_cofactor_oracle(self, seed, kind):
         rng = random.Random(seed)
-        m = large_input(rng) if large else small_input(rng)
+        m = small_input(rng) if kind == "small" else INPUTS[kind](rng)
         try:
             expected = adjugate_inverse(m)
         except SingularMatrixError:
-            for route in (kronecker, _gauss_jordan_inverse):
-                with pytest.raises(SingularMatrixError):
+            for route in ROUTES:
+                with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
                     route(m)
             return
-        assert kronecker(m) == expected
-        assert _gauss_jordan_inverse(m) == expected
+        for route in ROUTES:
+            assert route(m) == expected
 
-    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
-    def test_inverse_takes_the_route_of_the_size_rule(self, seed, large):
-        rng = random.Random(seed)
-        m = large_input(rng) if large else fir_loop(rng, rng.randint(1, 3), rng.randint(1, 3), 2)
-        assert (kronecker_bits(m) > _KRONECKER_BITS) == large
-        with mock.patch.object(tfmatrix, "_gauss_jordan_inverse",
-                               wraps=_gauss_jordan_inverse) as gauss_jordan, \
-             mock.patch.object(tfmatrix, "_kronecker_inverse",
-                               wraps=_kronecker_inverse) as kron:
-            m.inverse()
-        assert (gauss_jordan.call_count, kron.call_count) == ((1, 0) if large else (0, 1))
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(sorted(INPUTS)))
+    def test_inverse_takes_the_route_of_the_size_rule(self, seed, kind):
+        # rows when they fit, else columns when they fit, else Gauss-Jordan
+        m = INPUTS[kind](random.Random(seed))
+        fits = (kronecker_bits(m) <= _KRONECKER_BITS, column_bits(m) <= _KRONECKER_BITS)
+        assert fits == {"rows": (True, fits[1]), "columns": (False, True),
+                        "gauss_jordan": (False, False)}[kind]
+        inv, kron, gauss_jordan = routes_taken(m)
+        assert (kron, gauss_jordan) == {"rows": ([m], 0), "columns": ([_transposed(m)], 0),
+                                        "gauss_jordan": ([], 1)}[kind]
+        assert inv == _gauss_jordan_inverse(m)
+
+    def test_the_fir_n3_t4_loop_takes_the_column_route(self):
+        m = fir_n3_t4_loop()
+        assert m.shape == (7, 7)
+        assert (kronecker_bits(m), column_bits(m)) == (3008, 1924)
+        inv, kron, gauss_jordan = routes_taken(m)
+        assert (kron, gauss_jordan) == ([_transposed(m)], 0)
+        assert inv == kronecker(m) == _gauss_jordan_inverse(m)
+        assert _product_is(m, inv, TFMatrix.identity(m.rows))
+        assert _product_is(inv, m, TFMatrix.identity(m.rows))
 
     @pytest.mark.parametrize("rows", [
         [[RatFun([1, 1], [0, 1]), RatFun(2)], [RatFun([1, 1], [0, 1]), RatFun(2)]],
@@ -128,11 +197,27 @@ class TestInverseRoutes:
          [RatFun([0, 1]), RatFun([0, 0, 1]), RatFun(0)],
          [RatFun([1, 1], [2, 1]), RatFun(7), RatFun(0)]],
     ], ids=["repeated-row", "zero-row", "rank-2-by-rows", "zero-column"])
-    def test_a_singular_matrix_raises_the_same_error_on_both_routes(self, rows):
+    def test_a_singular_matrix_raises_the_same_error_on_every_route(self, rows):
         m = TFMatrix(space(len(rows)), space(len(rows)), rows)
-        for route in (kronecker, _gauss_jordan_inverse, TFMatrix.inverse):
+        for route in (*ROUTES, TFMatrix.inverse):
             with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
                 route(m)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_singular_matrix_on_the_column_route_raises_the_same_error(self, seed):
+        # the third row the sum of the first two, with one column wide
+        m = column_wide_input(random.Random(seed))
+        a, b, _ = m.entries
+        m = TFMatrix(m.rows, m.cols, [a, b, [x + y for x, y in zip(a, b)]])
+        assert kronecker_bits(m) > _KRONECKER_BITS >= column_bits(m)
+        for route in (*ROUTES, TFMatrix.inverse):
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                route(m)
+        # the column route raises it, without falling back to Gauss-Jordan
+        with mock.patch.object(tfmatrix, "_gauss_jordan_inverse") as gauss_jordan, \
+             pytest.raises(SingularMatrixError):
+            m.inverse()
+        gauss_jordan.assert_not_called()
 
 
 class TestIdentityCheck:
