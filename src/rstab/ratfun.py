@@ -17,8 +17,7 @@ exponent exceeds the interpreter's integer digit limit is refused first.
 strings written from the integer form (``_coeff_strs``, ``_pair_str``), and
 a Fraction is built only for coefficients, leading coefficients and Markov
 parameters asked for one by one.  A float is read from the integer form by
-one int division, which rounds as ``float`` of the Fraction does
-(``_series_pairs`` gives the Markov parameters as integer pairs for that).
+one int division, which rounds as ``float`` of the Fraction does.
 
 One fraction-free division of integer polynomials, ``_pdivmod``, serves
 ``divmod``, the gcd's check of a reconstructed factor and its remainder
@@ -916,9 +915,8 @@ class RatFun:
 
     def _series_pairs(self, n: int) -> list[tuple[int, int]]:
         """The Markov parameters h_0 .. h_n as integer pairs (a, b), b > 0,
-        with h_k = a / b, not necessarily in lowest terms.  ``a / b`` on the
-        ints is the correctly rounded float that ``float(h_k)`` gives, signed
-        zero included, so a float is read without building a Fraction.
+        with h_k = a / b, not necessarily in lowest terms: the integer
+        recurrence that ``series`` runs.
 
         In w = 1/z the coefficients of num z^{-q} and den z^{-q} are
         num[q-k] and den[q-k], with q = deg den.  On the primitive parts N of

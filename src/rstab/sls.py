@@ -22,7 +22,10 @@ stable properness.  ``simulate`` runs the same R as a time-domain recursion
 in floating point, and ``impulse_match`` compares its impulse responses
 against the exact Markov parameters of the closed-form stability matrix,
 catching any disagreement between the deployed recursion and the response
-pair it claims to realize.
+pair it claims to realize.  Those parameters come straight from the taps
+(``_markov_parameters``, integer matrices over one denominator), not from
+the rational functions of ``closed_form_stability``, which the tests hold
+them equal to.
 """
 
 from __future__ import annotations
@@ -241,7 +244,10 @@ def closed_form_stability(v: RealizationVariant, plant: PlantSS) -> TFMatrix:
     response pair); under those conditions it coincides with (I - R)^{-1}.
     ``impulse_match`` deliberately compares simulations against this matrix
     rather than the recomputed inverse, so payload corruption is detected
-    instead of silently re-certified.
+    instead of silently re-certified.  It reads the matrix's Markov
+    parameters from ``_markov_parameters``, which computes them from the
+    taps without building this matrix; a new variant needs its blocks both
+    here and there, and tests/test_markov.py keeps the two equal.
     """
     space, x_sp, u_sp, d_sp = _loop_space(v, plant)
     z, zinv = RatFun.z(), RatFun.z_inv()
@@ -423,17 +429,25 @@ def _psd_rank(w: np.ndarray) -> int | None:
     return rank
 
 
+def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two matrices held as integer rows."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
 class _IntMatrix:
     """An exact rational matrix held as integer rows over one positive common
     denominator, in lowest terms: entry (i, j) is ``rows[i][j] / den`` with
     den > 0 and gcd(den, every entry) = 1, so a zero matrix has den = 1.
 
-    Synthesis runs its recursions in this form: a product multiplies the
-    two denominators, a sum cross-multiplies by their gcd, and each result is
-    reduced by one gcd of all its entries and its denominator, where an
-    array of ``Fraction`` takes a gcd per multiply-add.  Systems leave for
-    ``_solve_exact`` as ``Fraction`` lists (``fractions``), and taps leave as
-    ``Fraction`` object arrays (``array``).
+    Synthesis and ``_markov_parameters`` run their recursions in this form:
+    a product multiplies the two denominators and a sum cross-multiplies by
+    their gcd, and each result is reduced by one gcd of all its entries and
+    its denominator, where an array of ``Fraction`` takes a gcd per
+    multiply-add; a block matrix (``block``) scales each block to the lcm
+    of their denominators and needs no gcd.  Systems leave for ``_solve_exact`` as ``Fraction``
+    lists (``fractions``), and taps leave as ``Fraction`` object arrays
+    (``array``).
     """
 
     __slots__ = ("rows", "den")
@@ -455,14 +469,32 @@ class _IntMatrix:
     def identity(cls, n: int) -> "_IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "_IntMatrix":
+        return cls([[0] * cols for _ in range(rows)])
+
+    @classmethod
+    def block(cls, grid: list[list["_IntMatrix"]]) -> "_IntMatrix":
+        """The matrix of a grid of blocks (a list of block rows), over the
+        lcm of the blocks' denominators."""
+        den = math.lcm(*(b.den for row in grid for b in row))
+        rows = []
+        for row in grid:
+            scaled = [(b.rows, den // b.den) for b in row]
+            rows += [[v * f for part, f in scaled for v in part[i]] for i in range(len(row[0].rows))]
+        # already in lowest terms, so no gcd: a prime p of den divides some
+        # block's den to the same power, that block's factor den // b.den is
+        # prime to p, and p does not divide all of its entries
+        out = cls.__new__(cls)
+        out.rows, out.den = rows, den
+        return out
+
     @property
     def T(self) -> "_IntMatrix":
         return _IntMatrix([list(col) for col in zip(*self.rows)], self.den)
 
     def __matmul__(self, other: "_IntMatrix") -> "_IntMatrix":
-        cols = list(zip(*other.rows))
-        return _IntMatrix([[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows],
-                          self.den * other.den)
+        return _IntMatrix(_int_product(self.rows, other.rows), self.den * other.den)
 
     def _sum(self, other: "_IntMatrix", sign: int) -> "_IntMatrix":
         g = math.gcd(self.den, other.den)
@@ -478,6 +510,10 @@ class _IntMatrix:
 
     def __neg__(self) -> "_IntMatrix":
         return _IntMatrix([[-v for v in row] for row in self.rows], self.den)
+
+    def scaled(self, num: int, den: int = 1) -> "_IntMatrix":
+        """This matrix times num / den, for ints num and den > 0."""
+        return _IntMatrix([[num * v for v in row] for row in self.rows], self.den * den)
 
     def fractions(self) -> list[list[Fraction]]:
         return [[Fraction(v, self.den) for v in row] for row in self.rows]
@@ -515,7 +551,7 @@ def _staged_taps(a, b, qw, rw, T: int) -> tuple[list[np.ndarray], list[np.ndarra
     n = len(a)
     a, b, qw, rw = map(_IntMatrix.of, (a, b, qw, rw))
     at, bt = a.T, b.T
-    p = w = _IntMatrix([[0] * n for _ in range(n)])
+    p = w = _IntMatrix.zeros(n, n)
     gamma = _IntMatrix.identity(n)
     gains = []
     for _ in range(T):
@@ -561,7 +597,7 @@ def _condensed_taps(a, b, qw, rw, T: int) -> tuple[list[np.ndarray], list[np.nda
     powers = [_IntMatrix.identity(n)]  # A^0 .. A^T
     for _ in range(T):
         powers.append(a @ powers[-1])
-    w = [_IntMatrix([[0] * n for _ in range(n)])]  # W_0 .. W_{T-1}
+    w = [_IntMatrix.zeros(n, n)]  # W_0 .. W_{T-1}
     for s in range(T - 1):
         w.append(w[-1] + powers[s].T @ qw @ powers[s])
     nv = m * T
@@ -747,6 +783,10 @@ def _loop_coefficients(r: Realization) -> tuple[list[int], np.ndarray]:
     return shifts, coeffs
 
 
+_SINGULAR_LEAD = ("the loop's instantaneous map C[0] is singular "
+                  "(for the FIR variants: the leading wired tap P[1])")
+
+
 def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
     """Run eta = R eta + d from zero initial conditions; ``d`` and the result
     are (steps, signals, experiments) arrays.
@@ -762,8 +802,7 @@ def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
     try:
         lead = np.linalg.inv(coeffs[0])
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("the loop's instantaneous map C[0] is singular "
-                                  "(for the FIR variants: the leading wired tap P[1])") from exc
+        raise SingularMatrixError(_SINGULAR_LEAD) from exc
     # [C[lags] .. C[1]] side by side, against the stacked history eta[t-lags .. t-1]
     past = coeffs[:0:-1].transpose(1, 0, 2).reshape(size, lags * size)
     steps = d.shape[0]
@@ -819,6 +858,105 @@ class ImpulseMatchReport:
     worst_lag: int | None
 
 
+def _markov_parameters(
+    v: RealizationVariant, plant: PlantSS, horizon: int
+) -> tuple[list[list[int]], int]:
+    """The Markov parameters S_0 .. S_horizon of ``closed_form_stability(v,
+    plant)``, computed exactly from the taps, as integer rows over one
+    positive denominator, not necessarily in lowest terms: row k s + i, for
+    s signals (x, u, delta), is row i of S_k.
+
+    With X_k, U_k the taps of Phi_x, Phi_u (zero outside 1 .. T) and
+    [k = j] the identity at lag j and zero elsewhere, S[x, x]_k = X_k and
+    S[u, x]_k = U_k for every variant.  S is FIR, or FIR times
+    (zI - A)^{-1}, so the rest follows by short recursions (Kailath, "Linear
+    Systems", 1980, Sec. 2.1):
+
+    * ``deployment``: [S[x, u]_k, S[x, delta]_k] = Z_k with
+      Z_k = A Z_{k-1} + B [[k = 1], U_k] from Z_0 = 0, that is A^{k-1} B and
+      sum_{j=1..k} A^{j-1} B U_{k+1-j}; S[u, u]_k = [k = 0],
+      S[u, delta]_k = U_{k+1}, S[delta, x]_k = [k = 1], S[delta, u] = 0 and
+      S[delta, delta]_k = [k = 0].
+    * the others: the row blocks of S_k are [G_k, G_k B, G_{k+1} - G_k A]
+      for G = X, U and F, plus [k = 0] at S[u, u] and minus it at
+      S[x, delta], which is [G_k, 0, G_{k+1}] (with those two jumps) times
+      [[I, B, -A], [0, I, 0], [0, 0, I]].  F_k = [k = 1] for
+      ``original_sls``.  For ``design_separation`` F_0 = 0 and
+      F_k = E_{k-1}, the series of E = Delta_c^{-1} with
+      Delta_c = (zI - A) P_c - B M_c = sum_k D_k z^{-k},
+      D_k = P_{k+1} - A P_k - B M_k: E_0 = D_0^{-1} = P_c[1]^{-1} and
+      E_k = -E_0 sum_{j=1..k} D_j E_{k-j}.
+
+    The recursions run on ``_IntMatrix`` values, with every tap scaled by
+    the taps' common denominator mu to an integer matrix, so that a step
+    reduces only by the denominators of A, B and E, and the result is
+    divided by mu once, unreduced.  Nothing is normalized as a rational
+    function, and nothing is inverted but P_c[1].  A singular P_c[1], for
+    which Delta_c is singular or its inverse improper, raises the
+    SingularMatrixError that ``_respond`` raises for that loop, before any
+    other exact work.
+    """
+    _loop_space(v, plant)
+    n, m = plant.n, plant.m
+    eye_n, eye_m = _IntMatrix.identity(n), _IntMatrix.identity(m)
+    zero_n, zero_m, zero_nm = _IntMatrix.zeros(n, n), _IntMatrix.zeros(m, m), _IntMatrix.zeros(n, m)
+    if v.kind == DESIGN_SEPARATION:
+        try:
+            e0 = _IntMatrix.of(_solve_exact(v.p_c.taps[0].tolist(), eye_n.fractions()))
+        except InfeasibleError as exc:
+            raise SingularMatrixError(_SINGULAR_LEAD) from exc
+    a, b = _IntMatrix.of(plant.A), _IntMatrix.of(plant.B)
+    # mu times every tap, at lags 0 .. horizon + 1, as an integer matrix:
+    # with mu the taps' common denominator, no recursion below reduces by it
+    parts = {name: getattr(v, name) for name in VARIANT_PARTS[v.kind]}
+    stack = _IntMatrix.of([row for f in parts.values() for t in f.taps[:horizon + 1]
+                           for row in t.tolist()])
+    mu, rows = stack.den, iter(stack.rows)
+    lags = {}
+    for name, f in parts.items():
+        height, width = f.shape
+        taps = [_IntMatrix([next(rows) for _ in range(height)]) for _ in f.taps[:horizon + 1]]
+        zero = _IntMatrix.zeros(height, width)
+        lags[name] = [zero] + taps + [zero] * (horizon + 1 - len(taps))
+    x, u = lags["phi_x"], lags["phi_u"]
+    mu_n, mu_m = eye_n.scaled(mu), eye_m.scaled(mu)
+    if v.kind == DEPLOYMENT:
+        ab = _IntMatrix.block([[a, b]])
+        z = [_IntMatrix.zeros(n, m + n)]  # mu Z_k
+        for k in range(1, horizon + 1):
+            z.append(ab @ _IntMatrix.block([[z[-1]], [mu_m if k == 1 else zero_m, u[k]]]))
+        s = _IntMatrix.block([row for k in range(horizon + 1) for row in (
+            [x[k], z[k]],
+            [u[k], mu_m if k == 0 else zero_m, u[k + 1]],
+            [mu_n if k == 1 else zero_n, zero_nm, mu_n if k == 0 else zero_n])])
+        return s.rows, s.den * mu
+    if v.kind == DESIGN_SEPARATION:
+        p, mc = lags["p_c"], lags["m_c"]
+        lead = _IntMatrix.block([[eye_n, -a, -b]])
+        steps = []  # (j, E_0 D_j) for the nonzero D_j, j = 1 .. horizon
+        for j in range(1, horizon + 1):
+            dj = lead @ _IntMatrix.block([[p[j + 1]], [p[j]], [mc[j]]])  # mu D_j
+            if any(map(any, dj.rows)):
+                steps.append((j, (e0 @ dj).scaled(1, mu)))
+        e = [e0]
+        for k in range(1, horizon + 1):
+            acc = zero_n
+            for j, step in steps:
+                if j > k:
+                    break
+                acc = acc - step @ e[k - j]
+            e.append(acc)
+        f = [zero_n] + [ek.scaled(mu) for ek in e]
+    else:
+        f = [zero_n, mu_n] + [zero_n] * horizon
+    wiring = _IntMatrix.block([[eye_n, b, -a], [zero_nm.T, eye_m, zero_nm.T], [zero_n, zero_nm, eye_n]])
+    s = _IntMatrix.block([row for k in range(horizon + 1) for row in (
+        [x[k], zero_nm, x[k + 1] - mu_n if k == 0 else x[k + 1]],
+        [u[k], mu_m if k == 0 else zero_m, u[k + 1]],
+        [f[k], zero_nm, f[k + 1]])])
+    return _int_product(s.rows, wiring.rows), s.den * wiring.den * mu
+
+
 def impulse_match(
     v: RealizationVariant, plant: PlantSS, horizon: int, tol: float = 1e-9
 ) -> ImpulseMatchReport:
@@ -826,35 +964,35 @@ def impulse_match(
     Markov parameters.
 
     A unit impulse at t = 0 on each disturbance channel (all in one run) is
-    compared, lag by lag, against the series expansion of the closed-form
-    stability matrix.  A payload whose recursion does not realize its claimed
-    response pair (for example a corrupted tap) shows up as a deviation at
-    the first inconsistent lag.  The worst location is the first maximum by
-    channel, signal, then lag, and None when nothing deviates.
+    compared, lag by lag, against the Markov parameters of the closed-form
+    stability matrix, which ``_markov_parameters`` computes exactly from the
+    taps.  A payload whose recursion does not realize its claimed response
+    pair (for example a corrupted tap) shows up as a deviation at the first
+    inconsistent lag.  The worst location is the first maximum by channel,
+    signal, then lag, and None when nothing deviates.
 
-    Each Markov parameter is rounded to a float once, by dividing the integer
-    pair of ``RatFun._series_pairs`` as ints, which rounds as ``float`` of
-    the exact ``Fraction`` does; one beyond the float range raises
-    InvariantViolation.
+    Each Markov parameter is rounded to a float once, by dividing its
+    integer entry by the common denominator as ints, which rounds as
+    ``float`` of the exact ``Fraction`` does; one beyond the float range
+    raises InvariantViolation.  A design-separation payload with a singular
+    P_c[1] raises SingularMatrixError, as ``simulate`` does for it.
     """
     if horizon < 0:
         raise InvariantViolation("horizon must be nonnegative")
-    s_ref = closed_form_stability(v, plant)
-    space = s_ref.rows
+    space = _loop_space(v, plant)[0]
     size = space.total
-    # (channel, signal, lag), like the deviations below
-    pairs = [[s_ref.entries[i][j]._series_pairs(horizon) for i in range(size)]
-             for j in range(size)]
+    rows, den = _markov_parameters(v, plant, horizon)
     try:
-        want = np.array([[[a / b for a, b in h] for h in row] for row in pairs])
+        want = np.array([[c / den for c in row] for row in rows])
     except OverflowError as exc:
         raise InvariantViolation("a Markov parameter of the closed-form stability matrix "
                                  "has an entry that does not fit a float") from exc
     impulse = np.zeros((horizon + 1, size, size))
     impulse[0] = np.eye(size)
-    got = _respond(build_realization(v, plant), impulse).transpose(2, 1, 0)
+    got = _respond(build_realization(v, plant), impulse)
     with np.errstate(over="ignore"):  # a difference beyond the float range is inf
-        dev = np.abs(got - want)
+        # (channel, signal, lag)
+        dev = np.abs(got - want.reshape(got.shape)).transpose(2, 1, 0)
     max_dev = float(dev.max())
     worst: tuple[str | None, str | None, int | None] = (None, None, None)
     if max_dev > 0:

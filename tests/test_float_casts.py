@@ -1,13 +1,15 @@
 """Floats read straight from the integer form of exact values.
 
-``RatFun._series_pairs`` gives each Markov parameter as an integer pair, and
-``impulse_match`` divides the pair as ints; ``sls._loop_coefficients`` divides
-each coefficient of R the same way.  Both must give, bit for bit (signed
-zeros included), the float that ``float`` of the exact ``Fraction`` gives,
-and must refuse the same values as beyond the float range.  The oracles are
-``RatFun.series`` and the coefficients read through ``Poly.__getitem__``, cast
-by numpy, and ``impulse_match`` is compared with the same deviation computed
-from those casts: the same float, or the same error first.
+``RatFun._series_pairs`` gives each Markov parameter as an integer pair;
+``impulse_match`` divides each entry of its exact Markov parameters
+(``sls._markov_parameters``) by their common denominator as ints, and
+``sls._loop_coefficients`` divides each coefficient of R the same way.  All
+must give, bit for bit (signed zeros included), the float that ``float`` of
+the exact ``Fraction`` gives, and must refuse the same values as beyond the
+float range.  The oracles are ``RatFun.series`` and the coefficients read
+through ``Poly.__getitem__``, cast by numpy, and ``impulse_match`` is
+compared with the same deviation computed from the casts of the series of
+``closed_form_stability``: the same float, or the same error first.
 """
 
 from __future__ import annotations
@@ -29,8 +31,16 @@ from rstab import (
     closed_form_stability,
     impulse_match,
 )
-from rstab.errors import InvariantViolation, ToolkitError
-from rstab.sls import VARIANT_KINDS, VARIANT_PARTS, _loop_coefficients, _respond, part_shape
+from helpers import det_cofactor
+from rstab.errors import InvariantViolation, SingularMatrixError, ToolkitError
+from rstab.sls import (
+    DESIGN_SEPARATION,
+    VARIANT_KINDS,
+    VARIANT_PARTS,
+    _loop_coefficients,
+    _respond,
+    part_shape,
+)
 
 HUGE = 10 ** 400
 
@@ -143,7 +153,16 @@ def outcome(call) -> tuple:
 
 def reference_impulse_match(v: RealizationVariant, plant: PlantSS, horizon: int) -> float:
     """``impulse_match``'s max_deviation with its Markov parameters cast by
-    numpy from ``RatFun.series``."""
+    numpy from ``RatFun.series``.
+
+    A design-separation payload with a singular P_c[1] is refused first, as
+    the recursion of ``_respond`` refuses it: its Delta_c is then singular
+    or has an improper inverse, so the closed form has no series.
+    """
+    if v.kind == DESIGN_SEPARATION and det_cofactor([[RatFun(c) for c in row]
+                                                     for row in v.p_c.taps[0]]).is_zero:
+        raise SingularMatrixError("the loop's instantaneous map C[0] is singular "
+                                  "(for the FIR variants: the leading wired tap P[1])")
     s_ref = closed_form_stability(v, plant)
     size = s_ref.rows.total
     try:

@@ -27,7 +27,8 @@ from rstab import (
     synthesize_sf_h2,
     verify_lemma,
 )
-from rstab.errors import ConvergenceError, InfeasibleError, InvariantViolation
+from rstab import sls
+from rstab.errors import ConvergenceError, InfeasibleError, InvariantViolation, SingularMatrixError
 from rstab.parameterizations import exact_matrix
 from rstab.sls import VARIANT_KINDS, VARIANT_PARTS, _condensed_taps
 
@@ -551,6 +552,36 @@ class TestImpulseMatch:
         fx, fu = dyadic_fir_pair(rng, plant, 4)
         for maker in (RealizationVariant.original, RealizationVariant.deployment):
             assert impulse_match(maker(fx, fu), plant, 50, tol=1e-9).passed
+
+    def test_neither_the_closed_form_nor_an_inverse_is_built(self, monkeypatch):
+        # the Markov parameters come from the taps: a deployment loop inverts
+        # no zI - A and a design-separation loop no Delta_c
+        def refuse(*args, **kwargs):
+            raise AssertionError("impulse_match reached the closed form")
+
+        monkeypatch.setattr(TFMatrix, "inverse", refuse)
+        monkeypatch.setattr(sls, "closed_form_stability", refuse)
+        rng = random.Random(13)
+        plant = PlantSS.state_feedback([[0.25, 0.5], [0.0, -0.5]], np.eye(2))
+        fx, fu = dyadic_fir_pair(rng, plant, 4)
+        for v in variants(fx, fu):
+            assert impulse_match(v, plant, 8, tol=1e-9).passed, v.kind
+
+    @pytest.mark.parametrize("m_c, singular", [(([[0]], [[0]]), False), (([[1]], [[-0.5]]), True)],
+                             ids=["improper_inverse", "singular"])
+    def test_a_singular_leading_p_c_tap_is_refused_as_by_the_recursion(self, m_c, singular):
+        # P_c = z^-2, so Delta_c = (z - 1/2) P_c - M_c is z^-1 - z^-2 / 2,
+        # whose inverse is improper, for M_c = 0, and 0 for M_c = (z - 1/2) P_c
+        p_c, m_c = FIRPhi(([[0]], [[1]])), FIRPhi(m_c)
+        delta_c = (SCALAR.z_minus_a() @ fir_to_tfmatrix(p_c, X1, X1)
+                   - TFMatrix.constant(X1, U1, SCALAR.B) @ fir_to_tfmatrix(m_c, U1, X1))[0, 0]
+        assert delta_c.is_zero if singular else not (1 / delta_c).is_proper
+        v = RealizationVariant.design_separation(p_c, m_c, FX, FU)
+        message = r"^the loop's instantaneous map C\[0\] is singular \(for the FIR variants"
+        with pytest.raises(SingularMatrixError, match=message):
+            impulse_match(v, SCALAR, 5)
+        with pytest.raises(SingularMatrixError, match=message):
+            simulate(v, SCALAR, {"x": [[1.0]]}, 5)
 
     def test_corrupted_tap_detected(self):
         fu_bad = FIRPhi((FU.taps[0] + 0.1,))

@@ -2,8 +2,8 @@
 matrix form that its recursions run on.
 
 ``sls._IntMatrix`` holds a rational matrix as integer rows over one positive
-common denominator in lowest terms; its products, sums and transposes must
-equal entrywise ``Fraction`` arithmetic.  ``synthesize_sf_h2`` must return
+common denominator in lowest terms; its products, sums, transposes and
+block matrices must equal entrywise ``Fraction`` arithmetic.  ``synthesize_sf_h2`` must return
 the taps of ``helpers.dense_fir_h2``, the KKT system posed on every tap, on
 random plants with positive semidefinite weights, singular Rw among them,
 and must write the same ``fir_bundle`` bytes as before on two larger plants.
@@ -78,6 +78,17 @@ class TestIntMatrix:
         assert_normal(got)
         assert got.fractions() == [list(col) for col in zip(*a)]
 
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3), st.integers(1, 3))
+           .flatmap(lambda s: st.tuples(matrices(s[0], s[1], WIDE), matrices(s[0], s[2], WIDE),
+                                        matrices(s[3], s[1] + s[2], WIDE))))
+    def test_block(self, parts):
+        # [[a, b], [c]]: a block row of two blocks (b possibly without
+        # columns) over a block row of one
+        a, b, c = parts
+        got = _IntMatrix.block([[_IntMatrix.of(a), _IntMatrix.of(b)], [_IntMatrix.of(c)]])
+        assert_normal(got)
+        assert got.fractions() == [ra + rb for ra, rb in zip(a, b)] + c
+
     def test_cancellation_reaches_the_zero_matrix(self):
         a = _IntMatrix.of([[F(1, 3), F(-2, 9)]])
         zero = a - a
@@ -86,6 +97,10 @@ class TestIntMatrix:
 
     def test_identity(self):
         assert _IntMatrix.identity(2).fractions() == [[1, 0], [0, 1]]
+
+    def test_zeros(self):
+        zero = _IntMatrix.zeros(2, 3)
+        assert (zero.rows, zero.den) == ([[0, 0, 0], [0, 0, 0]], 1)
 
 
 @st.composite
