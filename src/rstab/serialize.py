@@ -234,7 +234,8 @@ def fir_bundle_to_doc(horizon: int, parts: dict[str, TFMatrix]) -> dict:
 
 
 def fir_bundle_from_doc(doc) -> dict[str, Any]:
-    """Load exact FIR taps as FIRPhi payloads keyed by part name."""
+    """Load exact FIR taps as FIRPhi payloads keyed by part name, lifting
+    each entry once, by the scalar rule of ``real_matrix_from_doc``."""
     _check_header(doc, "fir_bundle")
     with _parsing("fir_bundle"):
         horizon = doc["horizon"]
@@ -246,15 +247,16 @@ def fir_bundle_from_doc(doc) -> dict[str, Any]:
         for name, taps in parts.items():
             if not isinstance(taps, list) or len(taps) != horizon:
                 raise SchemaError(f"{name} must list exactly {horizon} tap matrices")
-            parts[name] = [real_matrix_from_doc(mat) for mat in taps]
+            parts[name] = [np.array(real_matrix_from_doc(mat), dtype=object) for mat in taps]
         if "phi_x" not in parts or "phi_u" not in parts:
             raise SchemaError("fir_bundle needs phi_x and phi_u")
         n, m = len(parts["phi_x"][0]), len(parts["phi_u"][0])
         for name, taps in parts.items():
             shape = part_shape(name, n, m)
-            if any((len(t), len(t[0])) != shape for t in taps):
+            if any(t.shape != shape for t in taps):
                 raise SchemaError(f"every {name} tap must be {shape[0]} x {shape[1]}")
-        return {"horizon": horizon, **{name: FIRPhi(tuple(taps)) for name, taps in parts.items()}}
+        return {"horizon": horizon,
+                **{name: FIRPhi._of(tuple(taps)) for name, taps in parts.items()}}
 
 
 def disturbance_from_doc(doc) -> dict[str, np.ndarray]:

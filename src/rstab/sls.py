@@ -17,15 +17,18 @@ space (x, u, delta):
 ``VARIANT_PARTS`` declares each variant's FIR parts; the CLI and the
 fir_bundle reader take them from there.
 
-``certify_realization`` inverts I - R exactly and checks every block for
+``certify_realization`` builds R as a matrix of rational functions
+(``build_realization``), inverts I - R exactly and checks every block for
 stable properness.  ``simulate`` runs the same R as a time-domain recursion
 in floating point, and ``impulse_match`` compares its impulse responses
 against the exact Markov parameters of the closed-form stability matrix,
 catching any disagreement between the deployed recursion and the response
-pair it claims to realize.  Those parameters come straight from the taps
-(``_markov_parameters``, integer matrices over one denominator), not from
-the rational functions of ``closed_form_stability``, which the tests hold
-them equal to.
+pair it claims to realize.  Neither builds a rational function: the
+recursion's coefficients come straight from A, B and the wired taps
+(``_wired_coefficients``), and the Markov parameters from integer
+recursions on the taps (``_markov_parameters``), which the tests hold equal
+to the coefficients of ``build_realization``'s R and to the series of
+``closed_form_stability``.
 """
 
 from __future__ import annotations
@@ -82,7 +85,9 @@ def part_shape(name: str, n: int, m: int) -> tuple[int, int]:
 @dataclass(frozen=True, eq=False)
 class FIRPhi:
     """Finite impulse response: taps for z^{-1} .. z^{-T}, each lifted exactly
-    (``exact_matrix``) to a 2-D object array of Fractions."""
+    (``exact_matrix``) to a 2-D object array of Fractions; the fir_bundle
+    reader and synthesis, which lift every entry themselves, build through
+    the trusted ``FIRPhi._of``."""
 
     taps: tuple[np.ndarray, ...]
 
@@ -94,6 +99,13 @@ class FIRPhi:
         if any(t.shape != shape for t in taps):
             raise InvariantViolation("all FIR taps must share one shape")
         object.__setattr__(self, "taps", taps)
+
+    @classmethod
+    def _of(cls, taps: tuple[np.ndarray, ...]) -> "FIRPhi":
+        """At least one 2-D object array of Fractions, all of one shape."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "taps", taps)
+        return f
 
     @property
     def horizon(self) -> int:
@@ -246,8 +258,10 @@ def closed_form_stability(v: RealizationVariant, plant: PlantSS) -> TFMatrix:
     rather than the recomputed inverse, so payload corruption is detected
     instead of silently re-certified.  It reads the matrix's Markov
     parameters from ``_markov_parameters``, which computes them from the
-    taps without building this matrix; a new variant needs its blocks both
-    here and there, and tests/test_markov.py keeps the two equal.
+    taps without building this matrix.  A new variant needs its blocks
+    here and its wiring in ``build_realization``, ``_wired_coefficients``
+    and ``_markov_parameters``; tests/test_markov.py and
+    tests/test_float_casts.py keep the four consistent.
     """
     space, x_sp, u_sp, d_sp = _loop_space(v, plant)
     z, zinv = RatFun.z(), RatFun.z_inv()
@@ -675,7 +689,7 @@ def synthesize_sf_h2(plant: PlantSS, Qw, Rw, T: int) -> SLPStateFeedback:
         raise InfeasibleError(
             f"no FIR response pair exists at horizon {T} for this plant"
         ) from exc
-    return slp_from_fir(plant, FIRPhi(tuple(x_taps)), FIRPhi(tuple(u_taps)))
+    return slp_from_fir(plant, FIRPhi._of(tuple(x_taps)), FIRPhi._of(tuple(u_taps)))
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -749,55 +763,66 @@ def _schedule(d: Mapping[str, Sequence] | None, name: str, horizon: int, dim: in
     return out
 
 
-def _loop_coefficients(r: Realization) -> tuple[list[int], np.ndarray]:
+def _wired_coefficients(v: RealizationVariant, plant: PlantSS) -> tuple[list[int], np.ndarray]:
     """The shifts s_i and the float coefficients C[k] of the recursion of
-    ``_respond``, as a (lags + 1, signals, signals) array.
+    ``_respond``, as a (lags + 1, signals, signals) array, written straight
+    from A, B and the wired taps (P, M) of ``controller_taps``.
 
-    Row i of I - R times z^{-s_i}, with s_i the highest power of z in row i
-    of R or 0 if lower (1 on the x rows, where (I - R)[x, x] = zI - A), is a
-    polynomial sum_k C[k] z^{-k}, as R holds only FIR taps and constants.
-    Each exact coefficient is rounded to a float once, from ``Poly``'s
-    integer form: an entry's a p_k / b as the int quotient -a p_k / b, and
-    the diagonal's 1 - a p_k / b as (b - a p_k) / b, which round as
-    ``float`` of the exact ``Fraction`` does.  A coefficient beyond the
-    float range raises InvariantViolation.
+    Row i of I - R, for the R of ``build_realization``, times z^{-s_i} is
+    sum_k C[k] z^{-k}.  Over (x, u, delta), with P_k and M_k the taps at
+    lag k:
+
+    * x (s = 1, from zI - A and -B): C[0] = [I, 0, 0], C[1] = [-A, -B, 0];
+    * u (s = 0): C[0] = [0, I, -M_1] and C[k] = [0, 0, -M_{k+1}];
+    * delta (s = 0), delta = x + (I - z P) delta: C[0] = [-I, 0, P_1] and
+      C[k] = [0, 0, P_{k+1}]; for ``deployment``, which wires no P,
+      C[0] = [-I, 0, I] and C[1] = [A, B, 0].
+
+    There are max(1, K - 1) lags past C[0], for K the last lag at which a
+    wired tap is nonzero, as many as the normalized entries of R span.  Each
+    coefficient is negated exactly and rounded to a float once, as ``float``
+    of the exact ``Fraction`` rounds it; one beyond the float range raises
+    InvariantViolation.  No rational function is built.
     """
-    rows = r.R.entries
-    size = len(rows)
-    shifts = [max([0] + [e.num.degree - e.den.degree for e in row if e]) for row in rows]
-    lags = max(e.den.degree + s for row, s in zip(rows, shifts) for e in row)
+    _loop_space(v, plant)
+    n, m = plant.n, plant.m
+    p_taps, m_taps = v.controller_taps()
+    wired = (m_taps,) if v.kind == DEPLOYMENT else (p_taps, m_taps)
+    last = max((k for f in wired for k, t in enumerate(f.taps, 1) if t.any()), default=0)
+    lags, size = max(1, last - 1), 2 * n + m
+    u, d = slice(n, n + m), slice(n + m, size)
     coeffs = np.zeros((lags + 1, size, size))
+    coeffs[0, range(size), range(size)] = 1.0
+    coeffs[0, range(n + m, size), range(n)] = -1.0
+    a_b = np.hstack([plant.A, plant.B])
     try:
-        for i, (row, s) in enumerate(zip(rows, shifts)):
-            coeffs[s, i, i] = 1.0
-            for j, e in enumerate(row):
-                # e.num[top - k] = a p[top - k] / b, over the taps of p
-                a, b, p = e.num._n, e.num._d, e.num._p
-                top = e.den.degree + s
-                for k in range(top + 1 - len(p), top + 1):
-                    v = a * p[top - k]
-                    coeffs[k, i, j] = (b - v) / b if k == s and i == j else -v / b
+        coeffs[1, :n, :n + m] = -a_b
+        coeffs[:m_taps.horizon, u, d] = -np.array(m_taps.taps[:lags + 1])
+        if v.kind == DEPLOYMENT:
+            coeffs[1, d, :n + m] = a_b
+        else:
+            coeffs[:p_taps.horizon, d, d] = np.array(p_taps.taps[:lags + 1])
     except OverflowError as exc:
         raise InvariantViolation("the loop's realization matrix R has an entry "
                                  "that does not fit a float") from exc
-    return shifts, coeffs
+    return [1] * n + [0] * (m + n), coeffs
 
 
 _SINGULAR_LEAD = ("the loop's instantaneous map C[0] is singular "
                   "(for the FIR variants: the leading wired tap P[1])")
 
 
-def _respond(r: Realization, d: np.ndarray) -> np.ndarray:
-    """Run eta = R eta + d from zero initial conditions; ``d`` and the result
-    are (steps, signals, experiments) arrays.
+def _respond(v: RealizationVariant, plant: PlantSS, d: np.ndarray) -> np.ndarray:
+    """Run the variant's loop eta = R eta + d around ``plant`` from zero
+    initial conditions; ``d`` and the result are (steps, signals,
+    experiments) arrays.
 
-    With the shifts s_i and coefficients C[k] of ``_loop_coefficients``,
+    With the shifts s_i and coefficients C[k] of ``_wired_coefficients``,
     C[0] eta[t] = d[t - s_i] - sum_{k>=1} C[k] eta[t - k].  A singular C[0]
-    (for the FIR variants, a singular wired P[1]) raises
-    SingularMatrixError, and a coefficient or a response that leaves the
-    float range raises InvariantViolation.
+    (a singular wired P[1]) raises SingularMatrixError, and a coefficient or
+    a response that leaves the float range raises InvariantViolation.
     """
-    shifts, coeffs = _loop_coefficients(r)
+    shifts, coeffs = _wired_coefficients(v, plant)
     lags, size = coeffs.shape[0] - 1, coeffs.shape[1]
     try:
         lead = np.linalg.inv(coeffs[0])
@@ -826,7 +851,8 @@ def simulate(
     horizon: int,
 ) -> SimTrace:
     """Run the loop eta = R eta + d of ``build_realization`` from zero
-    initial conditions, the same R that ``certify_realization`` inverts.
+    initial conditions, the same R that ``certify_realization`` inverts,
+    on the coefficients of ``_wired_coefficients``.
 
     Every signal's row receives its own additive disturbance channel; a
     disturbance hitting the state equation at time t shows up in x at time
@@ -840,7 +866,7 @@ def simulate(
         if name not in space.names:
             raise SpaceMismatchError(f"unknown disturbance channel {name!r}; expected x, u or delta")
     stacked = np.concatenate([_schedule(d, name, horizon, dim) for name, dim in space], axis=1)
-    eta = _respond(build_realization(v, plant), stacked[:, :, None])[:, :, 0]
+    eta = _respond(v, plant, stacked[:, :, None])[:, :, 0]
     parts = [(name, space.index_range(name)) for name in space.names]
     return SimTrace(horizon, {n: eta[:, r] for n, r in parts}, {n: stacked[:, r] for n, r in parts})
 
@@ -966,8 +992,10 @@ def impulse_match(
     A unit impulse at t = 0 on each disturbance channel (all in one run) is
     compared, lag by lag, against the Markov parameters of the closed-form
     stability matrix, which ``_markov_parameters`` computes exactly from the
-    taps.  A payload whose recursion does not realize its claimed response
-    pair (for example a corrupted tap) shows up as a deviation at the first
+    taps, and the recursion runs on the coefficients of
+    ``_wired_coefficients``, so neither side builds a rational function.  A
+    payload whose recursion does not realize its claimed response pair (for
+    example a corrupted tap) shows up as a deviation at the first
     inconsistent lag.  The worst location is the first maximum by channel,
     signal, then lag, and None when nothing deviates.
 
@@ -989,7 +1017,7 @@ def impulse_match(
                                  "has an entry that does not fit a float") from exc
     impulse = np.zeros((horizon + 1, size, size))
     impulse[0] = np.eye(size)
-    got = _respond(build_realization(v, plant), impulse)
+    got = _respond(v, plant, impulse)
     with np.errstate(over="ignore"):  # a difference beyond the float range is inf
         # (channel, signal, lag)
         dev = np.abs(got - want.reshape(got.shape)).transpose(2, 1, 0)

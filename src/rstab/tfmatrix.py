@@ -13,10 +13,12 @@ diag(1/(D_i L_i)) N with N integer polynomials (``_cleared``).  When det
 N(2^s) has at most ``_KRONECKER_BITS`` bits, for the s at which base-2^s
 digits are N's minors' coefficients, the inverse is read from one
 fraction-free elimination of the integer matrix N(2^s) (Kronecker
-substitution; Bareiss, 1968).  When the rows are too large but the columns
-fit, the same route inverts the transpose.  Otherwise it is Gauss-Jordan
-elimination over the rational-function field, which cancels as it goes and
-wins on long loops with wide coefficients.
+substitution; Bareiss, 1968).  A pencil, every entry a polynomial of
+degree at most 1 such as zI - A, takes that route whatever its size.  When
+the rows are too large but the columns fit, the same route inverts the
+transpose.  Otherwise it is Gauss-Jordan elimination over the
+rational-function field, which cancels as it goes and wins on long loops
+with wide coefficients.
 
 Every exact identity the library checks, a @ b = c, is decided by one kernel,
 ``_product_is``: one integer product at one point, from the same clearing.
@@ -322,8 +324,11 @@ class TFMatrix:
 
         Takes the Kronecker route (``_kronecker_inverse``) when det N(2^s)
         has at most ``_KRONECKER_BITS`` bits by ``_kronecker_size``, which
-        reads only the cleared input.  The input is cleared by rows first;
-        when that is too large it is cleared by columns, and when that fits
+        reads only the cleared input, or when the input is a pencil (every
+        entry a polynomial of degree at most 1, as zI - A) of any size, whose
+        bound outgrows the rule long before Gauss-Jordan gets cheaper.  The
+        input is cleared by rows first; when that is too large it is cleared
+        by columns, and when that fits
         the Kronecker route inverts the transpose, since (m^T)^{-1} =
         (m^{-1})^T.  A FIR loop I - R carries its wide tap denominators in
         the u and delta rows but only in the delta columns, so its columns
@@ -336,7 +341,8 @@ class TFMatrix:
             raise SpaceMismatchError("only square matrices can be inverted")
         rows = _cleared(self.entries)
         s, bits = _kronecker_size(rows)
-        if bits <= _KRONECKER_BITS:
+        if bits <= _KRONECKER_BITS or all(e.den.degree == 0 and e.num.degree <= 1
+                                          for row in self.entries for e in row):
             return _kronecker_inverse(self, rows, s)
         t = _transposed(self)
         cols = _cleared(t.entries)

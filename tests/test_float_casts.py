@@ -3,13 +3,15 @@
 ``RatFun._series_pairs`` gives each Markov parameter as an integer pair;
 ``impulse_match`` divides each entry of its exact Markov parameters
 (``sls._markov_parameters``) by their common denominator as ints, and
-``sls._loop_coefficients`` divides each coefficient of R the same way.  All
-must give, bit for bit (signed zeros included), the float that ``float`` of
-the exact ``Fraction`` gives, and must refuse the same values as beyond the
-float range.  The oracles are ``RatFun.series`` and the coefficients read
-through ``Poly.__getitem__``, cast by numpy, and ``impulse_match`` is
-compared with the same deviation computed from the casts of the series of
-``closed_form_stability``: the same float, or the same error first.
+``sls._wired_coefficients`` writes the recursion's coefficients straight from
+A, B and the wired taps, each rounded once.  All must give, bit for bit
+(signed zeros included), the float that ``float`` of the exact ``Fraction``
+gives, and must refuse the same values as beyond the float range.  The
+oracles are ``RatFun.series`` and the coefficients of the normalized R of
+``build_realization``, read through ``Poly.__getitem__`` and cast by numpy,
+and ``impulse_match`` is compared with the same deviation computed from the
+casts of the series of ``closed_form_stability``: the same float, or the
+same error first.
 """
 
 from __future__ import annotations
@@ -37,12 +39,15 @@ from rstab.sls import (
     DESIGN_SEPARATION,
     VARIANT_KINDS,
     VARIANT_PARTS,
-    _loop_coefficients,
     _respond,
+    _wired_coefficients,
     part_shape,
 )
 
 HUGE = 10 ** 400
+OVERFLOW = "the loop's realization matrix R has an entry that does not fit a float"
+SINGULAR = (r"the loop's instantaneous map C\[0\] is singular "
+            r"\(for the FIR variants: the leading wired tap P\[1\]\)")
 
 
 def signed(magnitudes):
@@ -126,8 +131,11 @@ def reference_coefficients(r) -> tuple[list[int], np.ndarray]:
 @st.composite
 def variants(draw) -> tuple[RealizationVariant, PlantSS]:
     """A random plant and a variant of random FIR parts, with at most one
-    huge or tiny entry among them."""
-    n, m, horizon = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    huge or tiny entry among them.  The taps are drawn freely, so they are
+    mostly inconsistent (corrupted) pairs; each part may end in all-zero
+    taps, which shortens the loop's lags, and one part's leading tap may
+    start with a zero row, which makes a wired P[1] singular."""
+    n, m, horizon = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
     kind = draw(st.sampled_from(VARIANT_KINDS))
     # A, B, then the taps of each part, as nested lists
     shapes = [(n, n), (n, m)] + [part_shape(name, n, m) for name in VARIANT_PARTS[kind]
@@ -137,6 +145,13 @@ def variants(draw) -> tuple[RealizationVariant, PlantSS]:
         k = draw(st.integers(0, len(mats) - 1))
         i, j = draw(st.integers(0, len(mats[k]) - 1)), draw(st.integers(0, len(mats[k][0]) - 1))
         mats[k][i][j] = draw(extreme)
+    for p in range(len(VARIANT_PARTS[kind])):
+        first = 2 + p * horizon
+        for k in range(first + horizon - draw(st.integers(0, horizon)), first + horizon):
+            mats[k] = [[F(0)] * len(row) for row in mats[k]]
+    if draw(st.booleans()):
+        first = 2 + draw(st.integers(0, len(VARIANT_PARTS[kind]) - 1)) * horizon
+        mats[first][0] = [F(0)] * len(mats[first][0])
     plant = PlantSS.state_feedback(mats[0], mats[1])
     parts = {name: FIRPhi(tuple(mats[2 + p * horizon:2 + (p + 1) * horizon]))
              for p, name in enumerate(VARIANT_PARTS[kind])}
@@ -173,37 +188,61 @@ def reference_impulse_match(v: RealizationVariant, plant: PlantSS, horizon: int)
                                  "has an entry that does not fit a float") from exc
     impulse = np.zeros((horizon + 1, size, size))
     impulse[0] = np.eye(size)
-    got = _respond(build_realization(v, plant), impulse).transpose(2, 1, 0)
+    got = _respond(v, plant, impulse).transpose(2, 1, 0)
     with np.errstate(over="ignore"):
         return float(np.abs(got - want).max())
 
 
+def loop(kind: str, b, *taps) -> tuple[RealizationVariant, PlantSS]:
+    """The scalar plant x+ = 2 x + b u and a variant of the given taps (the
+    control parts' taps scaled by 3)."""
+    parts = {name: FIRPhi(tuple([[t * (3 if name in ("phi_u", "m_c") else 1)]] for t in taps))
+             for name in VARIANT_PARTS[kind]}
+    return RealizationVariant(kind, **parts), PlantSS.state_feedback([[2]], [[b]])
+
+
 class TestLoopCoefficients:
     @given(variants())
+    # taps past lag 2 of 5 all zero: one lag past C[0], as R's entries span
+    @example(loop("original_sls", 1, F(1, 3), F(1, 5), 0, 0, 0))
+    @example(loop("deployment", 1, F(1, 3), F(1, 5), 0, 0, 0))
+    @example(loop("design_separation", 1, F(1, 3), F(1, 5), 0, 0, 0))
+    # B = 10^400 in C[1] (twice for deployment), M = 3 10^400 in C[0]
+    @example(loop("deployment", HUGE, 1))
+    @example(loop("design_separation", 1, HUGE))
     def test_the_coefficients_are_the_floats_of_the_exact_ones(self, variant):
-        r = build_realization(*variant)
-        shifts, exact = reference_coefficients(r)
+        # the oracle reads the normalized R, the code reads the taps
+        shifts, exact = reference_coefficients(build_realization(*variant))
         try:
             want = np.array(exact, dtype=float)
         except OverflowError:
-            with pytest.raises(InvariantViolation,
-                               match="^the loop's realization matrix R has an entry "
-                                     "that does not fit a float$"):
-                _loop_coefficients(r)
+            with pytest.raises(InvariantViolation, match=f"^{OVERFLOW}$"):
+                _wired_coefficients(*variant)
             return
-        got_shifts, got = _loop_coefficients(r)
+        got_shifts, got = _wired_coefficients(*variant)
         assert got_shifts == shifts
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
     def test_a_tiny_entry_gives_a_signed_zero(self):
-        # R[x, x] = A + (1 - z), so C[1] = -A: -0.0 for A = 10^-400
+        # R[x, x] = A + (1 - z), so C[1] = -A: -0.0 for A = 10^-400, 0.0 for A = 0
         phi = FIRPhi(([[1]],))
-        r = build_realization(RealizationVariant.original(phi, phi),
-                              PlantSS.state_feedback([[F(1, HUGE)]], [[1]]))
-        _, got = _loop_coefficients(r)
+        v = RealizationVariant.original(phi, phi)
+        _, got = _wired_coefficients(v, PlantSS.state_feedback([[F(1, HUGE)]], [[1]]))
         assert got[1, 0, 0] == 0.0 and np.signbit(got[1, 0, 0])
         assert got[0, 0, 0] == 1.0
+        _, got = _wired_coefficients(v, PlantSS.state_feedback([[0]], [[1]]))
+        assert got[1, 0, 0] == 0.0 and not np.signbit(got[1, 0, 0])
+
+    @pytest.mark.parametrize("kind", [k for k in VARIANT_KINDS if k != "deployment"])
+    def test_a_singular_leading_wired_tap_is_refused(self, kind):
+        # C[0][delta, delta] = P[1] = 0
+        zero, phi = FIRPhi(([[0]], [[1]])), FIRPhi(([[1]],))
+        v = RealizationVariant(kind, **{name: zero if name == VARIANT_PARTS[kind][-2] else phi
+                                        for name in VARIANT_PARTS[kind]})
+        plant = PlantSS.state_feedback([[F(1, 2)]], [[1]])
+        with pytest.raises(SingularMatrixError, match=f"^{SINGULAR}$"):
+            _respond(v, plant, np.zeros((3, 3, 1)))
 
 
 class TestImpulseMatch:

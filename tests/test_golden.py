@@ -2,7 +2,7 @@
 
 The plant is x+ = A x + B u with A = [[1/2, 1], [0, 3/2]] (unstable),
 B = [0, 1]^T, measured in full (C = I, D = 0).  The jobs cover synthesis at
-T = 4, certification of all three realization variants, simulation,
+T = 4, certification and simulation of all three realization variants,
 factorization with exact gains, and five conversions: three of the parameter
 bundle of the static controller u = [0, -2] x (to iop, mixed1 and youla),
 and two that chain off those outputs (the IOP bundle over the state to
@@ -32,6 +32,10 @@ GAINS = {"schema_version": serialize.SCHEMA_VERSION, "kind": "gains",
          "F": [["-1/4", "-2"]], "L": [["-1/2", "-1"], ["0", "-3/2"]]}
 #: a stabilizing static state feedback (closed-loop poles +-1/2), not the factors' F
 CONTROLLER = [[0, -2]]
+#: a disturbance on every channel of the (x, u, delta) loop, at different steps
+DISTURBANCE = {"schema_version": serialize.SCHEMA_VERSION, "kind": "disturbance",
+               "signals": {"x": [[1, 0], [0, "-1/2"]], "u": [[0], [0], [2]],
+                           "delta": [[0, 0], [0, 0], [0, 0], ["1/4", 1]]}}
 
 #: (command, its inputs by file name, options); every job writes ``<name>.json``
 JOBS = {
@@ -44,6 +48,12 @@ JOBS = {
                                   {"variant": "design_separation"}),
     "simulate": ("simulate", {"fir": "synthesize", "plant": "plant"},
                  {"variant": "original_sls", "horizon": 6}),
+    "simulate_deployment": ("simulate", {"fir": "synthesize", "plant": "plant",
+                                         "disturbance": "disturbance"},
+                            {"variant": "deployment", "horizon": 6}),
+    "simulate_design_separation": ("simulate", {"fir": "separation", "plant": "plant",
+                                                "disturbance": "disturbance"},
+                                   {"variant": "design_separation", "horizon": 6}),
     "factorize": ("factorize", {"plant": "plant", "gains": "gains"}, {}),
     "convert_slp_sf_to_iop": ("convert", {"bundle": "slp_sf", "plant": "plant"},
                               {"target": "iop"}),
@@ -63,6 +73,7 @@ def _write_inputs(work: Path) -> None:
     docs = {
         "plant": serialize.plant_to_doc(PLANT),
         "gains": GAINS,
+        "disturbance": DISTURBANCE,
         "slp_sf": serialize.bundle_to_doc("slp_sf", slp_sf_from_controller(PLANT, k)),
     }
     for name, doc in docs.items():

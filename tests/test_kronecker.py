@@ -4,7 +4,8 @@ independent oracles.
 
 Both inverse routes, and the Kronecker route from the column side, are
 called directly and compared with the cofactor oracle of ``helpers``, on
-inputs on each side of the size rule that picks between them;
+inputs on each side of the size rule that picks between them, and on a
+wide pencil, which takes the row route past that rule;
 ``_product_is`` is compared with ``RatFun`` products and ``==``, directly
 and through the public verdicts that call it.
 """
@@ -186,6 +187,18 @@ class TestInverseRoutes:
         assert inv == kronecker(m) == _gauss_jordan_inverse(m)
         assert _product_is(m, inv, TFMatrix.identity(m.rows))
         assert _product_is(inv, m, TFMatrix.identity(m.rows))
+
+    def test_a_wide_pencil_takes_the_row_route_past_the_size_rule(self):
+        # zI - A with entries of about 1000 bits: far past the rule on both
+        # sides, yet every entry is a polynomial of degree at most 1
+        rng = random.Random(5)
+        a = [[F(rng.randrange(-2 ** 1000, 2 ** 1000), rng.randrange(1, 2 ** 1000))
+              for _ in range(3)] for _ in range(3)]
+        m = PlantSS.state_feedback(a, [[1], [0], [0]]).z_minus_a()
+        assert min(kronecker_bits(m), column_bits(m)) > _KRONECKER_BITS
+        inv, kron, gauss_jordan = routes_taken(m)
+        assert (kron, gauss_jordan) == ([m], 0)
+        assert inv == _gauss_jordan_inverse(m) == adjugate_inverse(m)
 
     @pytest.mark.parametrize("rows", [
         [[RatFun([1, 1], [0, 1]), RatFun(2)], [RatFun([1, 1], [0, 1]), RatFun(2)]],

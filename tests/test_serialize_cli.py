@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -609,6 +610,49 @@ class TestCLIInputs:
             "certify", {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir)},
             {"variant": "original_sls"}))
         assert (code, report["exit_code"], report["details"]["error"]) == (2, 2, error)
+
+    @pytest.mark.parametrize("part", ["phi_x", "phi_u", "p_c", "m_c"])
+    @pytest.mark.parametrize("entry, error", [
+        (["1"], "cannot use list as an exact scalar"),
+        ({"p": 1}, "cannot use dict as an exact scalar"),
+        (True, "cannot use bool as an exact scalar"),
+        ("1/0", "Fraction(1, 0)"),
+    ], ids=["list", "object", "bool", "zero_denominator"])
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_a_tap_entry_that_is_no_scalar_is_a_parse_error(
+        self, tmp_path, scalar_plant_doc, part, entry, error, command
+    ):
+        # the reader lifts each entry once, and refuses it as the scalar rule does
+        _, plant_path = scalar_plant_doc
+        fir = {"schema_version": 1, "kind": "fir_bundle", "horizon": 2,
+               **{name: [[["1"]], [["0"]]] for name in ("phi_x", "p_c")},
+               **{name: [[["-1/2"]], [["0"]]] for name in ("phi_u", "m_c")}}
+        fir[part][1][0][0] = entry
+        with pytest.raises(SchemaError, match=rf"^malformed fir_bundle: {re.escape(error)}$"):
+            serialize.fir_bundle_from_doc(fir)
+        options = {"variant": "design_separation"}
+        if command == "simulate":
+            options.update(horizon=2, out=str(tmp_path / "t.json"))
+        code, report = run(JobSpec(
+            command, {"plant": plant_path, "fir": write(tmp_path, "fir.json", fir)}, options))
+        assert (code, report["exit_code"]) == (2, 2)
+        assert report["details"]["error"] == f"malformed fir_bundle: {error}"
+
+    def test_the_read_taps_are_a_tuple_of_fraction_arrays(self):
+        parts = serialize.fir_bundle_from_doc({
+            "schema_version": 1, "kind": "fir_bundle", "horizon": 2,
+            "phi_x": [[["1", 0], ["0", "1"]], [["1/3", 2], [0.5, "-0.25"]]],
+            "phi_u": [[["-1/2", "3"]], [[0, "7/9"]]]})
+        assert parts["horizon"] == 2
+        want = {"phi_x": [[[1, 0], [0, 1]], [[F(1, 3), 2], [F(1, 2), F(-1, 4)]]],
+                "phi_u": [[[F(-1, 2), 3]], [[0, F(7, 9)]]]}
+        for name, taps in want.items():
+            got = parts[name].taps
+            assert type(got) is tuple and len(got) == 2 and parts[name].horizon == 2
+            for tap, rows in zip(got, taps):
+                assert tap.dtype == object and tap.shape == (len(rows), len(rows[0]))
+                assert all(type(v) is F for v in tap.flat)
+                assert tap.tolist() == rows
 
     @pytest.mark.parametrize("signals", [None, [[1]], "x"])
     def test_a_disturbance_without_a_signals_object_is_a_parse_error(
